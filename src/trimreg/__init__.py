@@ -8,8 +8,6 @@ from .dgp import (
     DgpSample,
     Estimator,
     MetricsSummary,
-    gen_dgp1,
-    gen_dgp2,
     gen_dgp3,
     generate,
     run_monte_carlo,
@@ -30,7 +28,6 @@ from .errors import (
     WindowTooLarge,
 )
 from .l0 import (
-    SearchBudget,
     SparsitySolution,
     bic_score,
     fit_iht,

@@ -48,7 +48,7 @@ def _smoothed_abs(r: np.ndarray, eps: float) -> float:
     return float(np.sum(np.where(a <= eps, r * r / (2.0 * eps) + eps / 2.0, a)))
 
 
-def fit_lad(data: Dataset, max_iter: int = MAX_ITER) -> ClassicFit:
+def fit_lad(data: Dataset) -> ClassicFit:
     """Least absolute deviation via IRLS with a 1e-8 weight floor."""
     X, y = data.design, data.y
     beta = lstsq_qr(X, y)
@@ -56,7 +56,7 @@ def fit_lad(data: Dataset, max_iter: int = MAX_ITER) -> ClassicFit:
     smoothed = _smoothed_abs(r, LAD_EPS)
     converged = False
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         w = 1.0 / np.maximum(np.abs(r), LAD_EPS)
         sw = np.sqrt(w)
         beta_new = lstsq_qr(X * sw[:, None], y * sw)
@@ -84,7 +84,7 @@ def huber_objective(r: np.ndarray, psi: float) -> float:
     return float(np.sum(huber_rho(r, psi)))
 
 
-def fit_huber(data: Dataset, psi: float, max_iter: int = MAX_ITER) -> ClassicFit:
+def fit_huber(data: Dataset, psi: float) -> ClassicFit:
     """Huber regression with fixed cutoff psi.
 
     Alternates the closed-form shift update (residuals soft-thresholded at
@@ -100,7 +100,7 @@ def fit_huber(data: Dataset, psi: float, max_iter: int = MAX_ITER) -> ClassicFit
     obj = huber_objective(y - X @ beta, psi)
     converged = False
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         alpha = soft_threshold_alpha(y - X @ beta, psi)
         beta_new = lstsq_qr(X, y - alpha)
         obj_new = huber_objective(y - X @ beta_new, psi)

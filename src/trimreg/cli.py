@@ -14,15 +14,15 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from . import __version__
-from .classic import fit_lad, fit_ols, fit_huber, initial_beta
+from .classic import fit_huber, fit_lad, fit_ols, initial_beta
 from .dgp import (
     ESTIMATOR_FACTORIES,
     DgpConfig,
@@ -36,21 +36,8 @@ from .errors import (
     TrimregError,
     WindowTooLarge,
 )
-from .l0 import (
-    BIC_SELECTION_MULT,
-    fit_l0_auto,
-    fit_lcs,
-    neighborhood_search,
-    selection_score,
-)
-from .l1 import (
-    BIC_SELECTION_MULT as L1_SELECTION_MULT,
-    bic_l1,
-    default_psi_grid,
-    fit_l1,
-    select_psi_bic,
-    soft_threshold_alpha,
-)
+from .l0 import fit_l0_auto, fit_lcs, select_k_bic
+from .l1 import fit_l1, select_psi_bic, soft_threshold_alpha
 from .linalg import Dataset
 
 METHODS = ("l0", "l1", "lad", "ols", "huber")
@@ -98,16 +85,22 @@ def read_csv_dataset(path: str) -> tuple[Dataset, list[str]]:
     return data, header
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
+def _strict_json(obj):
+    """`obj` with numpy values unwrapped and non-finite floats as None."""
+    if isinstance(obj, dict):
+        return {k: _strict_json(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return [_strict_json(v) for v in obj]
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
 
 
 def write_report(report: dict, out: str | None) -> None:
-    text = json.dumps(report, indent=2, default=_json_default)
+    """Write `report` as strict JSON: NaN and infinities become null."""
+    text = json.dumps(_strict_json(report), indent=2, allow_nan=False)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -144,8 +137,16 @@ def _validate_method_flags(args) -> None:
         raise UsageError("--method huber requires --psi")
 
 
+def _check_budgets(k: int | None, k_max: int | None, n: int, q: int) -> None:
+    """Range checks of --k and --k-max for N rows and q coefficients."""
+    if k is not None and not 0 <= k <= n - q:
+        raise UsageError(f"--k must lie in [0, N - q] = [0, {n - q}]")
+    if k_max is not None and not 1 <= k_max <= n // 2:
+        raise UsageError(f"--k-max must lie in [1, N // 2] = [1, {n // 2}]")
+
+
 def _default_k_max(n: int) -> int:
-    return max(1, min(n // 2, n // 4))
+    return max(1, n // 4)
 
 
 def _fit_once(data: Dataset, args) -> dict:
@@ -175,14 +176,14 @@ def _fit_once(data: Dataset, args) -> dict:
                 "tuning": tuning, "converged": True}
     # l0
     if args.auto:
-        K = args.k_max if args.k_max else _default_k_max(n)
+        K = _default_k_max(n) if args.k_max is None else args.k_max
         sol = fit_l0_auto(data, K=K, l_final=args.l)
         tuning = {
-            "k": sol.info["k_hat"],
+            "k": sol.k,
             "selected_by": "bic",
             "bic_trace": [
                 {"k": k, "objective": obj, "bic": b}
-                for k, obj, b in sol.info["bic_trace"]
+                for k, obj, b, _ in sol.info["bic_trace"]
             ],
         }
     else:
@@ -195,6 +196,7 @@ def _fit_once(data: Dataset, args) -> dict:
 def cmd_fit(args) -> int:
     _validate_method_flags(args)
     data, header = read_csv_dataset(args.input)
+    _check_budgets(args.k, args.k_max, data.n_obs, data.n_coef)
     res = _fit_once(data, args)
     alpha = np.asarray(res["alpha"])
     flagged = np.flatnonzero(alpha != 0.0)
@@ -216,41 +218,22 @@ def cmd_fit(args) -> int:
 
 
 def cmd_tune(args) -> int:
+    if args.grid_size < 1:
+        raise UsageError("--grid-size must be at least 1")
     data, header = read_csv_dataset(args.input)
+    _check_budgets(None, args.k_max, data.n_obs, data.n_coef)
     if args.method == "l0":
-        K = args.k_max if args.k_max else _default_k_max(data.n_obs)
-        sols = neighborhood_search(data, initial_beta(data), K, args.l)
-        trace = []
-        best_k, best_bic = None, np.inf
-        for sol in sols:
-            b = selection_score(data, sol, BIC_SELECTION_MULT)
-            trace.append({
-                "k": sol.k, "objective": sol.objective, "bic": b,
-                "n_outliers": int(sol.outliers.shape[0]),
-            })
-            if b < best_bic:
-                best_k, best_bic = sol.k, b
-        selection = {"k": best_k, "bic": best_bic}
-    elif args.method == "l1":
-        beta0 = initial_beta(data)
-        grid = default_psi_grid(data, args.grid_size, lad_beta=beta0)
-        trace = []
-        best_psi, best_bic = None, np.inf
-        for psi in grid:
-            try:
-                sol = fit_l1(data, float(psi), beta0=beta0)
-            except TrimregError:
-                continue
-            b = bic_l1(data, sol, L1_SELECTION_MULT)
-            trace.append({
-                "psi": float(psi), "objective": sol.objective, "bic": b,
-                "n_outliers": sol.n_outliers,
-            })
-            if b <= best_bic:
-                best_psi, best_bic = float(psi), b
-        selection = {"psi": best_psi, "bic": best_bic}
+        K = _default_k_max(data.n_obs) if args.k_max is None else args.k_max
+        sol = select_k_bic(data, initial_beta(data), K, args.l)
+        param, value = "k", sol.k
     else:
-        raise UsageError("tune supports --method l0 or l1")
+        sol = select_psi_bic(data, args.grid_size)
+        param, value = "psi", sol.psi
+    trace = [
+        {param: v, "objective": obj, "bic": b, "n_outliers": m}
+        for v, obj, b, m in sol.info["bic_trace"]
+    ]
+    selection = {param: value, "bic": sol.info["bic"]}
     report = {
         "command": "tune",
         "version": __version__,
@@ -268,24 +251,10 @@ def cmd_tune(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _ForecastSpec:
-    method: str
-    k: int | None
-    psi: float | None
-    auto: bool
-    l: int
-    k_max: int | None
-
-
-def _forecast_one(y: np.ndarray, x: np.ndarray, window: int, spec: _ForecastSpec, t: int):
-    """Fit on rows [t-window, t-1] (0-based), predict row t."""
-    sl = slice(t - window, t)
-    data = Dataset(y=y[sl], x=x[sl])
-    args = argparse.Namespace(
-        method=spec.method, k=spec.k, psi=spec.psi, auto=spec.auto,
-        l=spec.l, k_max=spec.k_max,
-    )
+def _forecast_one(y: np.ndarray, x: np.ndarray, args, t: int):
+    """Fit the method in `args` on rows [t-window, t-1] (0-based), predict row t."""
+    window = args.window
+    data = Dataset(y=y[t - window:t], x=x[t - window:t])
     try:
         res = _fit_once(data, args)
     except (TrimregError, np.linalg.LinAlgError) as exc:
@@ -330,12 +299,9 @@ def cmd_forecast(args) -> int:
         raise UsageError(f"--window must be at least d+2 = {d + 2}")
     if args.window >= T:
         raise WindowTooLarge(f"window {args.window} leaves no targets in {T} rows")
-    spec = _ForecastSpec(
-        method=args.method, k=args.k, psi=args.psi, auto=args.auto,
-        l=args.l, k_max=args.k_max,
-    )
+    _check_budgets(args.k, args.k_max, args.window, d + 1)
     targets = list(range(args.window, T))  # 0-based target rows
-    worker = partial(_forecast_one, y, x, args.window, spec)
+    worker = partial(_forecast_one, y, x, args)
     if args.threads > 1:
         with ProcessPoolExecutor(max_workers=args.threads) as pool:
             results = list(pool.map(worker, targets))
@@ -512,8 +478,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("input")
     _add_method_flags(p_fit)
     p_fit.add_argument("--out", default=None, help="JSON report path (default stdout)")
-    p_fit.add_argument("--seed", type=int, default=None)
-    p_fit.add_argument("--threads", type=int, default=1)
     p_fit.set_defaults(func=cmd_fit)
 
     p_tune = subs.add_parser("tune", help="trace the BIC over a tuning grid")
@@ -523,8 +487,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_tune.add_argument("--l", type=int, choices=(1, 2), default=1)
     p_tune.add_argument("--grid-size", dest="grid_size", type=int, default=30)
     p_tune.add_argument("--out", default=None)
-    p_tune.add_argument("--seed", type=int, default=None)
-    p_tune.add_argument("--threads", type=int, default=1)
     p_tune.set_defaults(func=cmd_tune)
 
     p_fc = subs.add_parser("forecast", help="rolling one-step-ahead backtest")
@@ -538,7 +500,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fc.add_argument("--flags-csv", dest="flags_csv", default=None,
                       help="CSV of (target_row, window_row) outlier flags")
     p_fc.add_argument("--out", default=None)
-    p_fc.add_argument("--seed", type=int, default=None)
     p_fc.add_argument("--threads", type=int, default=1)
     p_fc.set_defaults(func=cmd_forecast)
 

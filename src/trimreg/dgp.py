@@ -117,38 +117,9 @@ def _dgp12_block(rng, n, cfg: DgpConfig, with_outliers: bool):
     return Dataset(y=y, x=x), outliers
 
 
-def gen_dgp1(cfg: DgpConfig) -> DgpSample:
-    """Mean shifts drawn independently of the regressors on the first
-    floor(p*N) rows; squared-normal first regressor, correlated second."""
-    if cfg.dgp != 1:
-        raise ValueError("config is not for design 1")
-    rng = _rng(cfg.seed)
-    train, outliers = _dgp12_block(rng, cfg.N, cfg, with_outliers=True)
-    test, _ = _dgp12_block(rng, cfg.n_test, cfg, with_outliers=False)
-    return DgpSample(
-        train=train, true_beta=np.array([0.5, 1.0, 1.0]),
-        true_outliers=outliers, test=test,
-    )
-
-
-def gen_dgp2(cfg: DgpConfig) -> DgpSample:
-    """As design 1, but the shift is rho times the sum of the same three
-    innovations that drive the regressors, so contamination is endogenous."""
-    if cfg.dgp != 2:
-        raise ValueError("config is not for design 2")
-    rng = _rng(cfg.seed)
-    train, outliers = _dgp12_block(rng, cfg.N, cfg, with_outliers=True)
-    test, _ = _dgp12_block(rng, cfg.n_test, cfg, with_outliers=False)
-    return DgpSample(
-        train=train, true_beta=np.array([0.5, 1.0, 1.0]),
-        true_outliers=outliers, test=test,
-    )
-
-
 # error-correction loading: first variable is a pure random walk, the second
 # chases it, so (1, -1) is the cointegrating combination
 _VECM_PI = np.array([[0.0, 0.0], [1.0, -1.0]])
-_COINT_VECTOR = np.array([1.0, -1.0])
 
 
 def _dgp3_block(rng, n, cfg: DgpConfig, with_outliers: bool, eta: np.ndarray):
@@ -216,7 +187,24 @@ def gen_dgp3(cfg: DgpConfig) -> DgpSample:
 
 
 def generate(cfg: DgpConfig) -> DgpSample:
-    return {1: gen_dgp1, 2: gen_dgp2, 3: gen_dgp3}[cfg.dgp](cfg)
+    """Draw one sample of the configured design.
+
+    Designs 1 and 2 share the regressors (a squared-normal first
+    regressor, a correlated second) and shift the first floor(p*N) rows.
+    Design 1 draws the shifts independently of the regressors; design 2
+    takes rho times the sum of the same three innovations that drive the
+    regressors, so its contamination is endogenous. Design 3 is
+    `gen_dgp3`.
+    """
+    if cfg.dgp == 3:
+        return gen_dgp3(cfg)
+    rng = _rng(cfg.seed)
+    train, outliers = _dgp12_block(rng, cfg.N, cfg, with_outliers=True)
+    test, _ = _dgp12_block(rng, cfg.n_test, cfg, with_outliers=False)
+    return DgpSample(
+        train=train, true_beta=np.array([0.5, 1.0, 1.0]),
+        true_outliers=outliers, test=test,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -233,73 +221,45 @@ class Estimator:
     fit: Callable[[DgpSample], Any]
 
 
-def _fit_ols_sample(sample: DgpSample):
+# Fits run in worker processes when threads > 1, so each is a module-level
+# function. The fixed-budget fits use each replication's true count.
+def _ols(sample: DgpSample):
     return fit_ols(sample.train)
 
 
-def _fit_lad_sample(sample: DgpSample):
+def _lad(sample: DgpSample):
     return fit_lad(sample.train)
 
 
-def _fit_l1_sample(sample: DgpSample):
+def _l1(sample: DgpSample):
     # replication mode: the plain information criterion, whose score is
     # unbounded below as psi -> 0, slides to the bottom of the grid and
     # flags densely; the comparison tables are produced this way
     return select_psi_bic(sample.train, penalty_mult=1.0)
 
 
-def _resolve_k(sample: DgpSample, k: int | None) -> int:
-    return len(sample.true_outliers) if k is None else k
+def _l0(sample: DgpSample):
+    K = min(sample.train.n_obs // 2, 2 * max(len(sample.true_outliers), 1))
+    return fit_l0_auto(sample.train, K)
 
 
-def _fit_iht_sample(sample: DgpSample, k: int | None = None):
-    return fit_iht(sample.train, _resolve_k(sample, k), initial_beta(sample.train))
+def _iht(sample: DgpSample):
+    return fit_iht(sample.train, len(sample.true_outliers), initial_beta(sample.train))
 
 
-def _fit_lcs_sample(sample: DgpSample, l: int, k: int | None = None):
-    return fit_lcs(sample.train, _resolve_k(sample, k), initial_beta(sample.train), l)
+def _lcs1(sample: DgpSample):
+    return fit_lcs(sample.train, len(sample.true_outliers), initial_beta(sample.train), 1)
 
 
-def _fit_l0_auto_sample(sample: DgpSample, k_cap_mult: int = 2):
-    k0 = max(len(sample.true_outliers), 1)
-    K = min(sample.train.n_obs // 2, k_cap_mult * k0)
-    return fit_l0_auto(sample.train, K=K)
+def _lcs2(sample: DgpSample):
+    return fit_lcs(sample.train, len(sample.true_outliers), initial_beta(sample.train), 2)
 
 
-def estimator_ols() -> Estimator:
-    return Estimator("ols", _fit_ols_sample)
-
-
-def estimator_lad() -> Estimator:
-    return Estimator("lad", _fit_lad_sample)
-
-
-def estimator_l1() -> Estimator:
-    return Estimator("l1", _fit_l1_sample)
-
-
-def estimator_iht(k: int | None = None) -> Estimator:
-    """Hard-thresholding alternation at fixed budget (true count when k=None)."""
-    return Estimator("iht", partial(_fit_iht_sample, k=k))
-
-
-def estimator_lcs(l: int, k: int | None = None) -> Estimator:
-    return Estimator(f"lcs{l}", partial(_fit_lcs_sample, l=l, k=k))
-
-
-def estimator_l0() -> Estimator:
-    """Budget sweep + BIC selection + order-2 polish (the headline method)."""
-    return Estimator("l0", _fit_l0_auto_sample)
-
-
+# name -> factory of the named Estimator
 ESTIMATOR_FACTORIES = {
-    "ols": estimator_ols,
-    "lad": estimator_lad,
-    "l1": estimator_l1,
-    "l0": estimator_l0,
-    "iht": estimator_iht,
-    "lcs1": partial(estimator_lcs, 1),
-    "lcs2": partial(estimator_lcs, 2),
+    name: partial(Estimator, name, fit)
+    for name, fit in [("ols", _ols), ("lad", _lad), ("l1", _l1), ("l0", _l0),
+                      ("iht", _iht), ("lcs1", _lcs1), ("lcs2", _lcs2)]
 }
 
 
@@ -502,8 +462,6 @@ __all__ = [
     "Estimator",
     "MetricsSummary",
     "ReplicationRecord",
-    "gen_dgp1",
-    "gen_dgp2",
     "gen_dgp3",
     "generate",
     "run_monte_carlo",
@@ -512,10 +470,4 @@ __all__ = [
     "summary_rows",
     "record_rows",
     "ESTIMATOR_FACTORIES",
-    "estimator_ols",
-    "estimator_lad",
-    "estimator_l1",
-    "estimator_l0",
-    "estimator_iht",
-    "estimator_lcs",
 ]

@@ -26,6 +26,7 @@ from math import comb
 
 import numpy as np
 
+from .classic import initial_beta
 from .errors import DegenerateFit, TooFewInliers
 from .linalg import Dataset, lstsq_qr
 
@@ -61,26 +62,6 @@ class SparsitySolution:
     outliers: np.ndarray
     objective: float
     info: dict = field(default_factory=dict, compare=False, repr=False)
-
-
-@dataclass(frozen=True)
-class SearchBudget:
-    """Iteration and bound knobs for the search layers."""
-
-    l: int = 1
-    max_iter: int = IHT_MAX_ITER
-    K: int = 1
-    tau: float = 1.5
-
-    def __post_init__(self):
-        if self.l < 1:
-            raise ValueError("l must be >= 1")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if self.K < 1:
-            raise ValueError("K must be >= 1")
-        if self.tau <= 1.0:
-            raise ValueError("tau must exceed 1")
 
 
 def hard_threshold(c: np.ndarray, k: int) -> np.ndarray:
@@ -129,9 +110,7 @@ def _trimmed_solution(data: Dataset, drop_rows: np.ndarray, k: int) -> SparsityS
     )
 
 
-def fit_iht(
-    data: Dataset, k: int, beta0: np.ndarray, max_iter: int = IHT_MAX_ITER
-) -> SparsitySolution:
+def fit_iht(data: Dataset, k: int, beta0: np.ndarray) -> SparsitySolution:
     """Alternate residual hard-thresholding with trimmed least squares.
 
     Stops once the discarded set repeats (then the coefficients are a
@@ -139,10 +118,10 @@ def fit_iht(
     The trimmed objective is non-increasing across iterations.
     """
     n, q = data.n_obs, data.n_coef
+    if k < 0:
+        raise ValueError(f"k={k} must be >= 0")
     if n - k < q:
         raise TooFewInliers(f"N - k = {n - k} < {q} coefficients")
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
     if k == 0:
         return _trimmed_solution(data, np.empty(0, dtype=np.intp), 0)
     X, y = data.design, data.y
@@ -152,7 +131,7 @@ def fit_iht(
     prev_drop: np.ndarray | None = None
     obj = np.inf
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, IHT_MAX_ITER + 1):
         r = y - X @ beta
         drop = _top_k_indices(r, k)
         if prev_drop is not None and np.array_equal(drop, prev_drop):
@@ -299,34 +278,26 @@ def local_swap_search(data: Dataset, sol: SparsitySolution, l: int) -> SparsityS
             cand = None
         if cand is not None and cand.objective < sol.objective - margin:
             cand.info["swap_candidates"] = n_cand
-            cand.info["improved"] = True
             return cand
     sol.info["inescapable_order"] = l
     return sol
 
 
-def fit_lcs(
-    data: Dataset,
-    k: int,
-    beta0: np.ndarray,
-    l: int,
-    max_outer: int = LCS_MAX_OUTER,
-    iht_max_iter: int = IHT_MAX_ITER,
-) -> SparsitySolution:
+def fit_lcs(data: Dataset, k: int, beta0: np.ndarray, l: int) -> SparsitySolution:
     """Hard-thresholding alternation refined by exhaustive local swaps.
 
     Each round runs the alternating fit and then the order-l swap search;
     strict improvements restart the alternation from the improved
     coefficients. Terminates at a swap-inescapable solution (or after
-    `max_outer` rounds), with the objective non-increasing throughout.
+    `LCS_MAX_OUTER` rounds), with the objective non-increasing throughout.
     """
-    cur = fit_iht(data, k, beta0, max_iter=iht_max_iter)
-    for _ in range(max_outer):
+    cur = fit_iht(data, k, beta0)
+    for _ in range(LCS_MAX_OUTER):
         swapped = local_swap_search(data, cur, l)
         if swapped is cur:
             break
         assert swapped.objective <= cur.objective, "swap accepted without descent"
-        nxt = fit_iht(data, k, swapped.beta, max_iter=iht_max_iter)
+        nxt = fit_iht(data, k, swapped.beta)
         assert nxt.objective <= swapped.objective + IMPROVE_TOL * max(
             1.0, swapped.objective
         ), "re-threshold after swap increased the objective"
@@ -335,11 +306,7 @@ def fit_lcs(
 
 
 def neighborhood_search(
-    data: Dataset,
-    beta0: np.ndarray,
-    K: int,
-    l: int,
-    max_sweeps: int = SWEEP_MAX,
+    data: Dataset, beta0: np.ndarray, K: int, l: int
 ) -> list[SparsitySolution]:
     """Solve every budget 1..K, re-seeding each from adjacent budgets.
 
@@ -357,7 +324,7 @@ def neighborhood_search(
         fit_lcs(data, k, beta0, l) for k in range(1, K + 1)
     ]
     total = sum(s.objective for s in sols)
-    for _ in range(max_sweeps):
+    for _ in range(SWEEP_MAX):
         for j in range(K):
             best = sols[j]
             neighbors = []
@@ -397,6 +364,24 @@ def selection_score(data: Dataset, sol: SparsitySolution, mult: float) -> float:
     return bic_score(data, sol) + (mult - 1.0) * sol.k * np.log(n)
 
 
+def select_by_score(candidates, score, prefer_last: bool = False):
+    """Score every candidate; return (selected, its score, trace).
+
+    `trace` lists (candidate, score) pairs in input order. The minimum
+    score wins; among equal scores the earliest candidate wins, or the
+    latest when `prefer_last` is set. Raises ValueError if no candidate
+    is selected (every score is NaN, or infinite without `prefer_last`).
+    """
+    trace = [(c, score(c)) for c in candidates]
+    selected, best = None, np.inf
+    for c, s in trace:
+        if s < best or (prefer_last and s == best):
+            selected, best = c, s
+    if selected is None:
+        raise ValueError("no candidate scores below infinity")
+    return selected, best, trace
+
+
 def select_k_bic(
     data: Dataset,
     beta0: np.ndarray,
@@ -404,70 +389,50 @@ def select_k_bic(
     l: int,
     penalty_mult: float = BIC_SELECTION_MULT,
 ) -> SparsitySolution:
-    """Budget sweep followed by BIC selection; ties go to the smaller k."""
-    sols = neighborhood_search(data, beta0, K, l)
-    best = None
-    best_score = np.inf
-    for sol in sols:
-        score = selection_score(data, sol, penalty_mult)
-        if score < best_score:
-            best, best_score = sol, score
-    best.info["bic"] = best_score
+    """Budget sweep followed by BIC selection; ties go to the smaller k.
+
+    `info` carries the selected score under "bic" and, under "bic_trace",
+    one (k, objective, score, rows discarded) tuple per budget in
+    ascending k.
+    """
+    best, score, trace = select_by_score(
+        neighborhood_search(data, beta0, K, l),
+        lambda sol: selection_score(data, sol, penalty_mult),
+    )
+    best.info["bic"] = score
+    best.info["bic_trace"] = [
+        (sol.k, sol.objective, s, int(sol.outliers.shape[0])) for sol, s in trace
+    ]
     return best
 
 
-def fit_l0_auto(
-    data: Dataset,
-    K: int | None = None,
-    beta0: np.ndarray | None = None,
-    l_search: int = 1,
-    l_final: int = 2,
-    penalty_mult: float = BIC_SELECTION_MULT,
-    budget: SearchBudget | None = None,
-) -> SparsitySolution:
-    """Full pipeline: budget sweep at l_search, BIC choice, order-l_final polish.
+def fit_l0_auto(data: Dataset, K: int, l_final: int = 2) -> SparsitySolution:
+    """Full pipeline: order-1 budget sweep from the LAD fit, BIC choice,
+    order-l_final polish.
 
-    A `SearchBudget` may supply K and the sweep order l_search instead of
-    the explicit arguments. Returns the polished solution at the selected
-    budget; `info` carries the trace as (k, objective, score) triples
-    under "bic_trace".
+    Returns the polished solution at the selected budget (or the selected
+    one, if polishing does not lower the objective); `info` carries the
+    sweep's trace under "bic_trace", as in `select_k_bic`.
     """
-    if budget is not None:
-        K = budget.K if K is None else K
-        l_search = budget.l
-    if K is None:
-        raise ValueError("either K or a SearchBudget must be given")
-    if beta0 is None:
-        from .classic import initial_beta
-
-        beta0 = initial_beta(data)
-    sols = neighborhood_search(data, beta0, K, l_search)
-    trace = []
-    k_hat, selected, best_score = None, None, np.inf
-    for sol in sols:
-        score = selection_score(data, sol, penalty_mult)
-        trace.append((sol.k, sol.objective, score))
-        if score < best_score:
-            k_hat, selected, best_score = sol.k, sol, score
+    selected = select_k_bic(data, initial_beta(data), K, 1)
     final = selected
-    if l_final > l_search:
-        final = fit_lcs(data, k_hat, selected.beta, l_final)
+    if l_final > 1:
+        final = fit_lcs(data, selected.k, selected.beta, l_final)
         if final.objective > selected.objective:
             final = selected
-    final.info["bic_trace"] = trace
-    final.info["k_hat"] = k_hat
+    final.info["bic_trace"] = selected.info["bic_trace"]
     return final
 
 
 __all__ = [
     "SparsitySolution",
-    "SearchBudget",
     "hard_threshold",
     "fit_iht",
     "local_swap_search",
     "fit_lcs",
     "neighborhood_search",
     "bic_score",
+    "select_by_score",
     "select_k_bic",
     "fit_l0_auto",
     "count_swap_candidates",

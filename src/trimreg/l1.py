@@ -9,12 +9,13 @@ cross-checks at convergence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .classic import fit_lad, huber_objective
 from .errors import AllFitsFailed, NotConverged
+from .l0 import select_by_score
 from .linalg import Dataset, lstsq_qr
 
 MAX_ITER = 2000
@@ -29,13 +30,18 @@ BIC_SELECTION_MULT = 2.75
 
 @dataclass(frozen=True)
 class L1Solution:
-    """Fit of the penalized problem at a fixed threshold psi."""
+    """Fit of the penalized problem at a fixed threshold psi.
+
+    `info` carries selection diagnostics and never takes part in
+    comparisons.
+    """
 
     beta: np.ndarray
     alpha: np.ndarray
     psi: float
     objective: float
     n_outliers: int
+    info: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def soft_threshold_alpha(r: np.ndarray, psi: float) -> np.ndarray:
@@ -54,12 +60,7 @@ def _penalized_objective(r_adj: np.ndarray, alpha: np.ndarray, psi: float) -> fl
     return 0.5 * float(r_adj @ r_adj) + psi * float(np.sum(np.abs(alpha)))
 
 
-def fit_l1(
-    data: Dataset,
-    psi: float,
-    max_iter: int = MAX_ITER,
-    beta0: np.ndarray | None = None,
-) -> L1Solution:
+def fit_l1(data: Dataset, psi: float, beta0: np.ndarray | None = None) -> L1Solution:
     """Alternating minimization at fixed psi, started from the LAD fit."""
     if psi <= 0:
         raise ValueError("psi must be positive")
@@ -68,7 +69,7 @@ def fit_l1(
     alpha = soft_threshold_alpha(y - X @ beta, psi)
     obj = _penalized_objective(y - X @ beta - alpha, alpha, psi)
     converged = False
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         beta_new = lstsq_qr(X, y - alpha)
         alpha = soft_threshold_alpha(y - X @ beta_new, psi)
         obj_new = _penalized_objective(y - X @ beta_new - alpha, alpha, psi)
@@ -82,7 +83,7 @@ def fit_l1(
             break
         beta = beta_new
     if not converged:
-        raise NotConverged(f"fit_l1 did not converge in {max_iter} iterations")
+        raise NotConverged(f"fit_l1 did not converge in {MAX_ITER} iterations")
     # profile identity: the penalized objective at the alpha-argmin equals
     # the Huber loss of the residuals at cutoff psi
     profile = huber_objective(y - X @ beta, psi)
@@ -121,34 +122,41 @@ def bic_l1(data: Dataset, sol: L1Solution, mult: float = 1.0) -> float:
 
 
 def select_psi_bic(
-    data: Dataset, grid=None, penalty_mult: float = BIC_SELECTION_MULT
+    data: Dataset, grid=PSI_GRID_SIZE, penalty_mult: float = BIC_SELECTION_MULT
 ) -> L1Solution:
     """Fit every psi on the grid, score by BIC, return the minimizer.
 
+    `grid` is either the psi values or the size of the default grid.
     Ties break toward larger psi (fewer flagged rows). Non-convergent grid
     points are skipped; if none converge, raises AllFitsFailed. All grid
     points share one LAD starting point, so they stay order-independent.
+    `info` carries the selected score under "bic" and, under "bic_trace",
+    one (psi, objective, score, rows flagged) tuple per converged point in
+    ascending psi.
     """
     beta0 = fit_lad(data).beta
-    if grid is None:
-        grid = default_psi_grid(data, lad_beta=beta0)
+    if np.ndim(grid) == 0:
+        grid = default_psi_grid(data, int(grid), lad_beta=beta0)
     grid = np.asarray(grid, dtype=np.float64)
     if grid.size == 0:
         raise ValueError("psi grid is empty")
     if np.any(grid <= 0):
         raise ValueError("psi grid must be positive")
-    best: L1Solution | None = None
-    best_score = np.inf
+    fits = []
     for psi in np.sort(grid):
         try:
-            sol = fit_l1(data, float(psi), beta0=beta0)
+            fits.append(fit_l1(data, float(psi), beta0=beta0))
         except NotConverged:
             continue
-        score = bic_l1(data, sol, penalty_mult)
-        if score <= best_score:  # ties favor the larger psi scanned later
-            best, best_score = sol, score
-    if best is None:
+    if not fits:
         raise AllFitsFailed("no psi on the grid produced a converged fit")
+    best, score, trace = select_by_score(
+        fits, lambda sol: bic_l1(data, sol, penalty_mult), prefer_last=True
+    )
+    best.info["bic"] = score
+    best.info["bic_trace"] = [
+        (sol.psi, sol.objective, s, sol.n_outliers) for sol, s in trace
+    ]
     return best
 
 

@@ -62,16 +62,6 @@ def equal_solution_parts(a: SparsitySolution, b: SparsitySolution) -> tuple[bool
     return support, objective
 
 
-def alpha_bounds_from(sol: SparsitySolution, tau: float = 1.5) -> tuple[float, float]:
-    """Big-M style bounds (max-norm, 1-norm) inflated from a reference fit."""
-    if tau <= 1.0:
-        raise ValueError("tau must exceed 1")
-    return (
-        tau * float(np.max(np.abs(sol.alpha), initial=0.0)),
-        tau * float(np.sum(np.abs(sol.alpha))),
-    )
-
-
 def _rss_fixed(X: np.ndarray, y: np.ndarray, rows: np.ndarray) -> tuple[float, np.ndarray]:
     """Least-squares RSS over `rows` only; rank-deficient fits fall back to
     the minimum-norm solution (the bound stays valid)."""
@@ -142,26 +132,16 @@ def _branch_and_bound(
     k: int,
     warm_start: SparsitySolution | None,
     time_limit: float,
-    alpha_bounds: tuple[float, float] | None,
 ) -> tuple[SparsitySolution, float, float, int, bool]:
     """Best-first search on keep/discard assignments.
 
     A node's lower bound is the least-squares objective over the rows
     already forced to stay, which no completion can undercut. Branching
     picks the free row with the largest residual under the incumbent fit.
-    When `alpha_bounds` is given, candidate incumbents violating the
-    max-norm or 1-norm shift bounds are rejected (big-M feasibility).
     """
     X, y = data.design, data.y
     n = data.n_obs
     start = time.perf_counter()
-
-    def admissible(sol: SparsitySolution) -> bool:
-        if alpha_bounds is None:
-            return True
-        m_inf, m_one = alpha_bounds
-        a = np.abs(sol.alpha)
-        return float(a.max(initial=0.0)) <= m_inf and float(a.sum()) <= m_one
 
     best = _greedy_incumbent(data, k)
     if warm_start is not None and (best is None or warm_start.objective < best.objective):
@@ -201,7 +181,7 @@ def _branch_and_bound(
                 cand = _trimmed_solution(data, drop, k)
             except TooFewInliers:
                 continue
-            if cand.objective < primal and admissible(cand):
+            if cand.objective < primal:
                 best, primal = cand, cand.objective
             continue
 
@@ -230,7 +210,6 @@ def best_subset_exact(
     warm_start: SparsitySolution | None = None,
     time_limit: float = TIME_LIMIT,
     method: str = "auto",
-    alpha_bounds: tuple[float, float] | None = None,
 ) -> OracleResult:
     """Certified minimizer of the trimmed objective at budget k.
 
@@ -238,10 +217,6 @@ def best_subset_exact(
     are at most two million of them and otherwise branches and bounds. A
     warm start seeds the incumbent (and never worsens the result). Returns
     the best incumbent with an honest dual bound when the time limit binds.
-
-    `alpha_bounds` (max-norm, 1-norm caps on the shifts, usually from
-    `alpha_bounds_from`) imposes big-M feasibility on incumbents in the
-    branch-and-bound path; leave None for the unconstrained exact problem.
     """
     n = data.n_obs
     if n > N_LIMIT:
@@ -273,9 +248,7 @@ def best_subset_exact(
             nodes_explored=n_eval, wall_time=time.perf_counter() - start,
         )
 
-    best, primal, dual, nodes, timed_out = _branch_and_bound(
-        data, k, warm_start, time_limit, alpha_bounds
-    )
+    best, primal, dual, nodes, timed_out = _branch_and_bound(data, k, warm_start, time_limit)
     gap_ok = primal < np.inf and (primal - dual) <= GAP_TOL * max(dual, 1e-12)
     return OracleResult(
         solution=best, primal=primal, dual=dual,
@@ -290,5 +263,4 @@ __all__ = [
     "relative_optimality_gap",
     "equal_solution",
     "equal_solution_parts",
-    "alpha_bounds_from",
 ]

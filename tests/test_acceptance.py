@@ -14,18 +14,7 @@ import numpy as np
 import pytest
 
 from trimreg.classic import fit_huber, initial_beta
-from trimreg.dgp import (
-    DgpConfig,
-    estimator_iht,
-    estimator_l0,
-    estimator_l1,
-    estimator_lad,
-    estimator_lcs,
-    estimator_ols,
-    gen_dgp1,
-    generate,
-    run_monte_carlo,
-)
+from trimreg.dgp import ESTIMATOR_FACTORIES, DgpConfig, generate, run_monte_carlo
 from trimreg.l0 import fit_iht, fit_lcs, hard_threshold, local_swap_search, select_k_bic
 from trimreg.l1 import fit_l1, soft_threshold_alpha
 from trimreg.linalg import Dataset
@@ -115,7 +104,7 @@ def equal_oracle_run():
                     seed=271828, n_test=10)
     return run_monte_carlo(
         cfg,
-        [estimator_iht(), estimator_lcs(1), estimator_lcs(2)],
+        [ESTIMATOR_FACTORIES[name]() for name in ("iht", "lcs1", "lcs2")],
         R=100, oracle_k=0, threads=2,
     )
 
@@ -144,7 +133,7 @@ def endogenous_run():
     cfg = DgpConfig(dgp=2, N=200, p=0.1, rho=5.0, seed=55555, n_test=1000)
     return run_monte_carlo(
         cfg,
-        [estimator_l0(), estimator_l1(), estimator_lad(), estimator_ols()],
+        [ESTIMATOR_FACTORIES[name]() for name in ("l0", "l1", "lad", "ols")],
         R=200, threads=2,
     )
 
@@ -199,7 +188,7 @@ def bic_recovery_run():
     for rep in range(1, 101):
         cfg = DgpConfig(dgp=1, N=100, p=0.05, mu_alpha=10.0, sigma_alpha=10.0,
                         seed=161803 ^ rep, n_test=10)
-        s = gen_dgp1(cfg)
+        s = generate(cfg)
         sol = select_k_bic(s.train, initial_beta(s.train), K=10, l=1)
         khats.append(sol.k)
     return khats

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from trimreg.cli import main, read_csv_dataset
+from trimreg.cli import main, read_csv_dataset, write_report
 from trimreg.errors import ParseError
 
 
@@ -33,9 +33,64 @@ def outlier_csv(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def two_regressor_csv(tmp_path):
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=(40, 2))
+    y = 0.5 + x @ np.array([1.0, -1.0]) + 0.3 * rng.normal(size=40)
+    path = tmp_path / "two.csv"
+    write_csv(path, ["y", "x1", "x2"], np.column_stack([y, x]).tolist())
+    return str(path)
+
+
 def load_json(path):
     with open(path) as fh:
         return json.load(fh)
+
+
+def exit_code(argv):
+    """`main`'s return code, or the code of an argparse usage exit."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+# 40 rows, q = 3 coefficients: --k in [0, 37], --k-max in [1, 20];
+# forecast windows of 20 rows: --k in [0, 17], --k-max in [1, 10]
+@pytest.mark.parametrize("argv, flag", [
+    (["fit", "--method", "l0", "--k", "-1"], "--k"),
+    (["fit", "--method", "l0", "--k", "38"], "--k"),
+    (["fit", "--method", "l0", "--auto", "--k-max", "30"], "--k-max"),
+    (["fit", "--method", "l0", "--auto", "--k-max", "0"], "--k-max"),
+    (["tune", "--method", "l0", "--k-max", "30"], "--k-max"),
+    (["tune", "--method", "l0", "--k-max", "0"], "--k-max"),
+    (["tune", "--method", "l1", "--grid-size", "0"], "--grid-size"),
+    (["forecast", "--method", "l0", "--k", "18", "--window", "20"], "--k"),
+    (["forecast", "--method", "l0", "--auto", "--k-max", "11", "--window", "20"], "--k-max"),
+    (["fit", "--method", "ols", "--seed", "1"], "--seed"),
+    (["fit", "--method", "ols", "--threads", "2"], "--threads"),
+    (["tune", "--method", "l0", "--seed", "1"], "--seed"),
+    (["tune", "--method", "l0", "--threads", "2"], "--threads"),
+    (["forecast", "--method", "ols", "--window", "20", "--seed", "1"], "--seed"),
+])
+def test_out_of_range_or_unknown_flags_are_usage_errors(two_regressor_csv, argv, flag, capsys):
+    argv = [argv[0], two_regressor_csv, *argv[1:]]
+    assert exit_code(argv) == 2
+    assert flag in capsys.readouterr().err
+
+
+def test_report_is_strict_json(tmp_path):
+    out = tmp_path / "report.json"
+    write_report({"nan": float("nan"), "inf": [np.inf, -np.inf, 1.5],
+                  "array": np.array([np.nan, 2.0]), "scalar": np.float64(np.nan)}, str(out))
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    report = json.loads(out.read_text(), parse_constant=reject)
+    assert report == {"nan": None, "inf": [None, None, 1.5], "array": [None, 2.0],
+                      "scalar": None}
 
 
 def test_fit_ols_perfect_line(linear_csv, tmp_path):

@@ -3,10 +3,10 @@ import pytest
 
 from trimreg.dgp import (
     DgpConfig,
+    ESTIMATOR_FACTORIES,
     Estimator,
-    gen_dgp1,
-    gen_dgp2,
     gen_dgp3,
+    generate,
     run_monte_carlo,
     run_monte_carlo_records,
     summary_rows,
@@ -28,10 +28,10 @@ def test_config_validation():
 def test_dgp1_degenerate_single_shift():
     # sigma_alpha = 0 consumes the same draws, so the paired sample with
     # mu_alpha = 0 differs by exactly the deterministic shift on row 0
-    shifted = gen_dgp1(DgpConfig(dgp=1, N=100, p=0.01, mu_alpha=10.0,
-                                 sigma_alpha=0.0, seed=5, n_test=10))
-    plain = gen_dgp1(DgpConfig(dgp=1, N=100, p=0.01, mu_alpha=0.0,
-                               sigma_alpha=0.0, seed=5, n_test=10))
+    shifted = generate(DgpConfig(dgp=1, N=100, p=0.01, mu_alpha=10.0,
+                                  sigma_alpha=0.0, seed=5, n_test=10))
+    plain = generate(DgpConfig(dgp=1, N=100, p=0.01, mu_alpha=0.0,
+                                sigma_alpha=0.0, seed=5, n_test=10))
     assert np.array_equal(shifted.true_outliers, [0])
     diff = shifted.train.y - plain.train.y
     assert diff[0] == 10.0
@@ -42,14 +42,14 @@ def test_dgp1_degenerate_single_shift():
 def test_dgp1_first_regressor_centered():
     cfg = DgpConfig(dgp=1, N=100_000, p=0.0001, mu_alpha=0, sigma_alpha=1,
                     seed=11, n_test=1)
-    s = gen_dgp1(cfg)
+    s = generate(cfg)
     assert abs(np.mean(s.train.x[:, 0])) < 0.02
 
 
 def test_dgp1_outlier_placement_and_counts():
     cfg = DgpConfig(dgp=1, N=40, p=0.1, mu_alpha=5, sigma_alpha=5, seed=2,
                     n_test=50)
-    s = gen_dgp1(cfg)
+    s = generate(cfg)
     assert np.array_equal(s.true_outliers, np.arange(4))
     assert s.test.n_obs == 50
     assert np.array_equal(s.true_beta, [0.5, 1.0, 1.0])
@@ -58,7 +58,7 @@ def test_dgp1_outlier_placement_and_counts():
 def test_dgp1_bit_exact_reproducibility():
     cfg = DgpConfig(dgp=1, N=60, p=0.1, mu_alpha=5, sigma_alpha=5, seed=42,
                     n_test=30)
-    a, b = gen_dgp1(cfg), gen_dgp1(cfg)
+    a, b = generate(cfg), generate(cfg)
     assert np.array_equal(a.train.y, b.train.y)
     assert np.array_equal(a.train.x, b.train.x)
     assert np.array_equal(a.test.y, b.test.y)
@@ -66,16 +66,16 @@ def test_dgp1_bit_exact_reproducibility():
 
 def test_dgp2_zero_rho_has_no_shift():
     cfg = DgpConfig(dgp=2, N=50, p=0.1, rho=0.0, seed=3, n_test=10)
-    s2 = gen_dgp2(cfg)
+    s2 = generate(cfg)
     cfg1 = DgpConfig(dgp=1, N=50, p=0.1, mu_alpha=0.0, sigma_alpha=0.0, seed=3,
                      n_test=10)
-    s1 = gen_dgp1(cfg1)
+    s1 = generate(cfg1)
     assert np.allclose(s2.train.y, s1.train.y)
 
 
 def test_dgp2_shift_correlates_with_regressors():
     cfg = DgpConfig(dgp=2, N=20_000, p=0.5, rho=5.0, seed=7, n_test=1)
-    s = gen_dgp2(cfg)
+    s = generate(cfg)
     out = s.true_outliers
     assert len(out) == 10_000
     # recover the planted shifts from the clean part of the model
@@ -163,9 +163,8 @@ def test_harness_is_estimator_agnostic():
 
 def test_rmse_dominates_bias():
     cfg = DgpConfig(dgp=2, N=40, p=0.1, rho=2.0, seed=4, n_test=50)
-    from trimreg.dgp import estimator_lad, estimator_ols
-
-    res = run_monte_carlo(cfg, [estimator_ols(), estimator_lad()], R=6)
+    res = run_monte_carlo(cfg, [ESTIMATOR_FACTORIES["ols"](), ESTIMATOR_FACTORIES["lad"]()],
+                          R=6)
     for s in res.values():
         assert s.rmse >= abs(s.bias) - 1e-12
 
@@ -173,10 +172,8 @@ def test_rmse_dominates_bias():
 def test_seed_determinism_of_summaries():
     cfg = DgpConfig(dgp=1, N=40, p=0.1, mu_alpha=5, sigma_alpha=5, seed=31,
                     n_test=50)
-    from trimreg.dgp import estimator_ols
-
-    a = run_monte_carlo(cfg, [estimator_ols()], R=5)
-    b = run_monte_carlo(cfg, [estimator_ols()], R=5)
+    a = run_monte_carlo(cfg, [ESTIMATOR_FACTORIES["ols"]()], R=5)
+    b = run_monte_carlo(cfg, [ESTIMATOR_FACTORIES["ols"]()], R=5)
     assert a["ols"].bias == b["ols"].bias
     assert a["ols"].rmse == b["ols"].rmse
     assert a["ols"].prediction_error == b["ols"].prediction_error
@@ -208,9 +205,7 @@ def test_failures_are_excluded_and_flagged():
 
 def test_summary_rows_schema():
     cfg = DgpConfig(dgp=2, N=30, p=0.1, rho=5.0, seed=2, n_test=20)
-    from trimreg.dgp import estimator_ols
-
-    res = run_monte_carlo(cfg, [estimator_ols()], R=2)
+    res = run_monte_carlo(cfg, [ESTIMATOR_FACTORIES["ols"]()], R=2)
     rows = summary_rows(cfg, res)
     assert list(rows[0].keys()) == [
         "dgp", "N", "p", "param", "estimator", "bias", "rmse", "pred_err",
@@ -221,12 +216,10 @@ def test_summary_rows_schema():
 
 
 def test_oracle_comparison_fields():
-    from trimreg.dgp import estimator_iht, estimator_lcs
-
     cfg = DgpConfig(dgp=1, N=30, p=0.1, mu_alpha=8, sigma_alpha=2, seed=13,
                     n_test=20)
-    res = run_monte_carlo(cfg, [estimator_iht(), estimator_lcs(2)], R=3,
-                          oracle_k=0)
+    res = run_monte_carlo(cfg, [ESTIMATOR_FACTORIES["iht"](), ESTIMATOR_FACTORIES["lcs2"]()],
+                          R=3, oracle_k=0)
     for s in res.values():
         assert s.equal_oracle_freq is not None
         assert 0.0 <= s.equal_oracle_freq <= 1.0
@@ -234,10 +227,9 @@ def test_oracle_comparison_fields():
 
 
 def test_harness_runs_the_time_series_design():
-    from trimreg.dgp import estimator_l0, estimator_ols
-
     cfg = DgpConfig(dgp=3, N=80, p=0.1, rho=5.0, seed=17, n_test=200)
-    res = run_monte_carlo(cfg, [estimator_l0(), estimator_ols()], R=3)
+    res = run_monte_carlo(cfg, [ESTIMATOR_FACTORIES["l0"](), ESTIMATOR_FACTORIES["ols"]()],
+                          R=3)
     for s in res.values():
         assert s.n_failed == 0
         assert np.isfinite(s.bias) and np.isfinite(s.prediction_error)
@@ -248,11 +240,9 @@ def test_harness_runs_the_time_series_design():
 def test_equal_oracle_frequencies_midsize_design():
     # frozen replication stream; the certified solver runs its search tree
     # here (the discard-set count is far beyond the enumeration limit)
-    from trimreg.dgp import estimator_iht, estimator_lcs
-
     cfg = DgpConfig(dgp=1, N=100, p=0.05, mu_alpha=5.0, sigma_alpha=5.0,
                     seed=424242, n_test=10)
-    res = run_monte_carlo(cfg, [estimator_iht(), estimator_lcs(2)], R=30,
-                          oracle_k=0, threads=2)
+    res = run_monte_carlo(cfg, [ESTIMATOR_FACTORIES["iht"](), ESTIMATOR_FACTORIES["lcs2"]()],
+                          R=30, oracle_k=0, threads=2)
     assert res["iht"].equal_oracle_freq >= 0.80
     assert res["lcs2"].equal_oracle_freq >= 0.95

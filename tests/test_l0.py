@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from trimreg.classic import fit_ols, initial_beta
-from trimreg.dgp import DgpConfig, gen_dgp1
+from trimreg.dgp import DgpConfig, generate
 from trimreg.errors import DegenerateFit, TooFewInliers
 from trimreg.l0 import (
-    SearchBudget,
     bic_score,
     count_swap_candidates,
     fit_iht,
@@ -16,6 +15,7 @@ from trimreg.l0 import (
     hard_threshold,
     local_swap_search,
     neighborhood_search,
+    select_by_score,
     select_k_bic,
 )
 from trimreg.linalg import Dataset
@@ -113,6 +113,16 @@ def test_iht_too_few_inliers(rng):
     d = Dataset(y=rng.normal(size=10), x=rng.normal(size=(10, 2)))
     with pytest.raises(TooFewInliers):
         fit_iht(d, 8, np.zeros(3))
+
+
+@pytest.mark.parametrize("fit", [
+    lambda d: fit_iht(d, -1, np.zeros(3)),
+    lambda d: fit_lcs(d, -1, np.zeros(3), 1),
+    lambda d: fit_lcs(d, -1, np.zeros(3), 2),
+], ids=["iht", "lcs1", "lcs2"])
+def test_negative_budget_is_rejected(rng, fit):
+    with pytest.raises(ValueError, match="k=-1"):
+        fit(_contaminated(rng))
 
 
 def test_swap_search_candidate_count(rng):
@@ -284,6 +294,14 @@ def test_bic_degenerate_on_perfect_fit():
         bic_score(d, sol)
 
 
+def test_select_by_score_tie_rules():
+    scores = {"a": 2.0, "b": 1.0, "c": 1.0, "d": 3.0}
+    first, score, trace = select_by_score("abcd", scores.get)
+    last, _, _ = select_by_score("abcd", scores.get, prefer_last=True)
+    assert (first, last, score) == ("b", "c", 1.0)
+    assert trace == [("a", 2.0), ("b", 1.0), ("c", 1.0), ("d", 3.0)]
+
+
 def test_select_k_single_budget(rng):
     d = _contaminated(rng, n=24, shift=9.0, k0=2)
     sol = select_k_bic(d, initial_beta(d), K=1, l=1)
@@ -308,31 +326,9 @@ def test_select_k_recovers_gross_planted_count():
 def test_select_k_clean_data_picks_smallest_budget():
     cfg = DgpConfig(dgp=1, N=100, p=0.05, mu_alpha=10, sigma_alpha=10, seed=9,
                     n_test=100)
-    clean = gen_dgp1(cfg).test
+    clean = generate(cfg).test
     sol = select_k_bic(clean, initial_beta(clean), K=10, l=1)
     assert sol.k == 1
-
-
-def test_search_budget_validation():
-    SearchBudget(l=2, max_iter=50, K=10, tau=1.5)
-    with pytest.raises(ValueError):
-        SearchBudget(l=0)
-    with pytest.raises(ValueError):
-        SearchBudget(tau=1.0)
-    with pytest.raises(ValueError):
-        SearchBudget(K=0)
-
-
-def test_search_budget_drives_auto_pipeline(rng):
-    from trimreg.l0 import fit_l0_auto
-
-    d = _contaminated(rng, n=40, shift=12.0, k0=3)
-    explicit = fit_l0_auto(d, K=6)
-    bundled = fit_l0_auto(d, budget=SearchBudget(l=1, K=6))
-    assert bundled.objective == explicit.objective
-    assert bundled.info["k_hat"] == explicit.info["k_hat"]
-    with pytest.raises(ValueError):
-        fit_l0_auto(d)
 
 
 def test_outlier_rows_fully_absorbed(rng):

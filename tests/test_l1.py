@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from trimreg.classic import fit_huber, fit_ols
-from trimreg.dgp import DgpConfig, gen_dgp1
+from trimreg.dgp import DgpConfig, generate
 from trimreg.l1 import (
     default_psi_grid,
     fit_l1,
@@ -103,7 +103,7 @@ def test_select_psi_single_point_grid(rng):
 def test_select_psi_clean_data_flags_nothing():
     cfg = DgpConfig(dgp=1, N=100, p=0.05, mu_alpha=10, sigma_alpha=10, seed=3,
                     n_test=100)
-    clean = gen_dgp1(cfg).test  # outlier-free split
+    clean = generate(cfg).test  # outlier-free split
     sol = select_psi_bic(clean)
     assert sol.n_outliers == 0
 

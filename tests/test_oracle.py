@@ -8,7 +8,6 @@ from trimreg.errors import DivisionDomain, TooLarge
 from trimreg.l0 import fit_iht
 from trimreg.linalg import Dataset
 from trimreg.oracle import (
-    alpha_bounds_from,
     best_subset_exact,
     equal_solution,
     equal_solution_parts,
@@ -160,18 +159,3 @@ def test_incumbent_and_nodes_accounting():
     assert res.nodes_explored >= 1
     assert res.dual <= res.primal + 1e-9
     assert res.wall_time >= 0.0
-
-
-def test_alpha_bounds_helper():
-    d = _instance(2)
-    sol = fit_iht(d, 2, initial_beta(d))
-    m_inf, m_one = alpha_bounds_from(sol, tau=1.5)
-    assert m_inf == pytest.approx(1.5 * np.max(np.abs(sol.alpha)))
-    assert m_one == pytest.approx(1.5 * np.sum(np.abs(sol.alpha)))
-    with pytest.raises(ValueError):
-        alpha_bounds_from(sol, tau=1.0)
-    # bounds derived from the optimum keep the optimum admissible
-    best = best_subset_exact(d, 2, warm_start=sol,
-                             alpha_bounds=alpha_bounds_from(sol, 4.0),
-                             method="branch-and-bound")
-    assert best.primal <= sol.objective + 1e-12
