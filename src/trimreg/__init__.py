@@ -17,6 +17,7 @@ from .errors import (
     DegenerateFit,
     DimensionError,
     DivisionDomain,
+    InvariantViolated,
     NotConverged,
     ParseError,
     RankDeficient,

@@ -2,7 +2,7 @@
 
 LAD runs iteratively reweighted least squares with weight 1/max(|r|, eps);
 that is an exact majorize-minimize scheme for the eps-smoothed absolute
-loss, so descent is asserted on the smoothed objective. Huber alternates
+loss, so descent is checked on the smoothed objective. Huber alternates
 the closed-form outlier-shift update with least squares on the adjusted
 response, which is block coordinate descent on a jointly convex problem.
 """
@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Dataset, lstsq_qr
+from .errors import InvariantViolated
+from .linalg import Dataset, factor_qr, lstsq_qr
 
 MAX_ITER = 1000
 BETA_TOL = 1e-8
@@ -62,9 +63,8 @@ def fit_lad(data: Dataset) -> ClassicFit:
         beta_new = lstsq_qr(X * sw[:, None], y * sw)
         r = y - X @ beta_new
         smoothed_new = _smoothed_abs(r, LAD_EPS)
-        assert smoothed_new <= smoothed + 1e-12 * max(1.0, smoothed), (
-            "IRLS step increased the smoothed objective"
-        )
+        if not smoothed_new <= smoothed + 1e-12 * max(1.0, smoothed):
+            raise InvariantViolated("IRLS step increased the smoothed objective")
         smoothed = smoothed_new
         if np.max(np.abs(beta_new - beta)) < BETA_TOL:
             beta = beta_new
@@ -96,17 +96,17 @@ def fit_huber(data: Dataset, psi: float) -> ClassicFit:
     from .l1 import soft_threshold_alpha
 
     X, y = data.design, data.y
-    beta = lstsq_qr(X, y)
+    solve = factor_qr(X)
+    beta = solve(y)
     obj = huber_objective(y - X @ beta, psi)
     converged = False
     it = 0
     for it in range(1, MAX_ITER + 1):
         alpha = soft_threshold_alpha(y - X @ beta, psi)
-        beta_new = lstsq_qr(X, y - alpha)
+        beta_new = solve(y - alpha)
         obj_new = huber_objective(y - X @ beta_new, psi)
-        assert obj_new <= obj + 1e-12 * max(1.0, obj), (
-            "Huber block update increased the objective"
-        )
+        if not obj_new <= obj + 1e-12 * max(1.0, obj):
+            raise InvariantViolated("Huber block update increased the objective")
         obj = obj_new
         if np.max(np.abs(beta_new - beta)) < BETA_TOL:
             beta = beta_new

@@ -304,17 +304,17 @@ def _run_one_rep(cfg: DgpConfig, estimators: list[Estimator], rep: int,
     records = []
     results: dict[str, Any] = {}
     for est in estimators:
-        t0 = time.perf_counter()
+        t0 = time.process_time()
         try:
             res = est.fit(sample)
         except (TrimregError, np.linalg.LinAlgError):
             records.append(ReplicationRecord(
                 estimator=est.name, rep=rep, beta1=np.nan, pred_err=np.nan,
-                equal_oracle=None, gap=None, cpu_s=time.perf_counter() - t0,
+                equal_oracle=None, gap=None, cpu_s=time.process_time() - t0,
                 failed=True,
             ))
             continue
-        cpu = time.perf_counter() - t0
+        cpu = time.process_time() - t0
         results[est.name] = (res, cpu)
 
     oracle = None
@@ -363,7 +363,7 @@ def run_monte_carlo(
     return run_monte_carlo_records(cfg, estimators, R, oracle_k, threads)[0]
 
 
-def summarize(cfg: DgpConfig, records: list[ReplicationRecord], R: int) -> dict[str, MetricsSummary]:
+def summarize(records: list[ReplicationRecord], R: int) -> dict[str, MetricsSummary]:
     true_beta1 = 1.0  # the first slope coefficient is 1 in all three designs
     out: dict[str, MetricsSummary] = {}
     names = []
@@ -453,7 +453,7 @@ def run_monte_carlo_records(
     else:
         per_rep = [worker(r) for r in reps]
     records = [rec for batch in per_rep for rec in batch]
-    return summarize(cfg, records, R), records
+    return summarize(records, R), records
 
 
 __all__ = [

@@ -29,6 +29,10 @@ class DegenerateFit(TrimregError):
     """Residual sum of squares too small for a log-based criterion."""
 
 
+class InvariantViolated(TrimregError):
+    """A search step broke a property it guarantees, such as descent."""
+
+
 class TooLarge(TrimregError):
     """Instance exceeds the exact solver's size limit."""
 

@@ -27,7 +27,7 @@ from math import comb
 import numpy as np
 
 from .classic import initial_beta
-from .errors import DegenerateFit, TooFewInliers
+from .errors import DegenerateFit, InvariantViolated, TooFewInliers
 from .linalg import Dataset, lstsq_qr
 
 IHT_MAX_ITER = 100
@@ -141,9 +141,8 @@ def fit_iht(data: Dataset, k: int, beta0: np.ndarray) -> SparsitySolution:
         beta_new = lstsq_qr(X[mask], y[mask])
         r_new = y - X @ beta_new
         obj_new = 0.5 * float(r_new[mask] @ r_new[mask])
-        assert obj_new <= obj + IMPROVE_TOL * max(1.0, obj), (
-            "hard-threshold iteration increased the trimmed objective"
-        )
+        if not obj_new <= obj + IMPROVE_TOL * max(1.0, obj):
+            raise InvariantViolated("hard-threshold iteration increased the trimmed objective")
         obj = obj_new
         delta = np.max(np.abs(beta_new - beta))
         beta = beta_new
@@ -291,16 +290,24 @@ def fit_lcs(data: Dataset, k: int, beta0: np.ndarray, l: int) -> SparsitySolutio
     coefficients. Terminates at a swap-inescapable solution (or after
     `LCS_MAX_OUTER` rounds), with the objective non-increasing throughout.
     """
-    cur = fit_iht(data, k, beta0)
+    return _refine(data, fit_iht(data, k, beta0), l)
+
+
+def _refine(data: Dataset, cur: SparsitySolution, l: int) -> SparsitySolution:
+    """The swap rounds of `fit_lcs`, from the IHT solution `cur`.
+
+    A pure function of `cur`'s (k, beta, outliers), which fix its inliers
+    and objective too.
+    """
     for _ in range(LCS_MAX_OUTER):
         swapped = local_swap_search(data, cur, l)
         if swapped is cur:
             break
-        assert swapped.objective <= cur.objective, "swap accepted without descent"
-        nxt = fit_iht(data, k, swapped.beta)
-        assert nxt.objective <= swapped.objective + IMPROVE_TOL * max(
-            1.0, swapped.objective
-        ), "re-threshold after swap increased the objective"
+        if not swapped.objective <= cur.objective:
+            raise InvariantViolated("swap accepted without descent")
+        nxt = fit_iht(data, cur.k, swapped.beta)
+        if not nxt.objective <= swapped.objective + IMPROVE_TOL * max(1.0, swapped.objective):
+            raise InvariantViolated("re-threshold after swap increased the objective")
         cur = nxt
     return cur
 
@@ -314,15 +321,24 @@ def neighborhood_search(
     keeps the best of its current solution and refits started from the
     coefficients at k-1 (already updated this sweep) and k+1. Sweeps stop
     when the summed objective is unchanged. Per-budget objectives never
-    increase across sweeps.
+    increase across sweeps. A refit whose IHT start repeats an earlier
+    one's (same k, beta and discarded rows) reuses that refit's swap
+    rounds instead of running them again.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
     if K > data.n_obs // 2:
         raise ValueError(f"K={K} exceeds floor(N/2)={data.n_obs // 2}")
-    sols: list[SparsitySolution] = [
-        fit_lcs(data, k, beta0, l) for k in range(1, K + 1)
-    ]
+    refined: dict[tuple, SparsitySolution] = {}
+
+    def lcs(k: int, init: np.ndarray) -> SparsitySolution:
+        start = fit_iht(data, k, init)
+        key = (k, start.beta.tobytes(), start.outliers.tobytes())
+        if key not in refined:
+            refined[key] = _refine(data, start, l)
+        return refined[key]
+
+    sols = [lcs(k, beta0) for k in range(1, K + 1)]
     total = sum(s.objective for s in sols)
     for _ in range(SWEEP_MAX):
         for j in range(K):
@@ -334,12 +350,13 @@ def neighborhood_search(
                 neighbors.append(sols[j + 1].beta)
             for init in neighbors:
                 try:
-                    cand = fit_lcs(data, j + 1, init, l)
+                    cand = lcs(j + 1, init)
                 except TooFewInliers:
                     continue
                 if cand.objective < best.objective:
                     best = cand
-            assert best.objective <= sols[j].objective, "sweep increased an objective"
+            if not best.objective <= sols[j].objective:
+                raise InvariantViolated("sweep increased an objective")
             sols[j] = best
         new_total = sum(s.objective for s in sols)
         if abs(new_total - total) <= IMPROVE_TOL * max(1.0, total):

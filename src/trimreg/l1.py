@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classic import fit_lad, huber_objective
-from .errors import AllFitsFailed, NotConverged
+from .errors import AllFitsFailed, InvariantViolated, NotConverged
 from .l0 import select_by_score
-from .linalg import Dataset, lstsq_qr
+from .linalg import Dataset, factor_qr
 
 MAX_ITER = 2000
 BETA_TOL = 1e-8
@@ -68,14 +68,14 @@ def fit_l1(data: Dataset, psi: float, beta0: np.ndarray | None = None) -> L1Solu
     beta = fit_lad(data).beta if beta0 is None else np.asarray(beta0, dtype=np.float64)
     alpha = soft_threshold_alpha(y - X @ beta, psi)
     obj = _penalized_objective(y - X @ beta - alpha, alpha, psi)
+    solve = factor_qr(X)
     converged = False
     for _ in range(MAX_ITER):
-        beta_new = lstsq_qr(X, y - alpha)
+        beta_new = solve(y - alpha)
         alpha = soft_threshold_alpha(y - X @ beta_new, psi)
         obj_new = _penalized_objective(y - X @ beta_new - alpha, alpha, psi)
-        assert obj_new <= obj + 1e-12 * max(1.0, obj), (
-            "alternating update increased the penalized objective"
-        )
+        if not obj_new <= obj + 1e-12 * max(1.0, obj):
+            raise InvariantViolated("alternating update increased the penalized objective")
         obj = obj_new
         if np.max(np.abs(beta_new - beta)) < BETA_TOL:
             beta = beta_new
@@ -87,9 +87,8 @@ def fit_l1(data: Dataset, psi: float, beta0: np.ndarray | None = None) -> L1Solu
     # profile identity: the penalized objective at the alpha-argmin equals
     # the Huber loss of the residuals at cutoff psi
     profile = huber_objective(y - X @ beta, psi)
-    assert abs(obj - profile) <= 1e-8 * (1.0 + abs(profile)), (
-        "penalized objective disagrees with its profiled form"
-    )
+    if not abs(obj - profile) <= 1e-8 * (1.0 + abs(profile)):
+        raise InvariantViolated("penalized objective disagrees with its profiled form")
     return L1Solution(
         beta=beta,
         alpha=alpha,

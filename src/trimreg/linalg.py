@@ -65,9 +65,11 @@ class Dataset:
         return self.design.shape[1]
 
 
-def lstsq_qr(X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Least-squares coefficients of y on X via column-pivoted QR.
+def factor_qr(X: np.ndarray):
+    """Factor X once by column-pivoted QR; return `solve(v) -> beta`.
 
+    `solve(v)` is the least-squares coefficient vector of v on X, so a
+    fixed design refit against many responses is factored only once.
     Raises RankDeficient when a pivot falls below RANK_TOL times the
     leading pivot, and TooFewRows when there are fewer rows than columns.
     """
@@ -77,15 +79,27 @@ def lstsq_qr(X: np.ndarray, y: np.ndarray) -> np.ndarray:
     Q, R, piv = sla.qr(X, mode="economic", pivoting=True)
     diag = np.abs(np.diag(R))
     if diag.size == 0:
-        return np.zeros(0)
+        return lambda v: np.zeros(0)
     if diag[0] == 0.0 or np.min(diag) < RANK_TOL * diag[0]:
         raise RankDeficient(
             f"pivot ratio {np.min(diag) / max(diag[0], 1e-300):.2e} below {RANK_TOL:.0e}"
         )
-    coef_piv = sla.solve_triangular(R, Q.T @ y, lower=False)
-    beta = np.empty(q)
-    beta[piv] = coef_piv
-    return beta
+
+    def solve(v: np.ndarray) -> np.ndarray:
+        coef_piv = sla.solve_triangular(R, Q.T @ v, lower=False)
+        beta = np.empty(q)
+        beta[piv] = coef_piv
+        return beta
+
+    return solve
+
+
+def lstsq_qr(X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Least-squares coefficients of y on X via column-pivoted QR.
+
+    Raises as `factor_qr` does.
+    """
+    return factor_qr(X)(y)
 
 
 def solve_least_squares(data: Dataset, active) -> np.ndarray:

@@ -16,7 +16,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import DivisionDomain, TooFewInliers, TooLarge
+from .errors import DivisionDomain, InvariantViolated, TooFewInliers, TooLarge
 from .l0 import SparsitySolution, _trimmed_solution
 from .linalg import Dataset
 
@@ -158,7 +158,8 @@ def _branch_and_bound(
     while heap:
         bound, _, fixed_out, fixed_in = heappop(heap)
         nodes += 1
-        assert bound >= dual - 1e-9, "dual bound regressed"
+        if not bound >= dual - 1e-9:
+            raise InvariantViolated("dual bound regressed")
         dual = max(dual, bound)
         if primal < np.inf and (primal - dual) <= GAP_TOL * max(dual, 1e-12):
             break

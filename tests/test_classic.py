@@ -5,13 +5,16 @@ import pytest
 from scipy.optimize import minimize
 
 from trimreg.classic import (
+    BETA_TOL,
+    MAX_ITER,
     fit_huber,
     fit_lad,
     fit_ols,
     huber_objective,
     lad_objective,
 )
-from trimreg.linalg import Dataset, solve_least_squares
+from trimreg.l1 import soft_threshold_alpha
+from trimreg.linalg import Dataset, lstsq_qr, solve_least_squares
 
 
 def test_ols_exact_fit():
@@ -124,7 +127,6 @@ def test_huber_requires_positive_psi(rng):
 
 def test_descent_assertions_hold_on_heavy_tailed_data(rng):
     # the per-iteration descent asserts inside the fitting loops fire here
-    from trimreg.classic import MAX_ITER
 
     for _ in range(10):
         x = rng.normal(size=(40, 2))
@@ -134,6 +136,31 @@ def test_descent_assertions_hold_on_heavy_tailed_data(rng):
         hub = fit_huber(d, 1.0)
         assert lad.objective >= 0 and hub.objective >= 0
         assert lad.iterations <= MAX_ITER and hub.iterations <= MAX_ITER
+
+
+def _huber_refit_each_iteration(data, psi):
+    """fit_huber's alternation with a fresh QR of the design per iteration."""
+    X, y = data.design, data.y
+    beta = lstsq_qr(X, y)
+    for it in range(1, MAX_ITER + 1):
+        alpha = soft_threshold_alpha(y - X @ beta, psi)
+        beta_new = lstsq_qr(X, y - alpha)
+        done = np.max(np.abs(beta_new - beta)) < BETA_TOL
+        beta = beta_new
+        if done:
+            return beta, it
+    raise AssertionError("reference did not converge")
+
+
+def test_huber_matches_per_iteration_refit(rng):
+    x = rng.normal(size=(60, 2))
+    y = 1.0 + x @ np.array([1.0, -1.0]) + rng.standard_t(df=2, size=60)
+    d = Dataset(y=y, x=x)
+    for psi in (0.5, 1.345, 3.0):
+        hub = fit_huber(d, psi)
+        beta, it = _huber_refit_each_iteration(d, psi)
+        assert hub.beta.tobytes() == beta.tobytes()
+        assert hub.iterations == it
 
 
 def test_objectives_match_formulas(rng):

@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import trimreg
 from trimreg.cli import main, read_csv_dataset, write_report
 from trimreg.errors import ParseError
 
@@ -113,6 +118,21 @@ def test_fit_l0_auto_flags_planted_row(outlier_csv, tmp_path):
     assert any(t["k"] == report["tuning"]["k"] for t in report["tuning"]["bic_trace"])
     flagged = {a["row"] for a in report["alpha"]}
     assert flagged == set(report["outlier_rows"])
+
+
+def test_fit_runs_under_python_optimize(outlier_csv, tmp_path):
+    # the invariant checks are plain code, not asserts that -O strips
+    src = str(Path(trimreg.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    out = tmp_path / "report.json"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "trimreg", "fit", outlier_csv,
+         "--method", "l0", "--auto", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert 12 in load_json(out)["outlier_rows"]
 
 
 def test_fit_l0_with_psi_is_usage_error(linear_csv, capsys):

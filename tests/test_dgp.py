@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -201,6 +203,18 @@ def test_failures_are_excluded_and_flagged():
     assert s.n_failed == 3
     assert s.high_failure
     assert s.bias == pytest.approx(0.0, abs=1e-12)
+
+
+def _sleepy_ols(sample):
+    time.sleep(0.2)
+    return ESTIMATOR_FACTORIES["ols"]().fit(sample)
+
+
+def test_cpu_seconds_exclude_waiting():
+    cfg = DgpConfig(dgp=1, N=30, p=0.1, mu_alpha=5, sigma_alpha=5, seed=3,
+                    n_test=20)
+    _, records = run_monte_carlo_records(cfg, [Estimator("sleepy", _sleepy_ols)], R=1)
+    assert records[0].cpu_s < 0.1
 
 
 def test_summary_rows_schema():

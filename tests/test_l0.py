@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from trimreg import l0
 from trimreg.classic import fit_ols, initial_beta
+from trimreg.cli import main
 from trimreg.dgp import DgpConfig, generate
-from trimreg.errors import DegenerateFit, TooFewInliers
+from trimreg.errors import DegenerateFit, InvariantViolated, TooFewInliers
 from trimreg.l0 import (
     bic_score,
     count_swap_candidates,
@@ -234,6 +236,69 @@ def test_neighborhood_single_budget_equals_lcs(rng):
     direct = fit_lcs(d, 1, b0, 1)
     assert len(sols) == 1
     assert sols[0].objective == pytest.approx(direct.objective, rel=1e-12)
+
+
+def _plain_neighborhood_search(data, beta0, K, l):
+    """The budget sweep without reuse: one public `fit_lcs` per refit."""
+    sols = [fit_lcs(data, k, beta0, l) for k in range(1, K + 1)]
+    total = sum(s.objective for s in sols)
+    for _ in range(l0.SWEEP_MAX):
+        for j in range(K):
+            best = sols[j]
+            neighbors = [sols[i].beta for i in (j - 1, j + 1) if 0 <= i < K]
+            for init in neighbors:
+                try:
+                    cand = fit_lcs(data, j + 1, init, l)
+                except TooFewInliers:
+                    continue
+                if cand.objective < best.objective:
+                    best = cand
+            sols[j] = best
+        new_total = sum(s.objective for s in sols)
+        if abs(new_total - total) <= l0.IMPROVE_TOL * max(1.0, total):
+            break
+        total = new_total
+    return sols
+
+
+@pytest.mark.parametrize("cfg, K", [
+    (DgpConfig(dgp=2, N=200, p=0.1, rho=5.0, seed=55555, n_test=10), 40),
+    (DgpConfig(dgp=3, N=120, p=0.1, rho=5.0, seed=173205, n_test=1), 30),
+])
+def test_neighborhood_search_equals_plain_refit_loop(cfg, K):
+    d = generate(cfg).train
+    b0 = initial_beta(d)
+    got = neighborhood_search(d, b0, K, 1)
+    want = _plain_neighborhood_search(d, b0, K, 1)
+    assert [s.k for s in got] == list(range(1, K + 1))
+    for g, w in zip(got, want):
+        assert g.objective == w.objective
+        assert g.beta.tobytes() == w.beta.tobytes()
+        assert np.array_equal(g.outliers, w.outliers)
+
+
+def test_descent_violation_raises_and_exits_4(monkeypatch, tmp_path, capsys):
+    x = np.linspace(-1.0, 1.0, 20)
+    y = 1.0 + 2.0 * x + 0.1 * np.sin(7.0 * x)
+    y[5] += 50.0
+    d = Dataset(y=y, x=x)
+    b0 = initial_beta(d)
+    exact = l0.lstsq_qr
+    calls = itertools.count(1)
+
+    def worse(X, v):
+        # every refit in l0 lands further from the least-squares fit
+        beta = exact(X, v)
+        beta[0] += 100.0 * next(calls)
+        return beta
+
+    monkeypatch.setattr(l0, "lstsq_qr", worse)
+    with pytest.raises(InvariantViolated):
+        fit_iht(d, 1, b0)
+    path = tmp_path / "data.csv"
+    path.write_text("y,x\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(y.tolist(), x.tolist())))
+    assert main(["fit", str(path), "--method", "l0", "--k", "1"]) == 4
+    assert "increased the trimmed objective" in capsys.readouterr().err
 
 
 def test_neighborhood_objective_monotone_in_budget(rng):

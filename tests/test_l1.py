@@ -2,15 +2,17 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from trimreg.classic import fit_huber, fit_ols
+from trimreg.classic import fit_huber, fit_lad, fit_ols
 from trimreg.dgp import DgpConfig, generate
 from trimreg.l1 import (
+    BETA_TOL,
+    MAX_ITER,
     default_psi_grid,
     fit_l1,
     select_psi_bic,
     soft_threshold_alpha,
 )
-from trimreg.linalg import Dataset
+from trimreg.linalg import Dataset, lstsq_qr
 
 
 def test_soft_threshold_branches():
@@ -78,6 +80,30 @@ def test_fit_l1_fixed_point_consistency(rng):
     # flagged exactly where the residual magnitude reaches psi
     r = y - d.design @ sol.beta
     assert np.array_equal(sol.alpha != 0.0, np.abs(r) >= sol.psi)
+
+
+def _l1_refit_each_iteration(data, psi, beta):
+    """fit_l1's alternation with a fresh QR of the design per iteration."""
+    X, y = data.design, data.y
+    alpha = soft_threshold_alpha(y - X @ beta, psi)
+    for _ in range(MAX_ITER):
+        beta_new = lstsq_qr(X, y - alpha)
+        alpha = soft_threshold_alpha(y - X @ beta_new, psi)
+        done = np.max(np.abs(beta_new - beta)) < BETA_TOL
+        beta = beta_new
+        if done:
+            return beta, alpha
+    raise AssertionError("reference did not converge")
+
+
+def test_fit_l1_matches_per_iteration_refit():
+    d = generate(DgpConfig(dgp=2, N=200, p=0.1, rho=5.0, seed=3, n_test=10)).train
+    b0 = fit_lad(d).beta
+    for psi in (0.3, 1.0, 4.0):
+        sol = fit_l1(d, psi, beta0=b0)
+        beta, alpha = _l1_refit_each_iteration(d, psi, b0)
+        assert sol.beta.tobytes() == beta.tobytes()
+        assert sol.alpha.tobytes() == alpha.tobytes()
 
 
 def test_huber_equivalence_random_instances():

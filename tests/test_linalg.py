@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from trimreg.errors import RankDeficient, TooFewRows
-from trimreg.linalg import Dataset, residuals, solve_least_squares
+from trimreg.linalg import Dataset, factor_qr, lstsq_qr, residuals, solve_least_squares
 
 
 def normal_equation_oracle(X, y):
@@ -102,6 +102,34 @@ def test_too_few_rows(rng):
     d = Dataset(y=rng.normal(size=10), x=rng.normal(size=(10, 4)))
     with pytest.raises(TooFewRows):
         solve_least_squares(d, np.arange(4))
+
+
+@pytest.mark.parametrize("make, error", [
+    (lambda r: r.normal(size=(10, 3)), None),
+    (lambda r: np.empty((4, 0)), None),
+    (lambda r: r.normal(size=(2, 3)), TooFewRows),
+    (lambda r: np.zeros((6, 2)), RankDeficient),
+    (lambda r: np.column_stack([np.ones(8), np.arange(8.0), np.arange(8.0)]), RankDeficient),
+    (lambda r: np.column_stack([np.ones(8), 1e-11 * r.normal(size=8)]), RankDeficient),
+])
+def test_factor_qr_fails_where_lstsq_qr_fails(rng, make, error):
+    X = make(rng)
+    y = rng.normal(size=X.shape[0])
+    if error is None:
+        assert factor_qr(X)(y).tobytes() == lstsq_qr(X, y).tobytes()
+        return
+    with pytest.raises(error):
+        factor_qr(X)
+    with pytest.raises(error):
+        lstsq_qr(X, y)
+
+
+def test_factor_qr_reuses_one_factorization(rng):
+    X = rng.normal(size=(30, 3))
+    solve = factor_qr(X)
+    for _ in range(5):
+        y = rng.normal(size=30)
+        assert solve(y).tobytes() == lstsq_qr(X, y).tobytes()
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
