@@ -11,10 +11,11 @@ residual entirely). Three layers of search are provided:
 * `neighborhood_search`: solve for every budget k = 1..K, re-seeding
   each budget from its neighbors until the solutions stop improving.
 
-Swap candidates are scored with exact leave-out downdate identities on
-the base fit's hat matrix, so a pass over all candidates costs a handful
-of small matrix products rather than one QR per candidate. The winning
-support is always refit through the pivoted-QR path before acceptance.
+Swap candidates are scored exactly from one inverse of the kept rows'
+Gram (a Sherman-Morrison readmission, then leave-out downdates), so the
+order-1 neighborhood costs a few small matrix products rather than one QR
+per candidate. The winning support is always refit through the
+pivoted-QR path before acceptance.
 """
 
 from __future__ import annotations
@@ -168,28 +169,62 @@ def count_swap_candidates(n_inliers: int, n_outliers: int, l: int) -> int:
     return total
 
 
+def _readmit_one_scores(X_in, y_in, X_out, y_out):
+    """(ko, 1 + m) RSS table: [a, 0] readmits discarded row a, [a, 1 + j] also
+    drops kept row j, and is inf where that leaves 1 - h_j <= DOWNDATE_TOL.
+
+    All from one inverse G0 of the kept rows' Gram (Sherman-Morrison): with
+    c_a = 1 + x_a' G0 x_a and w = x_j' G0 x_a, readmitting a adds r_a^2 / c_a
+    to the RSS, moves e_j by -w r_a / c_a and 1 - h_j by w^2 / c_a; the drop
+    then removes e_j^2 / (1 - h_j). Raises LinAlgError if the Gram is singular.
+    """
+    G0 = np.linalg.inv(X_in.T @ X_in)
+    b_in = X_in.T @ y_in
+    beta0 = G0 @ b_in
+    rss0 = float(y_in @ y_in) - float(b_in @ beta0)
+    e0 = y_in - X_in @ beta0
+    h0 = np.einsum("ij,ij->i", X_in @ G0, X_in)
+    U = X_out @ G0
+    c = 1.0 + np.einsum("ij,ij->i", U, X_out)
+    r = y_out - X_out @ beta0
+    W = U @ X_in.T
+    base = np.maximum(rss0 + r * r / c, 0.0)
+    e = e0 - W * (r / c)[:, None]
+    denom = (1.0 - h0) + W * W / c[:, None]
+    drops = np.where(denom > DOWNDATE_TOL, base[:, None] - e * e / denom, np.inf)
+    return np.column_stack([base, drops])
+
+
 def _swap_pass(X, y, in_idx, out_idx, l):
     """Best swap candidate by exact leave-out downdating.
 
     Returns (best_rss, rows_to_drop, rows_to_readmit, n_candidates) where
     the rows are global indices; rows_to_drop come from the current kept
-    set and rows_to_readmit from the discarded set. Degenerate candidates
-    (singular after removal) are skipped but still counted.
+    set and rows_to_readmit from the discarded set. Single readmissions
+    are scored together (`_readmit_one_scores`); each readmitted pair
+    (l = 2) inverts its own Gram. Of equal scores the first wins, in the
+    order singles then pairs, each with no drop, then one, then two.
+    Degenerate candidates (singular after removal) are skipped but counted.
     """
     X_in, y_in = X[in_idx], y[in_idx]
     X_out, y_out = X[out_idx], y[out_idx]
     m, ko = in_idx.shape[0], out_idx.shape[0]
-    G_in = X_in.T @ X_in
-    b_in = X_in.T @ y_in
-    yy_in = float(y_in @ y_in)
 
-    best_rss = np.inf
-    best_drop: tuple = ()
-    best_add: tuple = ()
-    n_cand = 0
-    for s2 in range(1, min(l, ko) + 1):
-        n_s1_max = s2
-        for add in itertools.combinations(range(ko), s2):
+    n_cand = ko * (1 + m)
+    try:
+        table = _readmit_one_scores(X_in, y_in, X_out, y_out)
+    except np.linalg.LinAlgError:
+        table = np.full((ko, 1 + m), np.inf)
+    a, col = divmod(int(np.argmin(table)), 1 + m)
+    best_rss = float(table[a, col])
+    best_add: tuple = (a,) if best_rss < np.inf else ()
+    best_drop: tuple = (col - 1,) if best_add and col else ()
+
+    if l == 2:
+        G_in = X_in.T @ X_in
+        b_in = X_in.T @ y_in
+        yy_in = float(y_in @ y_in)
+        for add in itertools.combinations(range(ko), 2):
             add = list(add)
             Xs, ys = X_out[add], y_out[add]
             G = G_in + Xs.T @ Xs
@@ -198,7 +233,7 @@ def _swap_pass(X, y, in_idx, out_idx, l):
             try:
                 Ginv = np.linalg.inv(G)
             except np.linalg.LinAlgError:
-                n_cand += sum(comb(m, s1) for s1 in range(0, n_s1_max + 1))
+                n_cand += 1 + m + comb(m, 2)
                 continue
             beta = Ginv @ b
             rss_base = max(yy - float(b @ beta), 0.0)
@@ -221,8 +256,8 @@ def _swap_pass(X, y, in_idx, out_idx, l):
             if rss1[j] < best_rss:
                 best_rss, best_drop, best_add = float(rss1[j]), (j,), tuple(add)
 
-            # drop two kept rows (only reachable when l == 2 and s2 == 2)
-            if n_s1_max >= 2 and m >= 2:
+            # drop two kept rows
+            if m >= 2:
                 H = Z @ X_in.T
                 i1, i2 = _pair_indices(m)
                 d1 = denom[i1]

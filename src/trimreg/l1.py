@@ -64,11 +64,15 @@ def fit_l1(data: Dataset, psi: float, beta0: np.ndarray | None = None) -> L1Solu
     """Alternating minimization at fixed psi, started from the LAD fit."""
     if psi <= 0:
         raise ValueError("psi must be positive")
-    X, y = data.design, data.y
     beta = fit_lad(data).beta if beta0 is None else np.asarray(beta0, dtype=np.float64)
+    return _fit_l1(data, psi, beta, factor_qr(data.design))
+
+
+def _fit_l1(data: Dataset, psi: float, beta: np.ndarray, solve) -> L1Solution:
+    """`fit_l1` from `beta`, with `solve` the least-squares solver of the design."""
+    X, y = data.design, data.y
     alpha = soft_threshold_alpha(y - X @ beta, psi)
     obj = _penalized_objective(y - X @ beta - alpha, alpha, psi)
-    solve = factor_qr(X)
     converged = False
     for _ in range(MAX_ITER):
         beta_new = solve(y - alpha)
@@ -128,7 +132,8 @@ def select_psi_bic(
     `grid` is either the psi values or the size of the default grid.
     Ties break toward larger psi (fewer flagged rows). Non-convergent grid
     points are skipped; if none converge, raises AllFitsFailed. All grid
-    points share one LAD starting point, so they stay order-independent.
+    points share one LAD starting point, so they stay order-independent,
+    and one factorization of the design.
     `info` carries the selected score under "bic" and, under "bic_trace",
     one (psi, objective, score, rows flagged) tuple per converged point in
     ascending psi.
@@ -141,10 +146,11 @@ def select_psi_bic(
         raise ValueError("psi grid is empty")
     if np.any(grid <= 0):
         raise ValueError("psi grid must be positive")
+    solve = factor_qr(data.design)
     fits = []
     for psi in np.sort(grid):
         try:
-            fits.append(fit_l1(data, float(psi), beta0=beta0))
+            fits.append(_fit_l1(data, float(psi), beta0, solve))
         except NotConverged:
             continue
     if not fits:

@@ -285,6 +285,22 @@ def test_simulate_smoke_and_determinism(tmp_path):
             assert a[name][key] == b[name][key]
 
 
+def test_simulate_survives_an_oracle_beyond_its_size_limit(tmp_path):
+    cfg = {"dgp": 1, "N": 250, "p": 0.1, "R": 2, "estimators": ["ols", "lad"],
+           "oracle_k": 0}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    prefix = str(tmp_path / "run")
+    assert main(["simulate", "--config", str(cfg_path), "--out", prefix]) == 0
+    with open(prefix + "_records.csv") as fh:
+        records = list(csv.DictReader(fh))
+    assert len(records) == 4
+    assert all(r["failed"] == "False" for r in records)
+    assert all(r["equal_oracle"] == "" and r["gap"] == "" for r in records)
+    with open(prefix + "_summary.csv") as fh:
+        assert sorted(r["estimator"] for r in csv.DictReader(fh)) == ["lad", "ols"]
+
+
 def test_simulate_reduced_replication_bias_pattern(tmp_path):
     # endogenous design at reduced replication count: the unadjusted fit is
     # strongly negatively biased while the robust fits stay near zero

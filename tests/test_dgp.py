@@ -3,6 +3,7 @@ import time
 import numpy as np
 import pytest
 
+from trimreg import dgp
 from trimreg.dgp import (
     DgpConfig,
     ESTIMATOR_FACTORIES,
@@ -13,7 +14,7 @@ from trimreg.dgp import (
     run_monte_carlo_records,
     summary_rows,
 )
-from trimreg.errors import UnstableVar
+from trimreg.errors import TooLarge, UnstableVar
 
 
 def test_config_validation():
@@ -260,3 +261,26 @@ def test_equal_oracle_frequencies_midsize_design():
                           R=30, oracle_k=0, threads=2)
     assert res["iht"].equal_oracle_freq >= 0.80
     assert res["lcs2"].equal_oracle_freq >= 0.95
+
+
+def test_failed_oracle_keeps_the_replications_fits(monkeypatch):
+    real = dgp.best_subset_exact
+    calls = []
+
+    def fails_on_second(data, k, warm_start=None):
+        calls.append(k)
+        if len(calls) == 2:
+            raise TooLarge("solver refused this replication")
+        return real(data, k, warm_start=warm_start)
+
+    monkeypatch.setattr(dgp, "best_subset_exact", fails_on_second)
+    cfg = DgpConfig(dgp=1, N=30, p=0.1, mu_alpha=5, sigma_alpha=5, seed=7, n_test=10)
+    estimators = [ESTIMATOR_FACTORIES[name]() for name in ("ols", "lcs1")]
+    summaries, records = run_monte_carlo_records(cfg, estimators, 3, oracle_k=0)
+    assert len(calls) == 3
+    assert len(records) == 6 and not any(r.failed for r in records)
+    lcs1 = {r.rep: r for r in records if r.estimator == "lcs1"}
+    assert lcs1[2].equal_oracle is None and lcs1[2].gap is None
+    assert all(lcs1[rep].equal_oracle is not None for rep in (1, 3))
+    assert all(lcs1[rep].gap is not None for rep in (1, 3))
+    assert summaries["lcs1"].n_reps == 3 and summaries["lcs1"].n_failed == 0

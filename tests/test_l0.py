@@ -1,4 +1,5 @@
 import itertools
+from math import comb
 
 import numpy as np
 import pytest
@@ -170,6 +171,145 @@ def test_swap_scoring_matches_brute_force(rng):
 
         got, _, _, _ = _swap_pass(d.design, d.y, inl, out, l)
         assert got == pytest.approx(best, rel=1e-9, abs=1e-12)
+
+
+def _reference_swap_pass(X, y, in_idx, out_idx, l):
+    """The swap pass as one loop over readmitted rows, one Gram inverse each."""
+    X_in, y_in = X[in_idx], y[in_idx]
+    X_out, y_out = X[out_idx], y[out_idx]
+    m, ko = in_idx.shape[0], out_idx.shape[0]
+    G_in = X_in.T @ X_in
+    b_in = X_in.T @ y_in
+    yy_in = float(y_in @ y_in)
+    best_rss, best_drop, best_add, n_cand = np.inf, (), (), 0
+    for s2 in range(1, min(l, ko) + 1):
+        for add in itertools.combinations(range(ko), s2):
+            add = list(add)
+            Xs, ys = X_out[add], y_out[add]
+            G = G_in + Xs.T @ Xs
+            b = b_in + Xs.T @ ys
+            yy = yy_in + float(ys @ ys)
+            try:
+                Ginv = np.linalg.inv(G)
+            except np.linalg.LinAlgError:
+                n_cand += sum(comb(m, s1) for s1 in range(0, s2 + 1))
+                continue
+            beta = Ginv @ b
+            rss_base = max(yy - float(b @ beta), 0.0)
+            n_cand += 1
+            if rss_base < best_rss:
+                best_rss, best_drop, best_add = rss_base, (), tuple(add)
+            e = y_in - X_in @ beta
+            Z = X_in @ Ginv
+            h = np.einsum("ij,ij->i", Z, X_in)
+            denom = 1.0 - h
+            rss1 = np.where(denom > l0.DOWNDATE_TOL, rss_base - e * e / denom, np.inf)
+            n_cand += m
+            j = int(np.argmin(rss1))
+            if rss1[j] < best_rss:
+                best_rss, best_drop, best_add = float(rss1[j]), (j,), tuple(add)
+            if s2 >= 2 and m >= 2:
+                H = Z @ X_in.T
+                i1, i2 = np.triu_indices(m, k=1)
+                d1, d2, h12 = denom[i1], denom[i2], H[i1, i2]
+                det = d1 * d2 - h12 * h12
+                e1, e2 = e[i1], e[i2]
+                corr = e1 * e1 * d2 + e2 * e2 * d1 + 2.0 * e1 * e2 * h12
+                ok = (det > l0.DOWNDATE_TOL) & (d1 > l0.DOWNDATE_TOL) & (d2 > l0.DOWNDATE_TOL)
+                rss2 = np.where(ok, rss_base - corr / det, np.inf)
+                n_cand += i1.shape[0]
+                j2 = int(np.argmin(rss2))
+                if rss2[j2] < best_rss:
+                    best_rss = float(rss2[j2])
+                    best_drop, best_add = (int(i1[j2]), int(i2[j2])), tuple(add)
+    drop_rows = in_idx[list(best_drop)] if best_drop else np.empty(0, dtype=np.intp)
+    add_rows = out_idx[list(best_add)] if best_add else np.empty(0, dtype=np.intp)
+    return best_rss, drop_rows, add_rows, n_cand
+
+
+def _assert_same_swap(got, want):
+    assert np.array_equal(got[1], want[1])
+    assert np.array_equal(got[2], want[2])
+    assert got[3] == want[3]
+    assert got[0] == pytest.approx(want[0], rel=1e-12, abs=0.0)
+
+
+SWAP_SAMPLES = [
+    pytest.param(DgpConfig(dgp=1, N=40, p=0.1, mu_alpha=5, sigma_alpha=5,
+                           seed=271828, n_test=1), 10, id="dgp1"),
+    pytest.param(DgpConfig(dgp=2, N=200, p=0.1, rho=5.0, seed=55555, n_test=1), 40,
+                 id="dgp2"),
+    pytest.param(DgpConfig(dgp=3, N=120, p=0.1, rho=5.0, seed=173205, n_test=1), 30,
+                 id="dgp3"),
+]
+
+
+@pytest.mark.parametrize("cfg, K", SWAP_SAMPLES)
+def test_batched_swap_pass_matches_reference_loop(cfg, K):
+    # IHT starts and random partitions, each at order 1 and order 2
+    d = generate(cfg).train
+    r = np.random.default_rng(cfg.seed)
+    b0 = initial_beta(d)
+    for k in (1, K // 4, K // 2):
+        starts = [fit_iht(d, k, b0).outliers,
+                  np.sort(r.choice(d.n_obs, size=k, replace=False))]
+        for out in starts:
+            inl = np.setdiff1d(np.arange(d.n_obs), out)
+            for l in (1, 2):
+                _assert_same_swap(l0._swap_pass(d.design, d.y, inl, out, l),
+                                  _reference_swap_pass(d.design, d.y, inl, out, l))
+
+
+@pytest.mark.parametrize("cfg, K", SWAP_SAMPLES)
+def test_fit_l0_auto_bit_identical_to_reference_loop(monkeypatch, cfg, K):
+    d = generate(cfg).train
+    batched = l0._swap_pass
+    passes = []
+
+    def checked(X, y, in_idx, out_idx, l):
+        got = batched(X, y, in_idx, out_idx, l)
+        _assert_same_swap(got, _reference_swap_pass(X, y, in_idx, out_idx, l))
+        passes.append(l)
+        return got
+
+    monkeypatch.setattr(l0, "_swap_pass", checked)
+    got = l0.fit_l0_auto(d, K)
+    assert passes.count(1) > K and 2 in passes
+    monkeypatch.setattr(l0, "_swap_pass", _reference_swap_pass)
+    want = l0.fit_l0_auto(d, K)
+    assert got.beta.tobytes() == want.beta.tobytes()
+    assert np.array_equal(got.outliers, want.outliers)
+    assert got.k == want.k
+    assert got.info["bic_trace"] == want.info["bic_trace"]
+
+
+def test_leverage_one_row_scores_inf_and_is_counted():
+    # a dummy regressor that is nonzero on row 7 only gives that kept row
+    # leverage 1: dropping it leaves the Gram singular
+    r = np.random.default_rng(5)
+    n, j = 30, 7
+    x1 = r.normal(size=n)
+    dummy = np.zeros(n)
+    dummy[j] = 1.0
+    y = 1.0 + x1 + r.normal(size=n)
+    y[[0, 1, 2]] += 8.0
+    d = Dataset(y=y, x=np.column_stack([x1, dummy]))
+    sol = fit_iht(d, 3, initial_beta(d))
+    inl, out = sol.inliers, sol.outliers
+    pos = int(np.flatnonzero(inl == j)[0])
+    X, yv = d.design, d.y
+    table = l0._readmit_one_scores(X[inl], yv[inl], X[out], yv[out])
+    assert table.shape == (3, 1 + inl.shape[0])
+    assert np.all(np.isinf(table[:, 1 + pos]))
+    assert np.all(np.isfinite(np.delete(table, 1 + pos, axis=1)))
+    for l in (1, 2):
+        got = l0._swap_pass(X, yv, inl, out, l)
+        _assert_same_swap(got, _reference_swap_pass(X, yv, inl, out, l))
+        assert j not in got[1]
+        searched = local_swap_search(d, sol, l)
+        assert searched.info["swap_candidates"] == count_swap_candidates(
+            inl.shape[0], out.shape[0], l
+        )
 
 
 def test_swap_search_keeps_global_optimum(rng):

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from trimreg import l1
 from trimreg.classic import fit_huber, fit_lad, fit_ols
 from trimreg.dgp import DgpConfig, generate
 from trimreg.l1 import (
     BETA_TOL,
     MAX_ITER,
+    bic_l1,
     default_psi_grid,
     fit_l1,
     select_psi_bic,
@@ -104,6 +106,30 @@ def test_fit_l1_matches_per_iteration_refit():
         beta, alpha = _l1_refit_each_iteration(d, psi, b0)
         assert sol.beta.tobytes() == beta.tobytes()
         assert sol.alpha.tobytes() == alpha.tobytes()
+
+
+def test_select_psi_bic_factors_the_design_once(monkeypatch):
+    d = generate(DgpConfig(dgp=2, N=200, p=0.1, rho=5.0, seed=55555, n_test=10)).train
+    real = l1.factor_qr
+    calls = []
+
+    def counted(X):
+        calls.append(X.shape)
+        return real(X)
+
+    monkeypatch.setattr(l1, "factor_qr", counted)
+    sol = select_psi_bic(d, penalty_mult=1.0)
+    assert calls == [d.design.shape]
+    b0 = fit_lad(d).beta
+    fits = [fit_l1(d, float(psi), beta0=b0) for psi in default_psi_grid(d, lad_beta=b0)]
+    assert len(calls) == 1 + len(fits)
+    assert sol.info["bic_trace"] == [
+        (f.psi, f.objective, bic_l1(d, f, 1.0), f.n_outliers) for f in fits
+    ]
+    want = next(f for f in fits if f.psi == sol.psi)
+    assert sol.beta.tobytes() == want.beta.tobytes()
+    assert sol.alpha.tobytes() == want.alpha.tobytes()
+    assert sol.objective == want.objective
 
 
 def test_huber_equivalence_random_instances():
