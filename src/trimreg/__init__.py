@@ -16,7 +16,6 @@ from .errors import (
     AllFitsFailed,
     DegenerateFit,
     DimensionError,
-    DivisionDomain,
     InvariantViolated,
     NotConverged,
     ParseError,
@@ -25,7 +24,6 @@ from .errors import (
     TooFewRows,
     TooLarge,
     TrimregError,
-    UnstableVar,
     WindowTooLarge,
 )
 from .l0 import (
@@ -40,10 +38,5 @@ from .l0 import (
     select_k_bic,
 )
 from .l1 import L1Solution, fit_l1, select_psi_bic, soft_threshold_alpha
-from .linalg import Dataset, residuals, solve_least_squares
-from .oracle import (
-    OracleResult,
-    best_subset_exact,
-    equal_solution,
-    relative_optimality_gap,
-)
+from .linalg import Dataset, residuals
+from .oracle import OracleResult, best_subset_exact, equal_solution

@@ -1,10 +1,15 @@
-"""OLS, LAD, and fixed-cutoff Huber baselines.
+"""OLS, LAD, and fixed-cutoff Huber baselines, and the shift alternation.
 
 LAD runs iteratively reweighted least squares with weight 1/max(|r|, eps);
 that is an exact majorize-minimize scheme for the eps-smoothed absolute
-loss, so descent is checked on the smoothed objective. Huber alternates
-the closed-form outlier-shift update with least squares on the adjusted
-response, which is block coordinate descent on a jointly convex problem.
+loss, so descent is checked on the smoothed objective.
+
+`shift_alternation` is the one loop behind both Huber and the L1 estimator
+(`l1`): it alternates the closed-form outlier-shift update (residuals
+soft-thresholded at psi) with least squares on the shift-adjusted
+response. That is block coordinate descent on the jointly convex problem
+0.5 ||y - X b - a||^2 + psi ||a||_1, whose profile in b is the Huber loss
+at cutoff psi, so descent is checked on the Huber loss.
 """
 
 from __future__ import annotations
@@ -17,6 +22,8 @@ from .errors import InvariantViolated
 from .linalg import Dataset, factor_qr, lstsq_qr
 
 MAX_ITER = 1000
+# cap of the shift alternation shared by Huber and L1
+SHIFT_MAX_ITER = 2000
 BETA_TOL = 1e-8
 # smoothing floor for the LAD weights
 LAD_EPS = 1e-8
@@ -84,35 +91,51 @@ def huber_objective(r: np.ndarray, psi: float) -> float:
     return float(np.sum(huber_rho(r, psi)))
 
 
-def fit_huber(data: Dataset, psi: float) -> ClassicFit:
-    """Huber regression with fixed cutoff psi.
+def soft_threshold_alpha(r: np.ndarray, psi: float) -> np.ndarray:
+    """Closed-form shift update: shrink residuals toward zero by psi.
 
-    Alternates the closed-form shift update (residuals soft-thresholded at
-    psi) with least squares on the shift-adjusted response until the
-    coefficient change falls below 1e-8 in max-norm.
+    Entries with |r| < psi map to exactly zero; the two outer branches
+    meet the middle one continuously at +-psi.
     """
     if psi <= 0:
         raise ValueError("psi must be positive")
-    from .l1 import soft_threshold_alpha
+    r = np.asarray(r, dtype=np.float64)
+    return np.where(r >= psi, r - psi, np.where(r <= -psi, r + psi, 0.0))
 
+
+def shift_alternation(
+    data: Dataset, psi: float, beta: np.ndarray, solve
+) -> tuple[np.ndarray, int, bool]:
+    """Alternate the shift update with least squares on y - alpha, from `beta`.
+
+    `solve` is the least-squares solver of the design (`factor_qr`). Stops
+    once the coefficient change falls below BETA_TOL in max-norm, or after
+    SHIFT_MAX_ITER steps. Returns (beta, iterations, converged).
+    """
     X, y = data.design, data.y
-    solve = factor_qr(X)
-    beta = solve(y)
     obj = huber_objective(y - X @ beta, psi)
     converged = False
     it = 0
-    for it in range(1, MAX_ITER + 1):
-        alpha = soft_threshold_alpha(y - X @ beta, psi)
-        beta_new = solve(y - alpha)
+    for it in range(1, SHIFT_MAX_ITER + 1):
+        beta_new = solve(y - soft_threshold_alpha(y - X @ beta, psi))
         obj_new = huber_objective(y - X @ beta_new, psi)
         if not obj_new <= obj + 1e-12 * max(1.0, obj):
-            raise InvariantViolated("Huber block update increased the objective")
+            raise InvariantViolated("shift update increased the Huber objective")
         obj = obj_new
-        if np.max(np.abs(beta_new - beta)) < BETA_TOL:
-            beta = beta_new
-            converged = True
-            break
+        converged = bool(np.max(np.abs(beta_new - beta)) < BETA_TOL)
         beta = beta_new
+        if converged:
+            break
+    return beta, it, converged
+
+
+def fit_huber(data: Dataset, psi: float) -> ClassicFit:
+    """Huber regression with fixed cutoff psi: the shift alternation from OLS."""
+    if psi <= 0:
+        raise ValueError("psi must be positive")
+    solve = factor_qr(data.design)
+    beta, it, converged = shift_alternation(data, psi, solve(data.y), solve)
+    obj = huber_objective(data.y - data.design @ beta, psi)
     return ClassicFit(beta=beta, objective=obj, iterations=it, converged=converged)
 
 
@@ -130,4 +153,6 @@ __all__ = [
     "huber_objective",
     "lad_objective",
     "initial_beta",
+    "shift_alternation",
+    "soft_threshold_alpha",
 ]

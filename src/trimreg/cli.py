@@ -364,6 +364,18 @@ _SIM_FIELDS = {
     "rho": float, "seed": int, "n_test": int, "R": int, "estimators": list,
     "oracle_k": (int, type(None)), "threads": int,
 }
+_JSON_TYPE_NAMES = {int: "an integer", float: "a number", list: "a list", type(None): "null"}
+
+
+def _check_field_type(key: str, value) -> None:
+    """`value` has the JSON type `_SIM_FIELDS` declares for `key`; a bool
+    is never a number, and an integer is a number."""
+    kind = _SIM_FIELDS[key]
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    accepted = kinds + (int,) if float in kinds else kinds
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        names = " or ".join(_JSON_TYPE_NAMES[k] for k in kinds)
+        raise UsageError(f"{key}: must be {names}, not {json.dumps(value)}")
 
 
 def _load_sim_config(path: str) -> dict:
@@ -382,25 +394,35 @@ def _load_sim_config(path: str) -> dict:
     for key in ("dgp", "N", "p", "R"):
         if key not in raw:
             raise UsageError(f"{key}: required field missing")
-    if not isinstance(raw["dgp"], int) or raw["dgp"] not in (1, 2, 3):
+    for key, value in raw.items():
+        _check_field_type(key, value)
+    if raw["dgp"] not in (1, 2, 3):
         raise UsageError("dgp: must be 1, 2, or 3")
-    if not isinstance(raw["N"], int) or raw["N"] < 2:
+    if raw["N"] < 2:
         raise UsageError("N: must be an integer >= 2")
-    if not isinstance(raw["p"], (int, float)) or not 0 < raw["p"] < 1:
+    if not 0 < raw["p"] < 1:
         raise UsageError("p: must lie in (0, 1)")
     if int(np.floor(raw["p"] * raw["N"])) < 1:
         raise UsageError("p: floor(p*N) must be at least 1")
-    if not isinstance(raw["R"], int) or raw["R"] < 1:
+    if raw["R"] < 1:
         raise UsageError("R: must be an integer >= 1")
+    if raw.get("n_test", 1) < 1:
+        raise UsageError("n_test: must be an integer >= 1")
+    if raw.get("oracle_k") is not None and raw["oracle_k"] < 0:
+        raise UsageError("oracle_k: must be an integer >= 0 or null")
+    if raw.get("threads", 1) < 1:
+        raise UsageError("threads: must be an integer >= 1")
     est = raw.get("estimators", ["l0", "l1", "lad", "ols"])
-    if not isinstance(est, list) or not est:
+    if not est:
         raise UsageError("estimators: must be a non-empty list")
     for name in est:
-        if name not in ESTIMATOR_FACTORIES:
+        if not isinstance(name, str) or name not in ESTIMATOR_FACTORIES:
             raise UsageError(
                 f"estimators: unknown name {name!r}; choose from "
                 f"{sorted(ESTIMATOR_FACTORIES)}"
             )
+    if len(set(est)) < len(est):
+        raise UsageError("estimators: each name may appear once")
     raw["estimators"] = est
     return raw
 
@@ -409,13 +431,16 @@ def cmd_simulate(args) -> int:
     raw = _load_sim_config(args.config)
     if args.seed is not None:
         raw["seed"] = args.seed
-    cfg = DgpConfig(
-        dgp=raw["dgp"], N=raw["N"], p=raw["p"],
-        mu_alpha=raw.get("mu_alpha", 0.0),
-        sigma_alpha=raw.get("sigma_alpha", 5.0),
-        rho=raw.get("rho", 5.0), seed=raw.get("seed", 0),
-        n_test=raw.get("n_test", 1000),
-    )
+    try:
+        cfg = DgpConfig(
+            dgp=raw["dgp"], N=raw["N"], p=raw["p"],
+            mu_alpha=raw.get("mu_alpha", 0.0),
+            sigma_alpha=raw.get("sigma_alpha", 5.0),
+            rho=raw.get("rho", 5.0), seed=raw.get("seed", 0),
+            n_test=raw.get("n_test", 1000),
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     estimators = [ESTIMATOR_FACTORIES[name]() for name in raw["estimators"]]
     threads = args.threads if args.threads > 1 else raw.get("threads", 1)
     summaries, records = run_monte_carlo_records(

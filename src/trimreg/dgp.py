@@ -15,7 +15,6 @@ identical summaries.
 from __future__ import annotations
 
 import time
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
@@ -24,7 +23,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .classic import fit_lad, fit_ols, initial_beta
-from .errors import TrimregError, UnstableVar
+from .errors import TrimregError
 from .l0 import SparsitySolution, fit_iht, fit_l0_auto, fit_lcs
 from .l1 import select_psi_bic
 from .linalg import Dataset
@@ -48,8 +47,6 @@ class DgpConfig:
     rho: float = 5.0
     seed: int = 0
     n_test: int = 1000
-    var_phi: np.ndarray | None = None
-    var_sigma: np.ndarray | None = None
 
     def __post_init__(self):
         if self.dgp not in (1, 2, 3):
@@ -60,17 +57,6 @@ class DgpConfig:
             raise ValueError("floor(p * N) must be at least 1")
         if self.n_test < 1:
             raise ValueError("n_test must be positive")
-        if self.dgp == 3:
-            phi = DEFAULT_VAR_PHI if self.var_phi is None else np.asarray(self.var_phi, float)
-            sig = DEFAULT_VAR_SIGMA if self.var_sigma is None else np.asarray(self.var_sigma, float)
-            if phi.shape != (6, 6) or sig.shape != (6, 6):
-                raise ValueError("var_phi and var_sigma must be 6x6")
-            if not np.allclose(sig, sig.T):
-                raise ValueError("var_sigma must be symmetric")
-            if np.min(np.linalg.eigvalsh(sig)) <= 0:
-                raise ValueError("var_sigma must be positive definite")
-            object.__setattr__(self, "var_phi", phi)
-            object.__setattr__(self, "var_sigma", sig)
 
     @property
     def k0(self) -> int:
@@ -123,8 +109,8 @@ _VECM_PI = np.array([[0.0, 0.0], [1.0, -1.0]])
 
 
 def _dgp3_block(rng, n, cfg: DgpConfig, with_outliers: bool, eta: np.ndarray):
-    phi = cfg.var_phi
-    chol = np.linalg.cholesky(cfg.var_sigma)
+    phi = DEFAULT_VAR_PHI
+    chol = np.linalg.cholesky(DEFAULT_VAR_SIGMA)
     steps = VAR_BURN_IN + n + 2
     eps = rng.standard_normal((steps, 6)) @ chol.T
     xi = np.zeros((steps, 6))
@@ -173,11 +159,6 @@ def gen_dgp3(cfg: DgpConfig) -> DgpSample:
     innovations, endogenous by construction."""
     if cfg.dgp != 3:
         raise ValueError("config is not for design 3")
-    if np.max(np.abs(np.linalg.eigvals(cfg.var_phi))) >= 1.0:
-        warnings.warn(
-            "VAR companion matrix has spectral radius >= 1; proceeding",
-            UnstableVar,
-        )
     rng = _rng(cfg.seed)
     eta = np.array([1.0, -1.0]) / np.sqrt(cfg.N)
     train, outliers = _dgp3_block(rng, cfg.N, cfg, with_outliers=True, eta=eta)

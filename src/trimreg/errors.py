@@ -37,14 +37,6 @@ class TooLarge(TrimregError):
     """Instance exceeds the exact solver's size limit."""
 
 
-class DivisionDomain(TrimregError):
-    """Denominator outside the valid domain (dual bound <= 0)."""
-
-
-class UnstableVar(UserWarning):
-    """VAR(1) companion matrix has spectral radius >= 1."""
-
-
 class ParseError(TrimregError):
     """Input file could not be parsed; carries row/column context."""
 

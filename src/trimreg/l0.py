@@ -5,7 +5,8 @@ keeps, where at most k rows may be discarded (their shifts absorb the
 residual entirely). Three layers of search are provided:
 
 * `fit_iht`: alternate hard-thresholding of the residuals with least
-  squares on the kept rows until the kept set stabilizes.
+  squares on the kept rows until the kept set stabilizes; each kept set
+  is solved once, and the last solve is the answer.
 * `fit_lcs`: refine an IHT solution by exhaustively trying swaps of up
   to `l` rows between the kept and discarded sets (l = 1 or 2).
 * `neighborhood_search`: solve for every budget k = 1..K, re-seeding
@@ -114,9 +115,11 @@ def _trimmed_solution(data: Dataset, drop_rows: np.ndarray, k: int) -> SparsityS
 def fit_iht(data: Dataset, k: int, beta0: np.ndarray) -> SparsitySolution:
     """Alternate residual hard-thresholding with trimmed least squares.
 
-    Stops once the discarded set repeats (then the coefficients are a
-    fixed point) or the coefficient change drops below 1e-10 in max-norm.
-    The trimmed objective is non-increasing across iterations.
+    Each iteration discards the k largest residuals and solves the kept
+    rows once (`_trimmed_solution`); the last solve is the answer. Stops
+    once the discarded set repeats (then the coefficients are a fixed
+    point) or the coefficient change drops below 1e-10 in max-norm. The
+    trimmed objective is non-increasing across iterations.
     """
     n, q = data.n_obs, data.n_coef
     if k < 0:
@@ -129,28 +132,23 @@ def fit_iht(data: Dataset, k: int, beta0: np.ndarray) -> SparsitySolution:
     beta = np.asarray(beta0, dtype=np.float64).reshape(-1)
     if beta.shape[0] != q or not np.all(np.isfinite(beta)):
         raise ValueError("beta0 must be a finite vector matching the design width")
+    sol: SparsitySolution | None = None
     prev_drop: np.ndarray | None = None
     obj = np.inf
     iterations = 0
     for iterations in range(1, IHT_MAX_ITER + 1):
-        r = y - X @ beta
-        drop = _top_k_indices(r, k)
+        drop = _top_k_indices(y - X @ beta, k)
         if prev_drop is not None and np.array_equal(drop, prev_drop):
             break
-        mask = np.ones(n, dtype=bool)
-        mask[drop] = False
-        beta_new = lstsq_qr(X[mask], y[mask])
-        r_new = y - X @ beta_new
-        obj_new = 0.5 * float(r_new[mask] @ r_new[mask])
-        if not obj_new <= obj + IMPROVE_TOL * max(1.0, obj):
+        sol = _trimmed_solution(data, drop, k)
+        if not sol.objective <= obj + IMPROVE_TOL * max(1.0, obj):
             raise InvariantViolated("hard-threshold iteration increased the trimmed objective")
-        obj = obj_new
-        delta = np.max(np.abs(beta_new - beta))
-        beta = beta_new
+        obj = sol.objective
+        delta = np.max(np.abs(sol.beta - beta))
+        beta = sol.beta
         prev_drop = drop
         if delta < 1e-10:
             break
-    sol = _trimmed_solution(data, prev_drop, k)
     sol.info["iterations"] = iterations
     return sol
 
@@ -191,7 +189,8 @@ def _readmit_one_scores(X_in, y_in, X_out, y_out):
     base = np.maximum(rss0 + r * r / c, 0.0)
     e = e0 - W * (r / c)[:, None]
     denom = (1.0 - h0) + W * W / c[:, None]
-    drops = np.where(denom > DOWNDATE_TOL, base[:, None] - e * e / denom, np.inf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        drops = np.where(denom > DOWNDATE_TOL, base[:, None] - e * e / denom, np.inf)
     return np.column_stack([base, drops])
 
 
@@ -248,9 +247,8 @@ def _swap_pass(X, y, in_idx, out_idx, l):
 
             # drop one kept row
             denom = 1.0 - h
-            rss1 = np.where(
-                denom > DOWNDATE_TOL, rss_base - e * e / denom, np.inf
-            )
+            with np.errstate(divide="ignore", invalid="ignore"):
+                rss1 = np.where(denom > DOWNDATE_TOL, rss_base - e * e / denom, np.inf)
             n_cand += m
             j = int(np.argmin(rss1))
             if rss1[j] < best_rss:
@@ -266,11 +264,9 @@ def _swap_pass(X, y, in_idx, out_idx, l):
                 det = d1 * d2 - h12 * h12
                 e1, e2 = e[i1], e[i2]
                 corr = e1 * e1 * d2 + e2 * e2 * d1 + 2.0 * e1 * e2 * h12
-                rss2 = np.where(
-                    (det > DOWNDATE_TOL) & (d1 > DOWNDATE_TOL) & (d2 > DOWNDATE_TOL),
-                    rss_base - corr / det,
-                    np.inf,
-                )
+                ok = (det > DOWNDATE_TOL) & (d1 > DOWNDATE_TOL) & (d2 > DOWNDATE_TOL)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    rss2 = np.where(ok, rss_base - corr / det, np.inf)
                 n_cand += i1.shape[0]
                 j2 = int(np.argmin(rss2))
                 if rss2[j2] < best_rss:

@@ -1,10 +1,10 @@
 """Soft-threshold robust regression with an L1 penalty on per-row shifts.
 
-Minimizes 0.5 ||y - X b - a||^2 + psi ||a||_1 by alternating the
-closed-form update of the shift vector `a` (soft-thresholding of the
-residuals at psi) with least squares of y - a on X. The profiled
-objective coincides with the Huber loss at cutoff psi, which the fit
-cross-checks at convergence.
+Minimizes 0.5 ||y - X b - a||^2 + psi ||a||_1 with the shift alternation
+`classic.shift_alternation`, the same loop Huber runs: the shift vector
+`a` is the residuals soft-thresholded at psi, and b is least squares of
+y - a on X. The profiled objective coincides with the Huber loss at
+cutoff psi, which the fit cross-checks at convergence.
 """
 
 from __future__ import annotations
@@ -13,13 +13,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classic import fit_lad, huber_objective
+from .classic import (
+    SHIFT_MAX_ITER,
+    fit_lad,
+    huber_objective,
+    shift_alternation,
+    soft_threshold_alpha,
+)
 from .errors import AllFitsFailed, InvariantViolated, NotConverged
 from .l0 import select_by_score
 from .linalg import Dataset, factor_qr
 
-MAX_ITER = 2000
-BETA_TOL = 1e-8
 PSI_GRID_SIZE = 30
 # MAD-to-sigma factor for the default grid scale
 MAD_SCALE = 1.4826
@@ -44,24 +48,15 @@ class L1Solution:
     info: dict = field(default_factory=dict, compare=False, repr=False)
 
 
-def soft_threshold_alpha(r: np.ndarray, psi: float) -> np.ndarray:
-    """Closed-form shift update: shrink residuals toward zero by psi.
-
-    Entries with |r| < psi map to exactly zero; the two outer branches
-    meet the middle one continuously at +-psi.
-    """
-    if psi <= 0:
-        raise ValueError("psi must be positive")
-    r = np.asarray(r, dtype=np.float64)
-    return np.where(r >= psi, r - psi, np.where(r <= -psi, r + psi, 0.0))
-
-
 def _penalized_objective(r_adj: np.ndarray, alpha: np.ndarray, psi: float) -> float:
     return 0.5 * float(r_adj @ r_adj) + psi * float(np.sum(np.abs(alpha)))
 
 
 def fit_l1(data: Dataset, psi: float, beta0: np.ndarray | None = None) -> L1Solution:
-    """Alternating minimization at fixed psi, started from the LAD fit."""
+    """The shift alternation at fixed psi, from `beta0` or else the LAD fit.
+
+    Raises NotConverged if it has not converged after SHIFT_MAX_ITER steps.
+    """
     if psi <= 0:
         raise ValueError("psi must be positive")
     beta = fit_lad(data).beta if beta0 is None else np.asarray(beta0, dtype=np.float64)
@@ -70,27 +65,15 @@ def fit_l1(data: Dataset, psi: float, beta0: np.ndarray | None = None) -> L1Solu
 
 def _fit_l1(data: Dataset, psi: float, beta: np.ndarray, solve) -> L1Solution:
     """`fit_l1` from `beta`, with `solve` the least-squares solver of the design."""
-    X, y = data.design, data.y
-    alpha = soft_threshold_alpha(y - X @ beta, psi)
-    obj = _penalized_objective(y - X @ beta - alpha, alpha, psi)
-    converged = False
-    for _ in range(MAX_ITER):
-        beta_new = solve(y - alpha)
-        alpha = soft_threshold_alpha(y - X @ beta_new, psi)
-        obj_new = _penalized_objective(y - X @ beta_new - alpha, alpha, psi)
-        if not obj_new <= obj + 1e-12 * max(1.0, obj):
-            raise InvariantViolated("alternating update increased the penalized objective")
-        obj = obj_new
-        if np.max(np.abs(beta_new - beta)) < BETA_TOL:
-            beta = beta_new
-            converged = True
-            break
-        beta = beta_new
+    beta, _, converged = shift_alternation(data, psi, beta, solve)
     if not converged:
-        raise NotConverged(f"fit_l1 did not converge in {MAX_ITER} iterations")
+        raise NotConverged(f"fit_l1 did not converge in {SHIFT_MAX_ITER} iterations")
+    r = data.y - data.design @ beta
+    alpha = soft_threshold_alpha(r, psi)
+    obj = _penalized_objective(r - alpha, alpha, psi)
     # profile identity: the penalized objective at the alpha-argmin equals
     # the Huber loss of the residuals at cutoff psi
-    profile = huber_objective(y - X @ beta, psi)
+    profile = huber_objective(r, psi)
     if not abs(obj - profile) <= 1e-8 * (1.0 + abs(profile)):
         raise InvariantViolated("penalized objective disagrees with its profiled form")
     return L1Solution(

@@ -102,20 +102,6 @@ def lstsq_qr(X: np.ndarray, y: np.ndarray) -> np.ndarray:
     return factor_qr(X)(y)
 
 
-def solve_least_squares(data: Dataset, active) -> np.ndarray:
-    """Minimize the squared loss over the rows in `active`.
-
-    `active` is a sequence of row indices; the returned coefficient vector
-    has the intercept first when the dataset carries one.
-    """
-    idx = np.asarray(active, dtype=np.intp)
-    if idx.ndim != 1:
-        raise ValueError("active must be a 1-D index set")
-    if idx.shape[0] < data.n_coef:
-        raise TooFewRows(f"|active|={idx.shape[0]} < {data.n_coef} coefficients")
-    return lstsq_qr(data.design[idx], data.y[idx])
-
-
 def residuals(data: Dataset, beta: np.ndarray) -> np.ndarray:
     """r_i = y_i - [1, x_i]' beta for every row."""
     beta = np.asarray(beta, dtype=np.float64).reshape(-1)

@@ -16,7 +16,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import DivisionDomain, InvariantViolated, TooFewInliers, TooLarge
+from .errors import InvariantViolated, TooFewInliers, TooLarge
 from .l0 import SparsitySolution, _trimmed_solution
 from .linalg import Dataset
 
@@ -39,27 +39,14 @@ class OracleResult:
     wall_time: float
 
 
-def relative_optimality_gap(primal: float, dual: float) -> float:
-    """(primal - dual) / dual; the dual must be strictly positive."""
-    if dual <= 0:
-        raise DivisionDomain(f"dual bound {dual} is not positive")
-    return (primal - dual) / dual
-
-
 def equal_solution(a: SparsitySolution, b: SparsitySolution) -> bool:
     """Same discarded rows, or objectives within 1e-8 relative."""
-    support, objective = equal_solution_parts(a, b)
-    return support or objective
-
-
-def equal_solution_parts(a: SparsitySolution, b: SparsitySolution) -> tuple[bool, bool]:
-    """(supports identical, objectives within tolerance) as separate flags."""
     if a.alpha.shape[0] != b.alpha.shape[0]:
         raise ValueError("solutions come from datasets of different size")
-    support = np.array_equal(np.sort(a.outliers), np.sort(b.outliers))
+    if np.array_equal(np.sort(a.outliers), np.sort(b.outliers)):
+        return True
     denom = max(abs(a.objective), abs(b.objective), 1e-12)
-    objective = abs(a.objective - b.objective) <= 1e-8 * denom
-    return support, objective
+    return abs(a.objective - b.objective) <= 1e-8 * denom
 
 
 def _rss_fixed(X: np.ndarray, y: np.ndarray, rows: np.ndarray) -> tuple[float, np.ndarray]:
@@ -261,7 +248,5 @@ def best_subset_exact(
 __all__ = [
     "OracleResult",
     "best_subset_exact",
-    "relative_optimality_gap",
     "equal_solution",
-    "equal_solution_parts",
 ]

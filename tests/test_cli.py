@@ -327,6 +327,30 @@ def test_simulate_invalid_p(tmp_path, capsys):
     assert "p:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value", [
+    ("seed", "abc"),
+    ("mu_alpha", "x"),
+    ("threads", "2"),
+    ("threads", 0),
+    ("oracle_k", 2.5),
+    ("oracle_k", -3),
+    ("n_test", 0),
+    ("dgp", True),
+    ("N", 30.0),
+    ("estimators", [["ols"]]),
+    ("estimators", ["ols", "ols"]),
+])
+def test_simulate_config_type_and_range_errors(tmp_path, capsys, field, value):
+    cfg = {"dgp": 1, "N": 30, "p": 0.1, "R": 1, "estimators": ["ols"], field: value}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    prefix = str(tmp_path / "run")
+    assert main(["simulate", "--config", str(cfg_path), "--out", prefix]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {field}:")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
 def test_simulate_unknown_estimator(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({

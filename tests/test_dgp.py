@@ -14,7 +14,7 @@ from trimreg.dgp import (
     run_monte_carlo_records,
     summary_rows,
 )
-from trimreg.errors import TooLarge, UnstableVar
+from trimreg.errors import TooLarge
 
 
 def test_config_validation():
@@ -24,8 +24,6 @@ def test_config_validation():
         DgpConfig(dgp=1, N=100, p=1.5)
     with pytest.raises(ValueError):
         DgpConfig(dgp=1, N=50, p=0.01)  # floor(p*N) = 0
-    with pytest.raises(ValueError):
-        DgpConfig(dgp=3, N=100, p=0.1, var_sigma=np.zeros((6, 6)))
 
 
 def test_dgp1_degenerate_single_shift():
@@ -118,13 +116,6 @@ def test_dgp3_cointegrating_combination_mean_reverts():
     # the raw pair behaves like unit-root series
     level = s.train.x[:, 3]
     assert np.corrcoef(level[:-1], level[1:])[0, 1] > 0.99
-
-
-def test_dgp3_unstable_var_warns():
-    cfg = DgpConfig(dgp=3, N=50, p=0.1, rho=1.0, seed=0, n_test=10,
-                    var_phi=1.05 * np.eye(6))
-    with pytest.warns(UnstableVar):
-        gen_dgp3(cfg)
 
 
 class _TrueBetaStub:

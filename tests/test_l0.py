@@ -283,6 +283,62 @@ def test_fit_l0_auto_bit_identical_to_reference_loop(monkeypatch, cfg, K):
     assert got.info["bic_trace"] == want.info["bic_trace"]
 
 
+def _reference_fit_iht(data, k, beta0):
+    """`fit_iht` as one loop with its own solve, then a closing refit of the
+    last discarded set through `_trimmed_solution`."""
+    X, y = data.design, data.y
+    n = data.n_obs
+    beta = np.asarray(beta0, dtype=np.float64).reshape(-1)
+    prev_drop, obj, iterations = None, np.inf, 0
+    for iterations in range(1, l0.IHT_MAX_ITER + 1):
+        drop = l0._top_k_indices(y - X @ beta, k)
+        if prev_drop is not None and np.array_equal(drop, prev_drop):
+            break
+        mask = np.ones(n, dtype=bool)
+        mask[drop] = False
+        beta_new = l0.lstsq_qr(X[mask], y[mask])
+        r_new = y - X @ beta_new
+        obj_new = 0.5 * float(r_new[mask] @ r_new[mask])
+        assert obj_new <= obj + l0.IMPROVE_TOL * max(1.0, obj)
+        obj = obj_new
+        delta = np.max(np.abs(beta_new - beta))
+        beta = beta_new
+        prev_drop = drop
+        if delta < 1e-10:
+            break
+    sol = l0._trimmed_solution(data, prev_drop, k)
+    sol.info["iterations"] = iterations
+    return sol
+
+
+@pytest.mark.parametrize("cfg, K", SWAP_SAMPLES)
+def test_fit_iht_returns_its_last_solve(monkeypatch, cfg, K):
+    # same bits as the loop with a closing refit, from one solve fewer
+    d = generate(cfg).train
+    r = np.random.default_rng(cfg.seed)
+    exact = l0.lstsq_qr
+    calls = []
+
+    def counted(X, v):
+        calls.append(1)
+        return exact(X, v)
+
+    monkeypatch.setattr(l0, "lstsq_qr", counted)
+    starts = [initial_beta(d)] + [r.normal(scale=3.0, size=d.n_coef) for _ in range(2)]
+    for k in (1, K // 4, K // 2):
+        for b0 in starts:
+            calls.clear()
+            want = _reference_fit_iht(d, k, b0)
+            n_want = len(calls)
+            calls.clear()
+            got = fit_iht(d, k, b0)
+            assert got.beta.tobytes() == want.beta.tobytes()
+            assert np.array_equal(got.outliers, want.outliers)
+            assert got.objective == want.objective
+            assert got.info["iterations"] == want.info["iterations"]
+            assert len(calls) == n_want - 1
+
+
 def test_leverage_one_row_scores_inf_and_is_counted():
     # a dummy regressor that is nonzero on row 7 only gives that kept row
     # leverage 1: dropping it leaves the Gram singular

@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from trimreg import l1
-from trimreg.classic import fit_huber, fit_lad, fit_ols
+from trimreg import classic, l1
+from trimreg.classic import BETA_TOL, SHIFT_MAX_ITER, fit_huber, fit_lad, fit_ols
 from trimreg.dgp import DgpConfig, generate
+from trimreg.errors import AllFitsFailed, NotConverged
 from trimreg.l1 import (
-    BETA_TOL,
-    MAX_ITER,
     bic_l1,
     default_psi_grid,
     fit_l1,
@@ -88,7 +87,7 @@ def _l1_refit_each_iteration(data, psi, beta):
     """fit_l1's alternation with a fresh QR of the design per iteration."""
     X, y = data.design, data.y
     alpha = soft_threshold_alpha(y - X @ beta, psi)
-    for _ in range(MAX_ITER):
+    for _ in range(SHIFT_MAX_ITER):
         beta_new = lstsq_qr(X, y - alpha)
         alpha = soft_threshold_alpha(y - X @ beta_new, psi)
         done = np.max(np.abs(beta_new - beta)) < BETA_TOL
@@ -106,6 +105,28 @@ def test_fit_l1_matches_per_iteration_refit():
         beta, alpha = _l1_refit_each_iteration(d, psi, b0)
         assert sol.beta.tobytes() == beta.tobytes()
         assert sol.alpha.tobytes() == alpha.tobytes()
+
+
+def test_fit_l1_from_ols_is_huber():
+    # one shift alternation: from the same start, the same bits
+    d = generate(DgpConfig(dgp=2, N=200, p=0.1, rho=5.0, seed=3, n_test=10)).train
+    b0 = fit_ols(d).beta
+    for psi in (0.3, 1.0, 4.0):
+        sol = fit_l1(d, psi, beta0=b0)
+        hub = fit_huber(d, psi)
+        assert hub.converged
+        assert sol.beta.tobytes() == hub.beta.tobytes()
+
+
+def test_exhausted_iteration_cap_is_not_converged(monkeypatch):
+    d = generate(DgpConfig(dgp=2, N=200, p=0.1, rho=5.0, seed=3, n_test=10)).train
+    monkeypatch.setattr(classic, "SHIFT_MAX_ITER", 2)
+    hub = fit_huber(d, 1.0)
+    assert not hub.converged and hub.iterations == 2
+    with pytest.raises(NotConverged):
+        fit_l1(d, 1.0)
+    with pytest.raises(AllFitsFailed):
+        select_psi_bic(d)
 
 
 def test_select_psi_bic_factors_the_design_once(monkeypatch):
