@@ -8,9 +8,8 @@ from .dgp import (
     DgpSample,
     Estimator,
     MetricsSummary,
-    gen_dgp3,
     generate,
-    run_monte_carlo,
+    run_monte_carlo_records,
 )
 from .errors import (
     AllFitsFailed,

@@ -17,7 +17,9 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import MISSING, asdict, fields
 from functools import partial
+from typing import get_type_hints
 
 import numpy as np
 
@@ -143,6 +145,11 @@ def _check_budgets(k: int | None, k_max: int | None, n: int, q: int) -> None:
         raise UsageError(f"--k must lie in [0, N - q] = [0, {n - q}]")
     if k_max is not None and not 1 <= k_max <= n // 2:
         raise UsageError(f"--k-max must lie in [1, N // 2] = [1, {n // 2}]")
+
+
+def _check_threads(threads: int | None) -> None:
+    if threads is not None and threads < 1:
+        raise UsageError("--threads must be at least 1")
 
 
 def _default_k_max(n: int) -> int:
@@ -291,6 +298,7 @@ def _parse_subperiods(text: str, t_min: int, t_max: int) -> list[tuple[int, int]
 
 def cmd_forecast(args) -> int:
     _validate_method_flags(args)
+    _check_threads(args.threads)
     data, header = read_csv_dataset(args.input)
     y, x = data.y, data.x
     T = data.n_obs
@@ -359,11 +367,13 @@ def cmd_forecast(args) -> int:
 # simulate
 # ---------------------------------------------------------------------------
 
+# the design fields and their types are DgpConfig's; the run fields are the CLI's
+_DESIGN_FIELDS = get_type_hints(DgpConfig)
 _SIM_FIELDS = {
-    "dgp": int, "N": int, "p": float, "mu_alpha": float, "sigma_alpha": float,
-    "rho": float, "seed": int, "n_test": int, "R": int, "estimators": list,
+    **_DESIGN_FIELDS, "R": int, "estimators": list,
     "oracle_k": (int, type(None)), "threads": int,
 }
+_REQUIRED = [f.name for f in fields(DgpConfig) if f.default is MISSING] + ["R"]
 _JSON_TYPE_NAMES = {int: "an integer", float: "a number", list: "a list", type(None): "null"}
 
 
@@ -378,7 +388,10 @@ def _check_field_type(key: str, value) -> None:
         raise UsageError(f"{key}: must be {names}, not {json.dumps(value)}")
 
 
-def _load_sim_config(path: str) -> dict:
+def _load_sim_config(path: str, seed: int | None) -> tuple[DgpConfig, dict]:
+    """The design built from the config file at `path`, and the file's
+    fields with `estimators` resolved; `seed`, if given, replaces the
+    file's seed."""
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -391,23 +404,19 @@ def _load_sim_config(path: str) -> dict:
     for key in raw:
         if key not in _SIM_FIELDS:
             raise UsageError(f"{key}: unknown configuration field")
-    for key in ("dgp", "N", "p", "R"):
+    for key in _REQUIRED:
         if key not in raw:
             raise UsageError(f"{key}: required field missing")
     for key, value in raw.items():
         _check_field_type(key, value)
-    if raw["dgp"] not in (1, 2, 3):
-        raise UsageError("dgp: must be 1, 2, or 3")
-    if raw["N"] < 2:
-        raise UsageError("N: must be an integer >= 2")
-    if not 0 < raw["p"] < 1:
-        raise UsageError("p: must lie in (0, 1)")
-    if int(np.floor(raw["p"] * raw["N"])) < 1:
-        raise UsageError("p: floor(p*N) must be at least 1")
+    if seed is not None:
+        raw["seed"] = seed
+    try:
+        cfg = DgpConfig(**{key: raw[key] for key in _DESIGN_FIELDS if key in raw})
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     if raw["R"] < 1:
         raise UsageError("R: must be an integer >= 1")
-    if raw.get("n_test", 1) < 1:
-        raise UsageError("n_test: must be an integer >= 1")
     if raw.get("oracle_k") is not None and raw["oracle_k"] < 0:
         raise UsageError("oracle_k: must be an integer >= 0 or null")
     if raw.get("threads", 1) < 1:
@@ -424,25 +433,14 @@ def _load_sim_config(path: str) -> dict:
     if len(set(est)) < len(est):
         raise UsageError("estimators: each name may appear once")
     raw["estimators"] = est
-    return raw
+    return cfg, raw
 
 
 def cmd_simulate(args) -> int:
-    raw = _load_sim_config(args.config)
-    if args.seed is not None:
-        raw["seed"] = args.seed
-    try:
-        cfg = DgpConfig(
-            dgp=raw["dgp"], N=raw["N"], p=raw["p"],
-            mu_alpha=raw.get("mu_alpha", 0.0),
-            sigma_alpha=raw.get("sigma_alpha", 5.0),
-            rho=raw.get("rho", 5.0), seed=raw.get("seed", 0),
-            n_test=raw.get("n_test", 1000),
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    _check_threads(args.threads)
+    cfg, raw = _load_sim_config(args.config, args.seed)
     estimators = [ESTIMATOR_FACTORIES[name]() for name in raw["estimators"]]
-    threads = args.threads if args.threads > 1 else raw.get("threads", 1)
+    threads = raw.get("threads", 1) if args.threads is None else args.threads
     summaries, records = run_monte_carlo_records(
         cfg, estimators, raw["R"], oracle_k=raw.get("oracle_k"), threads=threads,
     )
@@ -454,15 +452,7 @@ def cmd_simulate(args) -> int:
         "version": __version__,
         "config": dict(raw, threads=threads),
         "summaries": {
-            name: {
-                "bias": s.bias, "rmse": s.rmse,
-                "prediction_error": s.prediction_error,
-                "equal_oracle_freq": s.equal_oracle_freq,
-                "mean_gap": s.mean_gap,
-                "mean_cpu_seconds": s.mean_cpu_seconds,
-                "n_reps": s.n_reps, "n_failed": s.n_failed,
-                "high_failure": s.high_failure,
-            }
+            name: {k: v for k, v in asdict(s).items() if k != "estimator"}
             for name, s in summaries.items()
         },
     }
@@ -532,7 +522,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--config", required=True, help="JSON configuration file")
     p_sim.add_argument("--out", default=None, help="output prefix (default 'simulation')")
     p_sim.add_argument("--seed", type=int, default=None)
-    p_sim.add_argument("--threads", type=int, default=1)
+    p_sim.add_argument("--threads", type=int, default=None,
+                       help="worker processes (default: the config's threads, or 1)")
     p_sim.set_defaults(func=cmd_simulate)
 
     return parser

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import partial
 from typing import Any, Callable
 
@@ -49,14 +49,15 @@ class DgpConfig:
     n_test: int = 1000
 
     def __post_init__(self):
+        # each message names its field first: the CLI prints it as is
         if self.dgp not in (1, 2, 3):
-            raise ValueError("dgp must be 1, 2, or 3")
+            raise ValueError("dgp: must be 1, 2, or 3")
         if not 0.0 < self.p < 1.0:
-            raise ValueError("p must lie in (0, 1)")
+            raise ValueError("p: must lie in (0, 1)")
         if self.k0 < 1:
-            raise ValueError("floor(p * N) must be at least 1")
+            raise ValueError("p: floor(p*N) must be at least 1")
         if self.n_test < 1:
-            raise ValueError("n_test must be positive")
+            raise ValueError("n_test: must be at least 1")
 
     @property
     def k0(self) -> int:
@@ -103,12 +104,18 @@ def _dgp12_block(rng, n, cfg: DgpConfig, with_outliers: bool):
     return Dataset(y=y, x=x), outliers
 
 
+def _dgp3_eta(N: int) -> np.ndarray:
+    """Random-walk loadings, shrinking with the training length N."""
+    return np.array([1.0, -1.0]) / np.sqrt(N)
+
+
 # error-correction loading: first variable is a pure random walk, the second
 # chases it, so (1, -1) is the cointegrating combination
 _VECM_PI = np.array([[0.0, 0.0], [1.0, -1.0]])
 
 
-def _dgp3_block(rng, n, cfg: DgpConfig, with_outliers: bool, eta: np.ndarray):
+def _dgp3_block(rng, n, cfg: DgpConfig, with_outliers: bool):
+    eta = _dgp3_eta(cfg.N)
     phi = DEFAULT_VAR_PHI
     chol = np.linalg.cholesky(DEFAULT_VAR_SIGMA)
     steps = VAR_BURN_IN + n + 2
@@ -152,40 +159,30 @@ def _dgp3_block(rng, n, cfg: DgpConfig, with_outliers: bool, eta: np.ndarray):
     return Dataset(y=y, x=regressors), outliers
 
 
-def gen_dgp3(cfg: DgpConfig) -> DgpSample:
-    """Predictive design: VAR(1) innovations, a cointegrated pair, two
-    random walks, and two contaminated blocks starting after 25% and 75%
-    of the sample. Shifts are rho times the sum of the level and pair
-    innovations, endogenous by construction."""
-    if cfg.dgp != 3:
-        raise ValueError("config is not for design 3")
-    rng = _rng(cfg.seed)
-    eta = np.array([1.0, -1.0]) / np.sqrt(cfg.N)
-    train, outliers = _dgp3_block(rng, cfg.N, cfg, with_outliers=True, eta=eta)
-    test, _ = _dgp3_block(rng, cfg.n_test, cfg, with_outliers=False, eta=eta)
-    true_beta = np.concatenate([[0.3, 1.0, 1.0, -1.0], eta])
-    return DgpSample(train=train, true_beta=true_beta, true_outliers=outliers, test=test)
-
-
 def generate(cfg: DgpConfig) -> DgpSample:
-    """Draw one sample of the configured design.
+    """Draw one sample of the configured design: the training rows, then
+    the test rows, from one generator seeded by `cfg.seed`.
 
     Designs 1 and 2 share the regressors (a squared-normal first
     regressor, a correlated second) and shift the first floor(p*N) rows.
     Design 1 draws the shifts independently of the regressors; design 2
     takes rho times the sum of the same three innovations that drive the
-    regressors, so its contamination is endogenous. Design 3 is
-    `gen_dgp3`.
+    regressors, so its contamination is endogenous. Design 3 is the
+    predictive design: VAR(1) innovations, a cointegrated pair, two
+    random walks, and two contaminated blocks starting after 25% and 75%
+    of the sample. Its shifts are rho times the sum of the level and pair
+    innovations, endogenous by construction.
     """
     if cfg.dgp == 3:
-        return gen_dgp3(cfg)
+        block = _dgp3_block
+        true_beta = np.concatenate([[0.3, 1.0, 1.0, -1.0], _dgp3_eta(cfg.N)])
+    else:
+        block = _dgp12_block
+        true_beta = np.array([0.5, 1.0, 1.0])
     rng = _rng(cfg.seed)
-    train, outliers = _dgp12_block(rng, cfg.N, cfg, with_outliers=True)
-    test, _ = _dgp12_block(rng, cfg.n_test, cfg, with_outliers=False)
-    return DgpSample(
-        train=train, true_beta=np.array([0.5, 1.0, 1.0]),
-        true_outliers=outliers, test=test,
-    )
+    train, outliers = block(rng, cfg.N, cfg, with_outliers=True)
+    test, _ = block(rng, cfg.n_test, cfg, with_outliers=False)
+    return DgpSample(train=train, true_beta=true_beta, true_outliers=outliers, test=test)
 
 
 # ---------------------------------------------------------------------------
@@ -331,23 +328,6 @@ def _run_one_rep(cfg: DgpConfig, estimators: list[Estimator], rep: int,
     return records
 
 
-def run_monte_carlo(
-    cfg: DgpConfig,
-    estimators: list[Estimator],
-    R: int,
-    oracle_k: int | None = None,
-    threads: int = 1,
-) -> dict[str, MetricsSummary]:
-    """Generate R replications, fit every estimator, average the metrics.
-
-    `oracle_k` switches on the exact-solver comparison (0 means "use the
-    true contamination count of each replication"); a replication whose
-    exact solve fails has none. Failed fits are excluded and counted; a
-    summary is flagged when more than 5% fail.
-    """
-    return run_monte_carlo_records(cfg, estimators, R, oracle_k, threads)[0]
-
-
 def summarize(records: list[ReplicationRecord], R: int) -> dict[str, MetricsSummary]:
     true_beta1 = 1.0  # the first slope coefficient is 1 in all three designs
     out: dict[str, MetricsSummary] = {}
@@ -380,44 +360,28 @@ def summarize(records: list[ReplicationRecord], R: int) -> dict[str, MetricsSumm
     return out
 
 
+def _config_columns(cfg: DgpConfig) -> dict:
+    return {"dgp": cfg.dgp, "N": cfg.N, "p": cfg.p, "param": cfg.param_label}
+
+
 def summary_rows(cfg: DgpConfig, summaries: dict[str, MetricsSummary]) -> list[dict]:
     """Flatten summaries into the documented CSV schema."""
-    rows = []
-    for name, s in summaries.items():
-        rows.append({
-            "dgp": cfg.dgp,
-            "N": cfg.N,
-            "p": cfg.p,
-            "param": cfg.param_label,
-            "estimator": name,
-            "bias": s.bias,
-            "rmse": s.rmse,
-            "pred_err": s.prediction_error,
-            "equal_oracle": s.equal_oracle_freq,
-            "gap": s.mean_gap,
-            "cpu_s": s.mean_cpu_seconds,
-        })
-    return rows
+    return [{
+        **_config_columns(cfg),
+        "estimator": name,
+        "bias": s.bias,
+        "rmse": s.rmse,
+        "pred_err": s.prediction_error,
+        "equal_oracle": s.equal_oracle_freq,
+        "gap": s.mean_gap,
+        "cpu_s": s.mean_cpu_seconds,
+    } for name, s in summaries.items()]
 
 
 def record_rows(cfg: DgpConfig, records: list[ReplicationRecord]) -> list[dict]:
-    rows = []
-    for r in records:
-        rows.append({
-            "dgp": cfg.dgp,
-            "N": cfg.N,
-            "p": cfg.p,
-            "param": cfg.param_label,
-            "estimator": r.estimator,
-            "rep": r.rep,
-            "beta1": r.beta1,
-            "pred_err": r.pred_err,
-            "equal_oracle": r.equal_oracle,
-            "gap": r.gap,
-            "cpu_s": r.cpu_s,
-            "failed": r.failed,
-        })
-    return rows
+    """One CSV row per record: the config columns, then its fields in order."""
+    columns = _config_columns(cfg)
+    return [{**columns, **asdict(r)} for r in records]
 
 
 def run_monte_carlo_records(
@@ -427,7 +391,14 @@ def run_monte_carlo_records(
     oracle_k: int | None = None,
     threads: int = 1,
 ) -> tuple[dict[str, MetricsSummary], list[ReplicationRecord]]:
-    """As `run_monte_carlo` but also returns the per-replication records."""
+    """Generate R replications, fit every estimator, average the metrics.
+
+    Returns the per-estimator summaries and the per-replication records.
+    `oracle_k` switches on the exact-solver comparison (0 means "use the
+    true contamination count of each replication"); a replication whose
+    exact solve fails has none. Failed fits are excluded and counted; a
+    summary is flagged when more than 5% fail.
+    """
     if R < 1:
         raise ValueError("R must be >= 1")
     reps = list(range(1, R + 1))
@@ -447,9 +418,7 @@ __all__ = [
     "Estimator",
     "MetricsSummary",
     "ReplicationRecord",
-    "gen_dgp3",
     "generate",
-    "run_monte_carlo",
     "run_monte_carlo_records",
     "summarize",
     "summary_rows",

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -153,11 +152,6 @@ def fit_iht(data: Dataset, k: int, beta0: np.ndarray) -> SparsitySolution:
     return sol
 
 
-@lru_cache(maxsize=8)
-def _pair_indices(m: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.triu_indices(m, k=1)
-
-
 def count_swap_candidates(n_inliers: int, n_outliers: int, l: int) -> int:
     """Size of the swap neighborhood: sum over moves of up to l rows each way."""
     total = 0
@@ -223,6 +217,7 @@ def _swap_pass(X, y, in_idx, out_idx, l):
         G_in = X_in.T @ X_in
         b_in = X_in.T @ y_in
         yy_in = float(y_in @ y_in)
+        i1, i2 = np.triu_indices(m, k=1)  # the kept-row pairs, in tie order
         for add in itertools.combinations(range(ko), 2):
             add = list(add)
             Xs, ys = X_out[add], y_out[add]
@@ -257,7 +252,6 @@ def _swap_pass(X, y, in_idx, out_idx, l):
             # drop two kept rows
             if m >= 2:
                 H = Z @ X_in.T
-                i1, i2 = _pair_indices(m)
                 d1 = denom[i1]
                 d2 = denom[i2]
                 h12 = H[i1, i2]

@@ -19,21 +19,21 @@ RANK_TOL = 1e-10
 
 @dataclass(frozen=True)
 class Dataset:
-    """Response vector and regressor matrix, with optional intercept column.
+    """Response vector and regressor matrix, with the intercept column.
 
-    `y` has length N, `x` is N x d (no intercept column). When
-    `add_intercept` is true the effective design is [1, x], N x (d+1),
-    and coefficient vectors carry the intercept first.
+    `y` has length N, `x` is N x d (no intercept column); the design is
+    [1, x], N x (d+1), and coefficient vectors carry the intercept first.
+    `y` and `x` are read-only copies of the inputs, so later edits to the
+    caller's arrays move no fit.
     """
 
     y: np.ndarray
     x: np.ndarray
-    add_intercept: bool = True
     design: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        y = np.asarray(self.y, dtype=np.float64).reshape(-1)
-        x = np.asarray(self.x, dtype=np.float64)
+        y = np.array(self.y, dtype=np.float64).reshape(-1)
+        x = np.array(self.x, dtype=np.float64)
         if x.ndim == 1:
             x = x.reshape(-1, 1)
         if x.ndim != 2:
@@ -46,13 +46,11 @@ class Dataset:
             )
         if not np.all(np.isfinite(y)) or not np.all(np.isfinite(x)):
             raise ValueError("inputs contain NaN or Inf")
+        design = np.hstack([np.ones((y.shape[0], 1)), x])
+        for arr in (y, x, design):
+            arr.setflags(write=False)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "x", x)
-        if self.add_intercept:
-            design = np.hstack([np.ones((y.shape[0], 1)), x])
-        else:
-            design = x
-        design.setflags(write=False)
         object.__setattr__(self, "design", design)
 
     @property
@@ -61,7 +59,7 @@ class Dataset:
 
     @property
     def n_coef(self) -> int:
-        """Width of the effective design (d+1 with intercept)."""
+        """Width of the design, d+1."""
         return self.design.shape[1]
 
 

@@ -118,7 +118,6 @@ def _branch_and_bound(
     data: Dataset,
     k: int,
     warm_start: SparsitySolution | None,
-    time_limit: float,
 ) -> tuple[SparsitySolution, float, float, int, bool]:
     """Best-first search on keep/discard assignments.
 
@@ -152,7 +151,7 @@ def _branch_and_bound(
             break
         if bound >= primal - 1e-12 * max(1.0, primal):
             continue
-        if time.perf_counter() - start > time_limit:
+        if time.perf_counter() - start > TIME_LIMIT:
             timed_out = True
             break
 
@@ -196,7 +195,6 @@ def best_subset_exact(
     data: Dataset,
     k: int,
     warm_start: SparsitySolution | None = None,
-    time_limit: float = TIME_LIMIT,
     method: str = "auto",
 ) -> OracleResult:
     """Certified minimizer of the trimmed objective at budget k.
@@ -204,7 +202,7 @@ def best_subset_exact(
     With `method="auto"` the solver enumerates all discard sets when there
     are at most two million of them and otherwise branches and bounds. A
     warm start seeds the incumbent (and never worsens the result). Returns
-    the best incumbent with an honest dual bound when the time limit binds.
+    the best incumbent with an honest dual bound when `TIME_LIMIT` binds.
     """
     n = data.n_obs
     if n > N_LIMIT:
@@ -236,7 +234,7 @@ def best_subset_exact(
             nodes_explored=n_eval, wall_time=time.perf_counter() - start,
         )
 
-    best, primal, dual, nodes, timed_out = _branch_and_bound(data, k, warm_start, time_limit)
+    best, primal, dual, nodes, timed_out = _branch_and_bound(data, k, warm_start)
     gap_ok = primal < np.inf and (primal - dual) <= GAP_TOL * max(dual, 1e-12)
     return OracleResult(
         solution=best, primal=primal, dual=dual,

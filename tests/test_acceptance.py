@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from trimreg.classic import fit_huber, initial_beta
-from trimreg.dgp import ESTIMATOR_FACTORIES, DgpConfig, generate, run_monte_carlo
+from trimreg.dgp import ESTIMATOR_FACTORIES, DgpConfig, generate, run_monte_carlo_records
 from trimreg.l0 import fit_iht, fit_lcs, hard_threshold, local_swap_search, select_k_bic
 from trimreg.l1 import fit_l1, soft_threshold_alpha
 from trimreg.linalg import Dataset
@@ -102,11 +102,11 @@ def test_criterion_3_hard_threshold_optimality():
 def equal_oracle_run():
     cfg = DgpConfig(dgp=1, N=40, p=0.1, mu_alpha=5.0, sigma_alpha=5.0,
                     seed=271828, n_test=10)
-    return run_monte_carlo(
+    return run_monte_carlo_records(
         cfg,
         [ESTIMATOR_FACTORIES[name]() for name in ("iht", "lcs1", "lcs2")],
         R=100, oracle_k=0, threads=2,
-    )
+    )[0]
 
 
 def test_criterion_4_equal_oracle_frequencies(equal_oracle_run):
@@ -131,11 +131,11 @@ def test_criterion_4_equal_oracle_frequencies(equal_oracle_run):
 @pytest.fixture(scope="module")
 def endogenous_run():
     cfg = DgpConfig(dgp=2, N=200, p=0.1, rho=5.0, seed=55555, n_test=1000)
-    return run_monte_carlo(
+    return run_monte_carlo_records(
         cfg,
         [ESTIMATOR_FACTORIES[name]() for name in ("l0", "l1", "lad", "ols")],
         R=200, threads=2,
-    )
+    )[0]
 
 
 def test_criterion_5_endogenous_bias_separation(endogenous_run):

@@ -78,6 +78,8 @@ def exit_code(argv):
     (["tune", "--method", "l0", "--seed", "1"], "--seed"),
     (["tune", "--method", "l0", "--threads", "2"], "--threads"),
     (["forecast", "--method", "ols", "--window", "20", "--seed", "1"], "--seed"),
+    (["forecast", "--method", "ols", "--window", "20", "--threads", "0"], "--threads"),
+    (["forecast", "--method", "ols", "--window", "20", "--threads", "-3"], "--threads"),
 ])
 def test_out_of_range_or_unknown_flags_are_usage_errors(two_regressor_csv, argv, flag, capsys):
     argv = [argv[0], two_regressor_csv, *argv[1:]]
@@ -349,6 +351,23 @@ def test_simulate_config_type_and_range_errors(tmp_path, capsys, field, value):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {field}:")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_simulate_threads_flag_is_checked_and_overrides_the_config(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "dgp": 1, "N": 30, "p": 0.1, "R": 1, "estimators": ["ols"], "threads": 2,
+    }))
+    prefix = str(tmp_path / "run")
+    assert main(["simulate", "--config", str(cfg_path), "--out", prefix,
+                 "--threads", "-4"]) == 2
+    assert "--threads" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+    assert main(["simulate", "--config", str(cfg_path), "--out", prefix,
+                 "--threads", "1"]) == 0
+    assert load_json(prefix + ".json")["config"]["threads"] == 1
+    assert main(["simulate", "--config", str(cfg_path), "--out", prefix]) == 0
+    assert load_json(prefix + ".json")["config"]["threads"] == 2
 
 
 def test_simulate_unknown_estimator(tmp_path, capsys):

@@ -8,9 +8,8 @@ from trimreg.dgp import (
     DgpConfig,
     ESTIMATOR_FACTORIES,
     Estimator,
-    gen_dgp3,
     generate,
-    run_monte_carlo,
+    record_rows,
     run_monte_carlo_records,
     summary_rows,
 )
@@ -18,12 +17,14 @@ from trimreg.errors import TooLarge
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^dgp: "):
         DgpConfig(dgp=4, N=100, p=0.1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^p: "):
         DgpConfig(dgp=1, N=100, p=1.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^p: "):
         DgpConfig(dgp=1, N=50, p=0.01)  # floor(p*N) = 0
+    with pytest.raises(ValueError, match="^n_test: "):
+        DgpConfig(dgp=1, N=50, p=0.1, n_test=0)
 
 
 def test_dgp1_degenerate_single_shift():
@@ -88,7 +89,7 @@ def test_dgp2_shift_correlates_with_regressors():
 
 def test_dgp3_outlier_blocks():
     cfg = DgpConfig(dgp=3, N=100, p=0.2, rho=5.0, seed=1, n_test=10)
-    s = gen_dgp3(cfg)
+    s = generate(cfg)
     expected = np.concatenate([np.arange(25, 35), np.arange(75, 85)])
     assert np.array_equal(s.true_outliers, expected)
     assert s.train.x.shape == (100, 5)
@@ -97,19 +98,19 @@ def test_dgp3_outlier_blocks():
 
 
 def test_dgp3_zero_rho_outliers_vanish():
-    a = gen_dgp3(DgpConfig(dgp=3, N=80, p=0.1, rho=0.0, seed=9, n_test=10))
-    b = gen_dgp3(DgpConfig(dgp=3, N=80, p=0.1, rho=0.0, seed=9, n_test=10))
+    a = generate(DgpConfig(dgp=3, N=80, p=0.1, rho=0.0, seed=9, n_test=10))
+    b = generate(DgpConfig(dgp=3, N=80, p=0.1, rho=0.0, seed=9, n_test=10))
     assert np.array_equal(a.train.y, b.train.y)
     # a zero rho contributes nothing on the flagged rows
     cfg_pos = DgpConfig(dgp=3, N=80, p=0.1, rho=5.0, seed=9, n_test=10)
-    c = gen_dgp3(cfg_pos)
+    c = generate(cfg_pos)
     clean_rows = np.setdiff1d(np.arange(80), c.true_outliers)
     assert np.allclose(a.train.y[clean_rows], c.train.y[clean_rows])
 
 
 def test_dgp3_cointegrating_combination_mean_reverts():
     cfg = DgpConfig(dgp=3, N=5000, p=0.01, rho=5.0, seed=6, n_test=10)
-    s = gen_dgp3(cfg)
+    s = generate(cfg)
     w = s.train.x[:, 1] - s.train.x[:, 2]
     ac1 = np.corrcoef(w[:-1], w[1:])[0, 1]
     assert ac1 < 1 - 1e-3
@@ -130,7 +131,7 @@ def _stub_fit(sample):
 def test_true_beta_stub_has_zero_bias_and_rmse():
     cfg = DgpConfig(dgp=1, N=50, p=0.1, mu_alpha=5, sigma_alpha=5, seed=8,
                     n_test=100)
-    res = run_monte_carlo(cfg, [Estimator("truth", _stub_fit)], R=5)
+    res = run_monte_carlo_records(cfg, [Estimator("truth", _stub_fit)], R=5)[0]
     s = res["truth"]
     assert s.bias == pytest.approx(0.0, abs=1e-12)
     assert s.rmse == pytest.approx(0.0, abs=1e-12)
@@ -157,8 +158,8 @@ def test_harness_is_estimator_agnostic():
 
 def test_rmse_dominates_bias():
     cfg = DgpConfig(dgp=2, N=40, p=0.1, rho=2.0, seed=4, n_test=50)
-    res = run_monte_carlo(cfg, [ESTIMATOR_FACTORIES["ols"](), ESTIMATOR_FACTORIES["lad"]()],
-                          R=6)
+    estimators = [ESTIMATOR_FACTORIES["ols"](), ESTIMATOR_FACTORIES["lad"]()]
+    res = run_monte_carlo_records(cfg, estimators, R=6)[0]
     for s in res.values():
         assert s.rmse >= abs(s.bias) - 1e-12
 
@@ -166,8 +167,8 @@ def test_rmse_dominates_bias():
 def test_seed_determinism_of_summaries():
     cfg = DgpConfig(dgp=1, N=40, p=0.1, mu_alpha=5, sigma_alpha=5, seed=31,
                     n_test=50)
-    a = run_monte_carlo(cfg, [ESTIMATOR_FACTORIES["ols"]()], R=5)
-    b = run_monte_carlo(cfg, [ESTIMATOR_FACTORIES["ols"]()], R=5)
+    a = run_monte_carlo_records(cfg, [ESTIMATOR_FACTORIES["ols"]()], R=5)[0]
+    b = run_monte_carlo_records(cfg, [ESTIMATOR_FACTORIES["ols"]()], R=5)[0]
     assert a["ols"].bias == b["ols"].bias
     assert a["ols"].rmse == b["ols"].rmse
     assert a["ols"].prediction_error == b["ols"].prediction_error
@@ -190,7 +191,7 @@ def test_failures_are_excluded_and_flagged():
     _FlakyStub.calls = 0
     cfg = DgpConfig(dgp=1, N=30, p=0.1, mu_alpha=5, sigma_alpha=5, seed=1,
                     n_test=20)
-    res = run_monte_carlo(cfg, [Estimator("flaky", _flaky_fit)], R=6)
+    res = run_monte_carlo_records(cfg, [Estimator("flaky", _flaky_fit)], R=6)[0]
     s = res["flaky"]
     assert s.n_failed == 3
     assert s.high_failure
@@ -211,7 +212,7 @@ def test_cpu_seconds_exclude_waiting():
 
 def test_summary_rows_schema():
     cfg = DgpConfig(dgp=2, N=30, p=0.1, rho=5.0, seed=2, n_test=20)
-    res = run_monte_carlo(cfg, [ESTIMATOR_FACTORIES["ols"]()], R=2)
+    res = run_monte_carlo_records(cfg, [ESTIMATOR_FACTORIES["ols"]()], R=2)[0]
     rows = summary_rows(cfg, res)
     assert list(rows[0].keys()) == [
         "dgp", "N", "p", "param", "estimator", "bias", "rmse", "pred_err",
@@ -221,11 +222,26 @@ def test_summary_rows_schema():
     assert rows[0]["estimator"] == "ols"
 
 
+def test_record_rows_schema():
+    # the records CSV columns, in the order README documents
+    cfg = DgpConfig(dgp=1, N=30, p=0.1, mu_alpha=5, sigma_alpha=2, seed=2, n_test=20)
+    _, records = run_monte_carlo_records(cfg, [ESTIMATOR_FACTORIES["ols"]()], R=2)
+    rows = record_rows(cfg, records)
+    assert len(rows) == 2
+    assert list(rows[0].keys()) == [
+        "dgp", "N", "p", "param", "estimator", "rep", "beta1", "pred_err",
+        "equal_oracle", "gap", "cpu_s", "failed",
+    ]
+    assert rows[1]["param"] == "(5,2)"
+    assert rows[1]["rep"] == 2 and rows[1]["failed"] is False
+    assert rows[1]["beta1"] == records[1].beta1
+
+
 def test_oracle_comparison_fields():
     cfg = DgpConfig(dgp=1, N=30, p=0.1, mu_alpha=8, sigma_alpha=2, seed=13,
                     n_test=20)
-    res = run_monte_carlo(cfg, [ESTIMATOR_FACTORIES["iht"](), ESTIMATOR_FACTORIES["lcs2"]()],
-                          R=3, oracle_k=0)
+    estimators = [ESTIMATOR_FACTORIES["iht"](), ESTIMATOR_FACTORIES["lcs2"]()]
+    res = run_monte_carlo_records(cfg, estimators, R=3, oracle_k=0)[0]
     for s in res.values():
         assert s.equal_oracle_freq is not None
         assert 0.0 <= s.equal_oracle_freq <= 1.0
@@ -234,8 +250,8 @@ def test_oracle_comparison_fields():
 
 def test_harness_runs_the_time_series_design():
     cfg = DgpConfig(dgp=3, N=80, p=0.1, rho=5.0, seed=17, n_test=200)
-    res = run_monte_carlo(cfg, [ESTIMATOR_FACTORIES["l0"](), ESTIMATOR_FACTORIES["ols"]()],
-                          R=3)
+    estimators = [ESTIMATOR_FACTORIES["l0"](), ESTIMATOR_FACTORIES["ols"]()]
+    res = run_monte_carlo_records(cfg, estimators, R=3)[0]
     for s in res.values():
         assert s.n_failed == 0
         assert np.isfinite(s.bias) and np.isfinite(s.prediction_error)
@@ -248,8 +264,8 @@ def test_equal_oracle_frequencies_midsize_design():
     # here (the discard-set count is far beyond the enumeration limit)
     cfg = DgpConfig(dgp=1, N=100, p=0.05, mu_alpha=5.0, sigma_alpha=5.0,
                     seed=424242, n_test=10)
-    res = run_monte_carlo(cfg, [ESTIMATOR_FACTORIES["iht"](), ESTIMATOR_FACTORIES["lcs2"]()],
-                          R=30, oracle_k=0, threads=2)
+    estimators = [ESTIMATOR_FACTORIES["iht"](), ESTIMATOR_FACTORIES["lcs2"]()]
+    res = run_monte_carlo_records(cfg, estimators, R=30, oracle_k=0, threads=2)[0]
     assert res["iht"].equal_oracle_freq >= 0.80
     assert res["lcs2"].equal_oracle_freq >= 0.95
 

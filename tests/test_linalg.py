@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from trimreg.classic import fit_ols
 from trimreg.errors import RankDeficient, TooFewRows
 from trimreg.linalg import Dataset, factor_qr, lstsq_qr, residuals
 
@@ -155,3 +156,17 @@ def test_dataset_validation():
         Dataset(y=np.empty(0), x=np.empty((0, 1)))
     with pytest.raises(ValueError):
         residuals(Dataset(y=np.ones(3), x=np.ones((3, 1))), np.zeros(3))
+
+
+def test_dataset_owns_its_arrays(rng):
+    # edits to the caller's arrays after construction move no fit
+    x = rng.normal(size=(20, 2))
+    y = x @ np.array([1.0, -1.0]) + rng.normal(size=20)
+    d = Dataset(y=y, x=x)
+    before = fit_ols(d).beta.copy()
+    y[3] += 100.0
+    x[5, 0] += 100.0
+    assert np.array_equal(fit_ols(d).beta, before)
+    assert np.array_equal(d.design[:, 1:], d.x)
+    for arr in (d.y, d.x, d.design):
+        assert not arr.flags.writeable
