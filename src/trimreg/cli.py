@@ -16,7 +16,6 @@ import csv
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, fields
 from functools import partial
 from typing import get_type_hints
@@ -28,6 +27,7 @@ from .classic import fit_huber, fit_lad, fit_ols, initial_beta
 from .dgp import (
     ESTIMATOR_FACTORIES,
     DgpConfig,
+    process_map,
     record_rows,
     run_monte_carlo_records,
     summary_rows,
@@ -309,12 +309,7 @@ def cmd_forecast(args) -> int:
         raise WindowTooLarge(f"window {args.window} leaves no targets in {T} rows")
     _check_budgets(args.k, args.k_max, args.window, d + 1)
     targets = list(range(args.window, T))  # 0-based target rows
-    worker = partial(_forecast_one, y, x, args)
-    if args.threads > 1:
-        with ProcessPoolExecutor(max_workers=args.threads) as pool:
-            results = list(pool.map(worker, targets))
-    else:
-        results = [worker(t) for t in targets]
+    results = process_map(partial(_forecast_one, y, x, args), targets, args.threads)
 
     ok = [r for r in results if not r["skipped"]]
     mpse = float(np.mean([r["sq_error"] for r in ok])) if ok else np.nan
@@ -388,10 +383,12 @@ def _check_field_type(key: str, value) -> None:
         raise UsageError(f"{key}: must be {names}, not {json.dumps(value)}")
 
 
-def _load_sim_config(path: str, seed: int | None) -> tuple[DgpConfig, dict]:
-    """The design built from the config file at `path`, and the file's
-    fields with `estimators` resolved; `seed`, if given, replaces the
-    file's seed."""
+def _load_sim_config(
+    path: str, seed: int | None, threads: int | None
+) -> tuple[DgpConfig, dict]:
+    """The design built from the config file at `path`, and its run
+    fields `R`, `estimators`, `oracle_k` and `threads` with defaults
+    filled in; `seed` and `threads`, if given, replace the file's."""
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -432,17 +429,18 @@ def _load_sim_config(path: str, seed: int | None) -> tuple[DgpConfig, dict]:
             )
     if len(set(est)) < len(est):
         raise UsageError("estimators: each name may appear once")
-    raw["estimators"] = est
-    return cfg, raw
+    return cfg, {
+        "R": raw["R"], "estimators": est, "oracle_k": raw.get("oracle_k"),
+        "threads": raw.get("threads", 1) if threads is None else threads,
+    }
 
 
 def cmd_simulate(args) -> int:
     _check_threads(args.threads)
-    cfg, raw = _load_sim_config(args.config, args.seed)
-    estimators = [ESTIMATOR_FACTORIES[name]() for name in raw["estimators"]]
-    threads = raw.get("threads", 1) if args.threads is None else args.threads
+    cfg, run = _load_sim_config(args.config, args.seed, args.threads)
+    estimators = [ESTIMATOR_FACTORIES[name]() for name in run["estimators"]]
     summaries, records = run_monte_carlo_records(
-        cfg, estimators, raw["R"], oracle_k=raw.get("oracle_k"), threads=threads,
+        cfg, estimators, run["R"], oracle_k=run["oracle_k"], threads=run["threads"],
     )
     prefix = args.out or "simulation"
     write_csv(prefix + "_summary.csv", summary_rows(cfg, summaries))
@@ -450,7 +448,7 @@ def cmd_simulate(args) -> int:
     report = {
         "command": "simulate",
         "version": __version__,
-        "config": dict(raw, threads=threads),
+        "config": {**asdict(cfg), **run},
         "summaries": {
             name: {k: v for k, v in asdict(s).items() if k != "estimator"}
             for name, s in summaries.items()

@@ -384,6 +384,18 @@ def record_rows(cfg: DgpConfig, records: list[ReplicationRecord]) -> list[dict]:
     return [{**columns, **asdict(r)} for r in records]
 
 
+def process_map(fn: Callable, items, threads: int) -> list:
+    """`[fn(x) for x in items]`, in `threads` worker processes when above 1.
+
+    The results come back in input order either way, so a run's outputs do
+    not depend on `threads`; `fn` must be picklable when it is above 1.
+    """
+    if threads > 1:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, items))
+    return [fn(x) for x in items]
+
+
 def run_monte_carlo_records(
     cfg: DgpConfig,
     estimators: list[Estimator],
@@ -401,13 +413,8 @@ def run_monte_carlo_records(
     """
     if R < 1:
         raise ValueError("R must be >= 1")
-    reps = list(range(1, R + 1))
     worker = partial(_run_one_rep, cfg, estimators, oracle_k=oracle_k)
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            per_rep = list(pool.map(worker, reps))
-    else:
-        per_rep = [worker(r) for r in reps]
+    per_rep = process_map(worker, range(1, R + 1), threads)
     records = [rec for batch in per_rep for rec in batch]
     return summarize(records, R), records
 

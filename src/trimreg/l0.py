@@ -13,15 +13,15 @@ residual entirely). Three layers of search are provided:
   each budget from its neighbors until the solutions stop improving.
 
 Swap candidates are scored exactly from one inverse of the kept rows'
-Gram (a Sherman-Morrison readmission, then leave-out downdates), so the
-order-1 neighborhood costs a few small matrix products rather than one QR
-per candidate. The winning support is always refit through the
-pivoted-QR path before acceptance.
+Gram: one kernel (`_readmit_scores`) readmits one discarded row, or a
+pair, by a Woodbury update of that inverse, then applies leave-out
+downdates for the dropped kept rows. The neighborhood thus costs a few
+batched matrix products rather than one QR per candidate. The winning
+support is always refit through the pivoted-QR path before acceptance.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from math import comb
 
@@ -38,6 +38,9 @@ SWEEP_MAX = 20
 IMPROVE_TOL = 1e-12
 # leave-out denominators below this are treated as degenerate candidates
 DOWNDATE_TOL = 1e-10
+# readmitted pairs scored per batch: the scoring arrays then hold a few
+# times PAIR_BLOCK * (N - k) floats however many pairs there are
+PAIR_BLOCK = 256
 # complexity charge per discarded row used when selecting the budget, as a
 # multiple of log N. The plain value 1 never stops: trimming one more clean
 # row always cuts the trimmed RSS by about the squared noise maximum
@@ -75,14 +78,14 @@ def hard_threshold(c: np.ndarray, k: int) -> np.ndarray:
     if not 0 <= k <= n:
         raise ValueError(f"k={k} outside [0, {n}]")
     out = np.zeros_like(c)
-    if k > 0:
-        keep = np.argsort(-np.abs(c), kind="stable")[:k]
-        out[keep] = c[keep]
+    keep = _top_k_indices(c, k)
+    out[keep] = c[keep]
     return out
 
 
 def _top_k_indices(r: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k largest |r|, lowest index first among ties."""
+    """Indices of the k largest |r| in ascending order; among ties in
+    magnitude the lowest index is kept."""
     if k == 0:
         return np.empty(0, dtype=np.intp)
     return np.sort(np.argsort(-np.abs(r), kind="stable")[:k])
@@ -161,31 +164,57 @@ def count_swap_candidates(n_inliers: int, n_outliers: int, l: int) -> int:
     return total
 
 
-def _readmit_one_scores(X_in, y_in, X_out, y_out):
-    """(ko, 1 + m) RSS table: [a, 0] readmits discarded row a, [a, 1 + j] also
-    drops kept row j, and is inf where that leaves 1 - h_j <= DOWNDATE_TOL.
-
-    All from one inverse G0 of the kept rows' Gram (Sherman-Morrison): with
-    c_a = 1 + x_a' G0 x_a and w = x_j' G0 x_a, readmitting a adds r_a^2 / c_a
-    to the RSS, moves e_j by -w r_a / c_a and 1 - h_j by w^2 / c_a; the drop
-    then removes e_j^2 / (1 - h_j). Raises LinAlgError if the Gram is singular.
-    """
+def _kept_fit(X_in, y_in):
+    """(G0, beta0, rss0, e0, 1 - h0, X_in): the inverse Gram, fit, RSS,
+    residuals and leave-out denominators of the m kept rows. Raises
+    LinAlgError if their Gram is singular."""
     G0 = np.linalg.inv(X_in.T @ X_in)
     b_in = X_in.T @ y_in
     beta0 = G0 @ b_in
     rss0 = float(y_in @ y_in) - float(b_in @ beta0)
     e0 = y_in - X_in @ beta0
-    h0 = np.einsum("ij,ij->i", X_in @ G0, X_in)
-    U = X_out @ G0
-    c = 1.0 + np.einsum("ij,ij->i", U, X_out)
-    r = y_out - X_out @ beta0
+    d0 = 1.0 - np.einsum("ij,ij->i", X_in @ G0, X_in)
+    return G0, beta0, rss0, e0, d0, X_in
+
+
+def _readmit_scores(kept, X_A, y_A):
+    """Score readmitting each of P row sets A, alone and with one kept row.
+
+    `kept` is `_kept_fit` of the m kept rows; `X_A` is (P, s, q) and `y_A`
+    (P, s), for s = 1 or 2 readmitted rows. Returns the
+    (P, 1 + m) RSS table, whose [p, 0] readmits A_p and [p, 1 + j] also
+    drops kept row j (inf where 1 - h_j <= DOWNDATE_TOL), with the kept
+    rows' residuals e and denominators 1 - h after each readmission, and
+    W and C^-1 W for the leverage update H = H0 - W' C^-1 W.
+
+    Woodbury from G0: with U = X_A G0, C = I + U X_A' (never singular,
+    since C >= I), r = y_A - X_A beta0 and W = U X_in', readmitting A adds
+    r' C^-1 r to the RSS, moves e by -W' C^-1 r and 1 - h by the diagonal
+    of W' C^-1 W; the drop then removes e_j^2 / (1 - h_j).
+    """
+    G0, beta0, rss0, e0, d0, X_in = kept
+    P, s, q = X_A.shape
+    X_rows = X_A.reshape(P * s, q)  # row p * s + t is row t of set p
+    U = X_rows @ G0
     W = U @ X_in.T
-    base = np.maximum(rss0 + r * r / c, 0.0)
-    e = e0 - W * (r / c)[:, None]
-    denom = (1.0 - h0) + W * W / c[:, None]
+    r = y_A.reshape(-1) - X_rows @ beta0
+    if s == 1:  # a 1 x 1 solve is a divide
+        c = 1.0 + np.einsum("ij,ij->i", U, X_rows)
+        Cr, CW = r / c, W / c[:, None]
+    else:
+        C = np.eye(2) + U.reshape(P, 2, q) @ X_A.transpose(0, 2, 1)
+        Cr = np.linalg.solve(C, r.reshape(P, 2, 1)).reshape(-1)
+        CW = np.linalg.solve(C, W.reshape(P, 2, -1)).reshape(P * 2, -1)
+
+    def per_set(a):  # sum over the s rows of each set
+        return a if s == 1 else a[0::2] + a[1::2]
+
+    base = np.maximum(rss0 + per_set(r * Cr), 0.0)
+    e = e0 - per_set(W * Cr[:, None])
+    denom = d0 + per_set(W * CW)
     with np.errstate(divide="ignore", invalid="ignore"):
         drops = np.where(denom > DOWNDATE_TOL, base[:, None] - e * e / denom, np.inf)
-    return np.column_stack([base, drops])
+    return np.column_stack([base, drops]), e, denom, W.reshape(P, s, -1), CW.reshape(P, s, -1)
 
 
 def _swap_pass(X, y, in_idx, out_idx, l):
@@ -193,84 +222,53 @@ def _swap_pass(X, y, in_idx, out_idx, l):
 
     Returns (best_rss, rows_to_drop, rows_to_readmit, n_candidates) where
     the rows are global indices; rows_to_drop come from the current kept
-    set and rows_to_readmit from the discarded set. Single readmissions
-    are scored together (`_readmit_one_scores`); each readmitted pair
-    (l = 2) inverts its own Gram. Of equal scores the first wins, in the
+    set and rows_to_readmit from the discarded set. Every readmission (one
+    row, or a pair when l = 2) is scored from one inverse of the kept
+    rows' Gram (`_readmit_scores`). Of equal scores the first wins, in the
     order singles then pairs, each with no drop, then one, then two.
-    Degenerate candidates (singular after removal) are skipped but counted.
+    Degenerate candidates (singular after removal) score inf but are
+    counted; if the kept rows' Gram is singular, every candidate does.
     """
-    X_in, y_in = X[in_idx], y[in_idx]
-    X_out, y_out = X[out_idx], y[out_idx]
+    X_in = X[in_idx]
     m, ko = in_idx.shape[0], out_idx.shape[0]
-
-    n_cand = ko * (1 + m)
+    n_cand = count_swap_candidates(m, ko, l)
+    best_rss, best_drop, best_add = np.inf, [], out_idx[:0]
     try:
-        table = _readmit_one_scores(X_in, y_in, X_out, y_out)
+        kept = _kept_fit(X_in, y[in_idx])
     except np.linalg.LinAlgError:
-        table = np.full((ko, 1 + m), np.inf)
-    a, col = divmod(int(np.argmin(table)), 1 + m)
-    best_rss = float(table[a, col])
-    best_add: tuple = (a,) if best_rss < np.inf else ()
-    best_drop: tuple = (col - 1,) if best_add and col else ()
-
-    if l == 2:
-        G_in = X_in.T @ X_in
-        b_in = X_in.T @ y_in
-        yy_in = float(y_in @ y_in)
-        i1, i2 = np.triu_indices(m, k=1)  # the kept-row pairs, in tie order
-        for add in itertools.combinations(range(ko), 2):
-            add = list(add)
-            Xs, ys = X_out[add], y_out[add]
-            G = G_in + Xs.T @ Xs
-            b = b_in + Xs.T @ ys
-            yy = yy_in + float(ys @ ys)
-            try:
-                Ginv = np.linalg.inv(G)
-            except np.linalg.LinAlgError:
-                n_cand += 1 + m + comb(m, 2)
-                continue
-            beta = Ginv @ b
-            rss_base = max(yy - float(b @ beta), 0.0)
-
-            n_cand += 1
-            if rss_base < best_rss:
-                best_rss, best_drop, best_add = rss_base, (), tuple(add)
-
-            e = y_in - X_in @ beta
-            Z = X_in @ Ginv
-            h = np.einsum("ij,ij->i", Z, X_in)
-
-            # drop one kept row
-            denom = 1.0 - h
-            with np.errstate(divide="ignore", invalid="ignore"):
-                rss1 = np.where(denom > DOWNDATE_TOL, rss_base - e * e / denom, np.inf)
-            n_cand += m
-            j = int(np.argmin(rss1))
-            if rss1[j] < best_rss:
-                best_rss, best_drop, best_add = float(rss1[j]), (j,), tuple(add)
-
-            # drop two kept rows
-            if m >= 2:
-                H = Z @ X_in.T
-                d1 = denom[i1]
-                d2 = denom[i2]
-                h12 = H[i1, i2]
+        return best_rss, in_idx[:0], best_add, n_cand
+    readmits = [out_idx[:, None]]  # in tie order: singles, then pairs
+    if l == 2 and ko >= 2:
+        pairs = out_idx[np.column_stack(np.triu_indices(ko, 1))]
+        readmits += np.split(pairs, range(PAIR_BLOCK, pairs.shape[0], PAIR_BLOCK))
+        i1, i2 = np.triu_indices(m, 1)  # the kept-row pairs a pair may drop
+        flat = i1 * m + i2  # their entries in an m x m matrix
+        H0_12 = (X_in @ kept[0] @ X_in.T).take(flat)  # H0 = X_in G0 X_in'
+    for A in readmits:
+        table, e, denom, W, CW = _readmit_scores(kept, X[A], y[A])
+        if A.shape[1] == 2:  # also drop two kept rows: each pair's best
+            two = np.full(A.shape[0], np.inf)
+            two_at = np.zeros(A.shape[0], dtype=np.intp)
+            for p in range(A.shape[0] if m >= 2 else 0):
+                d1, d2 = denom[p].take(i1), denom[p].take(i2)
+                h12 = H0_12 - (W[p].T @ CW[p]).take(flat)
                 det = d1 * d2 - h12 * h12
-                e1, e2 = e[i1], e[i2]
+                e1, e2 = e[p].take(i1), e[p].take(i2)
                 corr = e1 * e1 * d2 + e2 * e2 * d1 + 2.0 * e1 * e2 * h12
                 ok = (det > DOWNDATE_TOL) & (d1 > DOWNDATE_TOL) & (d2 > DOWNDATE_TOL)
                 with np.errstate(divide="ignore", invalid="ignore"):
-                    rss2 = np.where(ok, rss_base - corr / det, np.inf)
-                n_cand += i1.shape[0]
-                j2 = int(np.argmin(rss2))
-                if rss2[j2] < best_rss:
-                    best_rss = float(rss2[j2])
-                    best_drop = (int(i1[j2]), int(i2[j2]))
-                    best_add = tuple(add)
-
-    drop_rows = in_idx[list(best_drop)] if best_drop else np.empty(0, dtype=np.intp)
-    add_rows = out_idx[list(best_add)] if best_add else np.empty(0, dtype=np.intp)
-    return best_rss, drop_rows, add_rows, n_cand
+                    rss2 = np.where(ok, table[p, 0] - corr / det, np.inf)
+                two_at[p] = np.argmin(rss2)
+                two[p] = rss2[two_at[p]]
+            table = np.column_stack([table, two])
+        p, col = divmod(int(np.argmin(table)), table.shape[1])
+        if table[p, col] < best_rss:
+            best_rss, best_add = float(table[p, col]), A[p]
+            if col <= m:
+                best_drop = [col - 1] if col else []
+            else:
+                best_drop = [i1[two_at[p]], i2[two_at[p]]]
+    return best_rss, in_idx[best_drop], best_add, n_cand
 
 
 def local_swap_search(data: Dataset, sol: SparsitySolution, l: int) -> SparsitySolution:
@@ -294,13 +292,11 @@ def local_swap_search(data: Dataset, sol: SparsitySolution, l: int) -> SparsityS
     )
     sol.info["swap_candidates"] = n_cand
     if 0.5 * best_rss < sol.objective - margin:
+        # no more rows go out than come back in, so at least q rows stay
         new_drop = np.setdiff1d(sol.outliers, add_rows, assume_unique=True)
         new_drop = np.union1d(new_drop, drop_rows)
-        try:
-            cand = _trimmed_solution(data, new_drop.astype(np.intp), sol.k)
-        except TooFewInliers:
-            cand = None
-        if cand is not None and cand.objective < sol.objective - margin:
+        cand = _trimmed_solution(data, new_drop.astype(np.intp), sol.k)
+        if cand.objective < sol.objective - margin:
             cand.info["swap_candidates"] = n_cand
             return cand
     sol.info["inescapable_order"] = l
@@ -373,11 +369,9 @@ def neighborhood_search(
                 neighbors.append(sols[j - 1].beta)
             if j < K - 1:
                 neighbors.append(sols[j + 1].beta)
+            # every budget was fitted once already, so no refit can fail
             for init in neighbors:
-                try:
-                    cand = lcs(j + 1, init)
-                except TooFewInliers:
-                    continue
+                cand = lcs(j + 1, init)
                 if cand.objective < best.objective:
                     best = cand
             if not best.objective <= sols[j].objective:

@@ -17,7 +17,7 @@ from math import comb
 import numpy as np
 
 from .errors import InvariantViolated, TooFewInliers, TooLarge
-from .l0 import SparsitySolution, _trimmed_solution
+from .l0 import SparsitySolution, _top_k_indices, _trimmed_solution
 from .linalg import Dataset
 
 N_LIMIT = 200
@@ -103,15 +103,10 @@ def _enumerate_exact(data: Dataset, k: int) -> tuple[SparsitySolution, int]:
     return sol, n_eval
 
 
-def _greedy_incumbent(data: Dataset, k: int) -> SparsitySolution | None:
+def _greedy_incumbent(data: Dataset, k: int) -> SparsitySolution:
     """Drop the k largest full-fit residuals; a cheap but valid incumbent."""
     beta = np.linalg.lstsq(data.design, data.y, rcond=None)[0]
-    resid = np.abs(data.y - data.design @ beta)
-    drop = np.sort(np.argsort(-resid, kind="stable")[:k])
-    try:
-        return _trimmed_solution(data, drop, k)
-    except TooFewInliers:
-        return None
+    return _trimmed_solution(data, _top_k_indices(data.y - data.design @ beta, k), k)
 
 
 def _branch_and_bound(
@@ -130,9 +125,9 @@ def _branch_and_bound(
     start = time.perf_counter()
 
     best = _greedy_incumbent(data, k)
-    if warm_start is not None and (best is None or warm_start.objective < best.objective):
+    if warm_start is not None and warm_start.objective < best.objective:
         best = warm_start
-    primal = best.objective if best is not None else np.inf
+    primal = best.objective
 
     # heap entries: (bound, tiebreak, fixed_out tuple, fixed_in tuple)
     heap: list = []
@@ -147,7 +142,7 @@ def _branch_and_bound(
         if not bound >= dual - 1e-9:
             raise InvariantViolated("dual bound regressed")
         dual = max(dual, bound)
-        if primal < np.inf and (primal - dual) <= GAP_TOL * max(dual, 1e-12):
+        if (primal - dual) <= GAP_TOL * max(dual, 1e-12):
             break
         if bound >= primal - 1e-12 * max(1.0, primal):
             continue
@@ -159,24 +154,19 @@ def _branch_and_bound(
         free = np.setdiff1d(np.arange(n), used)
         budget = k - len(fixed_out)
         if budget == 0 or free.shape[0] <= budget:
-            # closed node: either every free row stays, or all may go
+            # closed node: either every free row stays, or all may go; at
+            # most k rows go either way
             if budget == 0:
                 drop = np.array(fixed_out, dtype=np.intp)
             else:
                 drop = np.concatenate([np.array(fixed_out, dtype=np.intp), free])
-            try:
-                cand = _trimmed_solution(data, drop, k)
-            except TooFewInliers:
-                continue
+            cand = _trimmed_solution(data, drop, k)
             if cand.objective < primal:
                 best, primal = cand, cand.objective
             continue
 
         # branch on the free row with the largest residual under the incumbent
-        if best is not None:
-            r_free = np.abs(y[free] - X[free] @ best.beta)
-        else:
-            r_free = np.abs(y[free])
+        r_free = np.abs(y[free] - X[free] @ best.beta)
         row = int(free[int(np.argmax(r_free))])
 
         heappush(heap, (bound, next(counter), fixed_out + (row,), fixed_in))
@@ -207,6 +197,8 @@ def best_subset_exact(
     n = data.n_obs
     if n > N_LIMIT:
         raise TooLarge(f"N={n} exceeds the exact-solver limit {N_LIMIT}")
+    if k < 0:
+        raise ValueError(f"k={k} must be >= 0")
     if n - k < data.n_coef:
         raise TooFewInliers(f"N - k = {n - k} < {data.n_coef} coefficients")
     if method not in ("auto", "enumerate", "branch-and-bound"):
@@ -235,7 +227,7 @@ def best_subset_exact(
         )
 
     best, primal, dual, nodes, timed_out = _branch_and_bound(data, k, warm_start)
-    gap_ok = primal < np.inf and (primal - dual) <= GAP_TOL * max(dual, 1e-12)
+    gap_ok = (primal - dual) <= GAP_TOL * max(dual, 1e-12)
     return OracleResult(
         solution=best, primal=primal, dual=dual,
         proven_optimal=gap_ok and not timed_out, nodes_explored=nodes,

@@ -370,6 +370,47 @@ def test_simulate_threads_flag_is_checked_and_overrides_the_config(tmp_path, cap
     assert load_json(prefix + ".json")["config"]["threads"] == 2
 
 
+def test_simulate_report_embeds_the_resolved_config(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "dgp": 3, "N": 80, "p": 0.1, "rho": 4, "R": 2, "n_test": 40,
+        "estimators": ["ols"],
+    }))
+    prefix = str(tmp_path / "run")
+    assert main(["simulate", "--config", str(cfg_path), "--out", prefix]) == 0
+    assert load_json(prefix + ".json")["config"] == {
+        "dgp": 3, "N": 80, "p": 0.1, "mu_alpha": 0.0, "sigma_alpha": 5.0,
+        "rho": 4, "seed": 0, "n_test": 40, "R": 2, "estimators": ["ols"],
+        "oracle_k": None, "threads": 1,
+    }
+
+
+def _csv_rows_without_cpu(path):
+    with open(path) as fh:
+        return [{k: v for k, v in r.items() if k != "cpu_s"} for r in csv.DictReader(fh)]
+
+
+def test_outputs_do_not_depend_on_threads(level_shift_csv, tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "dgp": 1, "N": 30, "p": 0.1, "mu_alpha": 5, "seed": 3, "n_test": 50,
+        "R": 3, "estimators": ["l0", "lcs2", "ols"], "oracle_k": 0,
+    }))
+    runs = {}
+    for threads in ("1", "2"):
+        prefix = str(tmp_path / f"sim{threads}")
+        fc, flags = str(tmp_path / f"fc{threads}.csv"), str(tmp_path / f"fl{threads}.csv")
+        assert main(["simulate", "--config", str(cfg_path), "--out", prefix,
+                     "--threads", threads]) == 0
+        assert main(["forecast", level_shift_csv, "--method", "l0", "--auto",
+                     "--window", "25", "--threads", threads, "--forecasts-csv", fc,
+                     "--flags-csv", flags, "--out", str(tmp_path / "fc.json")]) == 0
+        runs[threads] = [_csv_rows_without_cpu(p) for p in (
+            prefix + "_summary.csv", prefix + "_records.csv", fc, flags)]
+    assert all(runs["1"])
+    assert runs["1"] == runs["2"]
+
+
 def test_simulate_unknown_estimator(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({

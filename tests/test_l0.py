@@ -122,7 +122,8 @@ def test_iht_too_few_inliers(rng):
     lambda d: fit_iht(d, -1, np.zeros(3)),
     lambda d: fit_lcs(d, -1, np.zeros(3), 1),
     lambda d: fit_lcs(d, -1, np.zeros(3), 2),
-], ids=["iht", "lcs1", "lcs2"])
+    lambda d: best_subset_exact(d, -1, method="branch-and-bound"),
+], ids=["iht", "lcs1", "lcs2", "oracle"])
 def test_negative_budget_is_rejected(rng, fit):
     with pytest.raises(ValueError, match="k=-1"):
         fit(_contaminated(rng))
@@ -262,6 +263,18 @@ def test_batched_swap_pass_matches_reference_loop(cfg, K):
                                   _reference_swap_pass(d.design, d.y, inl, out, l))
 
 
+@pytest.mark.parametrize("block", [1, 7])
+def test_pair_blocks_match_reference_loop(monkeypatch, block):
+    # readmitted pairs scored in several batches keep the tie order
+    d = generate(SWAP_SAMPLES[0].values[0]).train
+    monkeypatch.setattr(l0, "PAIR_BLOCK", block)
+    for k in (2, 5, 10):
+        out = fit_iht(d, k, initial_beta(d)).outliers
+        inl = np.setdiff1d(np.arange(d.n_obs), out)
+        _assert_same_swap(l0._swap_pass(d.design, d.y, inl, out, 2),
+                          _reference_swap_pass(d.design, d.y, inl, out, 2))
+
+
 @pytest.mark.parametrize("cfg, K", SWAP_SAMPLES)
 def test_fit_l0_auto_bit_identical_to_reference_loop(monkeypatch, cfg, K):
     d = generate(cfg).train
@@ -356,7 +369,8 @@ def test_leverage_one_row_scores_inf_and_is_counted():
     inl, out = sol.inliers, sol.outliers
     pos = int(np.flatnonzero(inl == j)[0])
     X, yv = d.design, d.y
-    table = l0._readmit_one_scores(X[inl], yv[inl], X[out], yv[out])
+    kept = l0._kept_fit(X[inl], yv[inl])
+    table = l0._readmit_scores(kept, X[out][:, None], yv[out][:, None])[0]
     assert table.shape == (3, 1 + inl.shape[0])
     assert np.all(np.isinf(table[:, 1 + pos]))
     assert np.all(np.isfinite(np.delete(table, 1 + pos, axis=1)))
@@ -368,6 +382,22 @@ def test_leverage_one_row_scores_inf_and_is_counted():
         assert searched.info["swap_candidates"] == count_swap_candidates(
             inl.shape[0], out.shape[0], l
         )
+
+
+def test_singular_kept_gram_scores_every_candidate_inf():
+    # a dummy regressor that is nonzero on discarded row 0 only: the kept
+    # rows' Gram is singular, so no candidate is scored
+    r = np.random.default_rng(6)
+    n = 20
+    dummy = np.zeros(n)
+    dummy[0] = 1.0
+    X = np.column_stack([np.ones(n), r.normal(size=n), dummy])
+    y = r.normal(size=n)
+    inl, out = np.arange(3, n), np.arange(3)
+    for l in (1, 2):
+        best, drop, add, n_cand = l0._swap_pass(X, y, inl, out, l)
+        assert best == np.inf and drop.size == add.size == 0
+        assert n_cand == count_swap_candidates(n - 3, 3, l)
 
 
 def test_swap_search_keeps_global_optimum(rng):
