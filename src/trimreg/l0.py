@@ -18,11 +18,23 @@ pair, by a Woodbury update of that inverse, then applies leave-out
 downdates for the dropped kept rows. The neighborhood thus costs a few
 batched matrix products rather than one QR per candidate. The winning
 support is always refit through the pivoted-QR path before acceptance.
+
+Each kept set is solved once per call. The outermost public search call
+in progress (`fit_iht`, `local_swap_search`, `fit_lcs` or
+`neighborhood_search`) holds one memo from (k, discarded rows) to the
+trimmed solution, which the searches nested in it share and which is
+dropped when it returns. The solution is a pure function of that key, so
+a hit changes no output: it returns the same read-only arrays with a
+fresh `info` dict. The searches re-visit supports often: a swap's refit
+is usually the first support of the alternation that follows it, and a
+budget sweep's refits land on supports an earlier refit reached.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from contextvars import ContextVar
+from dataclasses import dataclass, field, replace
 from math import comb
 
 import numpy as np
@@ -54,9 +66,10 @@ class SparsitySolution:
     """Solution at budget k: coefficients, shifts, and the row partition.
 
     `outliers` are the rows with nonzero shift; their shift equals the raw
-    residual, so they contribute nothing to the objective. `info` carries
-    search diagnostics (candidate counts, certificates) and never takes
-    part in comparisons.
+    residual, so they contribute nothing to the objective. The arrays are
+    read-only, as a search may hand the same ones to several solutions.
+    `info` carries search diagnostics (candidate counts, certificates),
+    belongs to this solution alone and never takes part in comparisons.
     """
 
     beta: np.ndarray
@@ -91,8 +104,42 @@ def _top_k_indices(r: np.ndarray, k: int) -> np.ndarray:
     return np.sort(np.argsort(-np.abs(r), kind="stable")[:k])
 
 
+# (data, memo) of the outermost public search call in progress, else None
+_ACTIVE_MEMO: ContextVar[tuple | None] = ContextVar("trimreg_l0_memo", default=None)
+
+
+def _solves_once_per_call(search):
+    """Give each outermost call of `search` on a dataset its own memo of
+    `_trimmed_solution`, shared by the searches it calls."""
+
+    @functools.wraps(search)
+    def call(data, *args, **kwargs):
+        active = _ACTIVE_MEMO.get()
+        if active is not None and active[0] is data:
+            return search(data, *args, **kwargs)
+        token = _ACTIVE_MEMO.set((data, {}))
+        try:
+            return search(data, *args, **kwargs)
+        finally:
+            _ACTIVE_MEMO.reset(token)
+
+    return call
+
+
 def _trimmed_solution(data: Dataset, drop_rows: np.ndarray, k: int) -> SparsitySolution:
-    """Restricted least squares with the given rows fully absorbed."""
+    """Restricted least squares with the given rows fully absorbed.
+
+    The arrays of the solution are read-only. Inside a public search call
+    a repeated (k, drop_rows) is answered from that call's memo, with a
+    fresh `info` dict.
+    """
+    active = _ACTIVE_MEMO.get()
+    memo = active[1] if active is not None and active[0] is data else None
+    if memo is not None:
+        key = (k, np.asarray(drop_rows, dtype=np.intp).tobytes())
+        hit = memo.get(key)
+        if hit is not None:
+            return replace(hit, info={})
     n = data.n_obs
     mask = np.ones(n, dtype=bool)
     mask[drop_rows] = False
@@ -108,12 +155,18 @@ def _trimmed_solution(data: Dataset, drop_rows: np.ndarray, k: int) -> SparsityS
     outliers = np.flatnonzero(alpha != 0.0)
     inliers = np.flatnonzero(alpha == 0.0)
     objective = 0.5 * float(r[inliers] @ r[inliers])
-    return SparsitySolution(
+    for arr in (beta, alpha, inliers, outliers):
+        arr.setflags(write=False)
+    sol = SparsitySolution(
         beta=beta, alpha=alpha, k=k, inliers=inliers, outliers=outliers,
         objective=objective,
     )
+    if memo is not None:
+        memo[key] = sol
+    return sol
 
 
+@_solves_once_per_call
 def fit_iht(data: Dataset, k: int, beta0: np.ndarray) -> SparsitySolution:
     """Alternate residual hard-thresholding with trimmed least squares.
 
@@ -271,6 +324,7 @@ def _swap_pass(X, y, in_idx, out_idx, l):
     return best_rss, in_idx[best_drop], best_add, n_cand
 
 
+@_solves_once_per_call
 def local_swap_search(data: Dataset, sol: SparsitySolution, l: int) -> SparsitySolution:
     """Best solution over swaps of up to l rows between kept and discarded.
 
@@ -303,6 +357,7 @@ def local_swap_search(data: Dataset, sol: SparsitySolution, l: int) -> SparsityS
     return sol
 
 
+@_solves_once_per_call
 def fit_lcs(data: Dataset, k: int, beta0: np.ndarray, l: int) -> SparsitySolution:
     """Hard-thresholding alternation refined by exhaustive local swaps.
 
@@ -333,6 +388,7 @@ def _refine(data: Dataset, cur: SparsitySolution, l: int) -> SparsitySolution:
     return cur
 
 
+@_solves_once_per_call
 def neighborhood_search(
     data: Dataset, beta0: np.ndarray, K: int, l: int
 ) -> list[SparsitySolution]:

@@ -505,6 +505,61 @@ def test_neighborhood_search_equals_plain_refit_loop(cfg, K):
         assert np.array_equal(g.outliers, w.outliers)
 
 
+@pytest.mark.parametrize("cfg, k", [
+    # budgets at which fit_lcs accepts a swap and then re-thresholds onto
+    # the swapped support
+    (DgpConfig(dgp=2, N=200, p=0.1, rho=5.0, seed=55555, n_test=1), 17),
+    (DgpConfig(dgp=3, N=120, p=0.1, rho=5.0, seed=173205, n_test=1), 12),
+], ids=["dgp2", "dgp3"])
+def test_each_kept_set_is_solved_once_per_call(monkeypatch, cfg, k):
+    d = generate(cfg).train
+    b0 = initial_beta(d)
+    exact, trimmed = l0.lstsq_qr, l0._trimmed_solution
+    solved, returned = [], []
+
+    def counted(X, v):
+        solved.append(X.tobytes())  # the kept rows, in order
+        return exact(X, v)
+
+    def kept(data, drop_rows, budget):
+        sol = trimmed(data, drop_rows, budget)
+        returned.append(sol)
+        return sol
+
+    monkeypatch.setattr(l0, "lstsq_qr", counted)
+    monkeypatch.setattr(l0, "_trimmed_solution", kept)
+    calls = [
+        lambda: neighborhood_search(d, b0, 12, 1),
+        lambda: neighborhood_search(d, b0, 6, 2),
+        lambda: fit_lcs(d, k, b0, 1),
+        lambda: fit_lcs(d, k, b0, 2),
+    ]
+    for call in calls:
+        solved.clear()
+        returned.clear()
+        call()
+        assert solved and len(set(solved)) == len(solved)
+        assert len(returned) > len(solved)  # some supports were re-visited
+        # every returned solution has its own info dict
+        for i, sol in enumerate(returned):
+            sol.info["probe"] = i
+        assert [sol.info["probe"] for sol in returned] == list(range(len(returned)))
+
+
+def test_solution_arrays_are_read_only(rng):
+    d = _contaminated(rng, n=40, shift=8.0, k0=3)
+    b0 = initial_beta(d)
+    sols = [fit_iht(d, 3, b0), fit_lcs(d, 3, b0, 2), *neighborhood_search(d, b0, 4, 1)]
+    for sol in sols:
+        for arr in (sol.beta, sol.alpha, sol.inliers, sol.outliers):
+            with pytest.raises(ValueError):
+                arr[0] = arr[0]
+    # a later search in the same process still returns the same bits
+    again = fit_lcs(d, 3, b0, 2)
+    assert again.beta.tobytes() == sols[1].beta.tobytes()
+    assert np.array_equal(again.outliers, sols[1].outliers)
+
+
 def test_descent_violation_raises_and_exits_4(monkeypatch, tmp_path, capsys):
     x = np.linspace(-1.0, 1.0, 20)
     y = 1.0 + 2.0 * x + 0.1 * np.sin(7.0 * x)

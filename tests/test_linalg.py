@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, strategies as st
 
 from trimreg.classic import fit_ols
 from trimreg.errors import RankDeficient, TooFewRows
-from trimreg.linalg import Dataset, factor_qr, lstsq_qr, residuals
+from trimreg.linalg import RANK_TOL, Dataset, factor_qr, lstsq_qr, residuals
 
 
 def normal_equation_oracle(X, y):
@@ -131,6 +132,69 @@ def test_factor_qr_reuses_one_factorization(rng):
     for _ in range(5):
         y = rng.normal(size=30)
         assert solve(y).tobytes() == lstsq_qr(X, y).tobytes()
+
+
+def _scipy_path_solve(X, y):
+    """The solve as scipy's wrappers did it: `qr` then `solve_triangular`."""
+    Q, R, piv = sla.qr(X, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(R))
+    if diag[0] == 0.0 or np.min(diag) < RANK_TOL * diag[0]:
+        raise RankDeficient("pivot ratio below RANK_TOL")
+    beta = np.empty(X.shape[1])
+    beta[piv] = sla.solve_triangular(R, Q.T @ y, lower=False)
+    return beta
+
+
+def _designs(r):
+    """Designs of widths 1..6 as the estimators build them: full samples,
+    row subsets, IRLS-weighted rows, and near-collinear columns."""
+    for q in range(1, 7):
+        for n in sorted({q, q + 1, 2 * q + 3, 40, 110, 200}):
+            X = np.column_stack([np.ones(n), r.normal(size=(n, q - 1))])
+            X[:, 1:] *= np.exp(r.uniform(-3.0, 3.0, size=q - 1))
+            yield X
+            keep = np.sort(r.choice(n, size=max(q, n - n // 5), replace=False))
+            yield X[keep]
+            yield X * (1.0 / np.maximum(np.abs(r.standard_cauchy(n)), 1e-6))[:, None]
+            if q > 1 and n > q:
+                near = X.copy()
+                near[:, -1] = near[:, 0] + 10.0 ** r.uniform(-13, -6) * r.normal(size=n)
+                yield near
+
+
+def test_factor_qr_bitwise_equals_scipy_path(rng):
+    n_rank, n_full = 0, 0
+    for X in _designs(rng):
+        ys = [rng.normal(size=X.shape[0]) * 10.0 ** rng.uniform(-3, 3) for _ in range(3)]
+        try:
+            want = [_scipy_path_solve(X, y) for y in ys]
+        except RankDeficient:
+            n_rank += 1
+            with pytest.raises(RankDeficient):
+                factor_qr(X)
+            continue
+        n_full += 1
+        solve = factor_qr(X)
+        for y, w in zip(ys, want):
+            assert solve(y).tobytes() == w.tobytes()
+            assert lstsq_qr(X, y).tobytes() == w.tobytes()
+    assert n_rank > 0 and n_full > 100
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_factor_qr_rejects_non_finite_input(rng, bad):
+    X = rng.normal(size=(12, 3))
+    y = rng.normal(size=12)
+    X_bad = X.copy()
+    X_bad[4, 1] = bad
+    with pytest.raises(ValueError):
+        factor_qr(X_bad)
+    y_bad = y.copy()
+    y_bad[7] = bad
+    with pytest.raises(ValueError):
+        factor_qr(X)(y_bad)
+    with pytest.raises(ValueError):
+        lstsq_qr(X, y_bad)
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
