@@ -20,14 +20,16 @@ batched matrix products rather than one QR per candidate. The winning
 support is always refit through the pivoted-QR path before acceptance.
 
 Each kept set is solved once per call. The outermost public search call
-in progress (`fit_iht`, `local_swap_search`, `fit_lcs` or
-`neighborhood_search`) holds one memo from (k, discarded rows) to the
-trimmed solution, which the searches nested in it share and which is
-dropped when it returns. The solution is a pure function of that key, so
-a hit changes no output: it returns the same read-only arrays with a
-fresh `info` dict. The searches re-visit supports often: a swap's refit
-is usually the first support of the alternation that follows it, and a
-budget sweep's refits land on supports an earlier refit reached.
+in progress (`fit_iht`, `local_swap_search`, `fit_lcs`,
+`neighborhood_search` or `fit_l0_auto`) holds one memo from (k,
+discarded rows) to the trimmed solution, which the searches nested in it
+share and which is dropped when it returns. The solution is a pure
+function of that key, so a hit changes no output: it returns the same
+read-only arrays with a fresh `info` dict. The searches re-visit
+supports often: a swap's refit is usually the first support of the
+alternation that follows it, a budget sweep's refits land on supports
+an earlier refit reached, and `fit_l0_auto`'s closing polish starts on
+the support the sweep selected.
 """
 
 from __future__ import annotations
@@ -498,6 +500,7 @@ def select_k_bic(
     return best
 
 
+@_solves_once_per_call
 def fit_l0_auto(data: Dataset, K: int, l_final: int = 2) -> SparsitySolution:
     """Full pipeline: order-1 budget sweep from the LAD fit, BIC choice,
     order-l_final polish.

@@ -4,6 +4,17 @@ Certifies global optima by branch and bound over the per-row keep/discard
 indicators, with a fully vectorized exhaustive sweep when the support
 count is small enough. Serves as ground truth for equal-solution
 frequencies and optimality-gap reporting.
+
+A branch-and-bound node is the rows it fixes out and the rows it fixes
+in; their union is its used set, and the rest of the rows are free. The
+node's bound is half the least-squares RSS over the fixed-in rows. Each
+node carries those rows' triangular factor, so a child costs one Givens
+row update rather than a least-squares solve. Branching follows one
+order per incumbent: rows by decreasing residual under the incumbent fit.
+
+`proven_optimal` means the incumbent's objective is within `GAP_TOL`
+(1e-8) relative of the dual bound, the tolerance at which
+`equal_solution` calls two objectives equal.
 """
 
 from __future__ import annotations
@@ -12,7 +23,7 @@ import itertools
 import time
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from math import comb
+from math import comb, hypot
 
 import numpy as np
 
@@ -22,7 +33,8 @@ from .linalg import Dataset
 
 N_LIMIT = 200
 ENUM_LIMIT = 2_000_000
-GAP_TOL = 1e-4
+# relative tolerance of both the optimality certificate and `equal_solution`
+GAP_TOL = 1e-8
 TIME_LIMIT = 300.0
 ENUM_CHUNK = 200_000
 
@@ -40,25 +52,13 @@ class OracleResult:
 
 
 def equal_solution(a: SparsitySolution, b: SparsitySolution) -> bool:
-    """Same discarded rows, or objectives within 1e-8 relative."""
+    """Same discarded rows, or objectives within `GAP_TOL` relative."""
     if a.alpha.shape[0] != b.alpha.shape[0]:
         raise ValueError("solutions come from datasets of different size")
     if np.array_equal(np.sort(a.outliers), np.sort(b.outliers)):
         return True
     denom = max(abs(a.objective), abs(b.objective), 1e-12)
-    return abs(a.objective - b.objective) <= 1e-8 * denom
-
-
-def _rss_fixed(X: np.ndarray, y: np.ndarray, rows: np.ndarray) -> tuple[float, np.ndarray]:
-    """Least-squares RSS over `rows` only; rank-deficient fits fall back to
-    the minimum-norm solution (the bound stays valid)."""
-    if rows.shape[0] == 0:
-        return 0.0, np.zeros(X.shape[1])
-    beta, rss, rank, _ = np.linalg.lstsq(X[rows], y[rows], rcond=None)
-    if rss.size == 0:
-        r = y[rows] - X[rows] @ beta
-        return float(r @ r), beta
-    return float(rss[0]), beta
+    return abs(a.objective - b.objective) <= GAP_TOL * denom
 
 
 def _enumerate_exact(data: Dataset, k: int) -> tuple[SparsitySolution, int]:
@@ -109,6 +109,45 @@ def _greedy_incumbent(data: Dataset, k: int) -> SparsitySolution:
     return _trimmed_solution(data, _top_k_indices(data.y - data.design @ beta, k), k)
 
 
+def _rounding_level(X: np.ndarray) -> list:
+    """Per column of X, the size below which a Givens remainder is
+    rounding noise: max(N, q) machine epsilons of the column's norm, the
+    scale of `np.linalg.lstsq`'s default cutoff."""
+    n, q = X.shape
+    return (max(n, q) * np.finfo(float).eps * np.linalg.norm(X, axis=0)).tolist()
+
+
+def _add_row(factor: tuple, z: list, tiny: list) -> tuple[tuple, float]:
+    """Fold one row z = [x, y] into the fixed-in rows' factor by Givens
+    rotations; return the new factor and the row's squared residual, by
+    which the fixed-in RSS grows.
+
+    `factor` holds one entry per column j: the list of [R | Q'y] entries
+    from column j on, or () while slot j is empty (R_jj = 0). Entries are
+    never written to, so a child shares the rows its update leaves alone.
+    An empty slot takes the rest of the row, which then adds no residual,
+    so fewer rows than columns and rank deficiency need no special case.
+    A remainder |z_j| at or below `tiny[j]` (`_rounding_level`) counts as
+    zero, so exactly collinear columns leave their slots empty, as
+    `np.linalg.lstsq` would.
+    """
+    slots = list(factor)
+    for j, top in enumerate(slots):
+        b = z[0]
+        if abs(b) <= tiny[j]:
+            z = z[1:]
+            continue
+        if not top:
+            slots[j] = z
+            return tuple(slots), 0.0
+        a = top[0]
+        r = hypot(a, b)
+        c, s = a / r, b / r
+        slots[j] = [c * u + s * v for u, v in zip(top, z)]
+        z = [c * v - s * u for u, v in zip(top[1:], z[1:])]
+    return tuple(slots), z[0] * z[0]
+
+
 def _branch_and_bound(
     data: Dataset,
     k: int,
@@ -116,28 +155,44 @@ def _branch_and_bound(
 ) -> tuple[SparsitySolution, float, float, int, bool]:
     """Best-first search on keep/discard assignments.
 
-    A node's lower bound is the least-squares objective over the rows
-    already forced to stay, which no completion can undercut. Branching
-    picks the free row with the largest residual under the incumbent fit.
+    A node fixes some rows out (discarded) and some in (kept); its used
+    rows are the set of both, and the rest are free. Its lower bound is
+    half the least-squares RSS over the fixed-in rows, which no
+    completion can undercut. Each heap entry carries the fixed-in rows'
+    triangular factor [R | Q'y] and RSS: the out-child shares its
+    parent's, and the in-child folds the branched row in by one Givens
+    update (`_add_row`), O(q^2). Branching takes the first unused row in
+    one order per incumbent, by decreasing residual under the incumbent
+    fit (ties to the lower index); the order is recomputed whenever a
+    closed node improves the incumbent. A closed node, one whose kept and
+    discarded rows are both determined, is solved by `_trimmed_solution`.
+    The search stops once the gap is within `GAP_TOL` relative.
     """
     X, y = data.design, data.y
-    n = data.n_obs
+    n, q = X.shape
     start = time.perf_counter()
+    rows = np.hstack([X, y[:, None]]).tolist()
+    tiny = _rounding_level(X)
 
     best = _greedy_incumbent(data, k)
     if warm_start is not None and warm_start.objective < best.objective:
         best = warm_start
     primal = best.objective
 
-    # heap entries: (bound, tiebreak, fixed_out tuple, fixed_in tuple)
+    def branching_order(sol: SparsitySolution) -> list:
+        return np.argsort(-np.abs(y - X @ sol.beta), kind="stable").tolist()
+
+    order = branching_order(best)
+
+    # heap entries: (bound, tiebreak, fixed_out, fixed_in, factor, rss)
     heap: list = []
     counter = itertools.count()
-    heappush(heap, (0.0, next(counter), (), ()))
+    heappush(heap, (0.0, next(counter), (), (), ((),) * q, 0.0))
     dual = 0.0
     nodes = 0
     timed_out = False
     while heap:
-        bound, _, fixed_out, fixed_in = heappop(heap)
+        bound, _, fixed_out, fixed_in, factor, rss = heappop(heap)
         nodes += 1
         if not bound >= dual - 1e-9:
             raise InvariantViolated("dual bound regressed")
@@ -150,30 +205,29 @@ def _branch_and_bound(
             timed_out = True
             break
 
-        used = np.array(fixed_out + fixed_in, dtype=np.intp)
-        free = np.setdiff1d(np.arange(n), used)
+        used = set(fixed_out)
+        used.update(fixed_in)
         budget = k - len(fixed_out)
-        if budget == 0 or free.shape[0] <= budget:
+        if budget == 0 or n - len(used) <= budget:
             # closed node: either every free row stays, or all may go; at
             # most k rows go either way
-            if budget == 0:
-                drop = np.array(fixed_out, dtype=np.intp)
-            else:
-                drop = np.concatenate([np.array(fixed_out, dtype=np.intp), free])
-            cand = _trimmed_solution(data, drop, k)
+            drop = list(fixed_out)
+            if budget > 0:
+                drop += [i for i in range(n) if i not in used]
+            cand = _trimmed_solution(data, np.array(drop, dtype=np.intp), k)
             if cand.objective < primal:
                 best, primal = cand, cand.objective
+                order = branching_order(best)
             continue
 
-        # branch on the free row with the largest residual under the incumbent
-        r_free = np.abs(y[free] - X[free] @ best.beta)
-        row = int(free[int(np.argmax(r_free))])
-
-        heappush(heap, (bound, next(counter), fixed_out + (row,), fixed_in))
-        rss_in, _ = _rss_fixed(X, y, np.array(fixed_in + (row,), dtype=np.intp))
+        row = next(i for i in order if i not in used)
+        heappush(heap, (bound, next(counter), fixed_out + (row,), fixed_in, factor, rss))
+        factor_in, added = _add_row(factor, rows[row], tiny)
+        rss_in = rss + added
         in_bound = 0.5 * rss_in
         if in_bound < primal - 1e-12 * max(1.0, primal):
-            heappush(heap, (in_bound, next(counter), fixed_out, fixed_in + (row,)))
+            heappush(heap, (in_bound, next(counter), fixed_out, fixed_in + (row,),
+                            factor_in, rss_in))
 
     if not heap and not timed_out:
         dual = primal
@@ -193,6 +247,8 @@ def best_subset_exact(
     are at most two million of them and otherwise branches and bounds. A
     warm start seeds the incumbent (and never worsens the result). Returns
     the best incumbent with an honest dual bound when `TIME_LIMIT` binds.
+    `proven_optimal` holds when the primal is within `GAP_TOL` relative of
+    the dual and the time limit did not bind.
     """
     n = data.n_obs
     if n > N_LIMIT:

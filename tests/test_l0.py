@@ -14,6 +14,7 @@ from trimreg.l0 import (
     bic_score,
     count_swap_candidates,
     fit_iht,
+    fit_l0_auto,
     fit_lcs,
     hard_threshold,
     local_swap_search,
@@ -533,6 +534,7 @@ def test_each_kept_set_is_solved_once_per_call(monkeypatch, cfg, k):
         lambda: neighborhood_search(d, b0, 6, 2),
         lambda: fit_lcs(d, k, b0, 1),
         lambda: fit_lcs(d, k, b0, 2),
+        lambda: fit_l0_auto(d, k, 2),
     ]
     for call in calls:
         solved.clear()
