@@ -82,6 +82,30 @@ def _lapack(routine, *args, **kwargs):
     return out[:-2]
 
 
+def pivoted_qr(X: np.ndarray):
+    """Thin column-pivoted QR, X[:, piv] = Q R, of a finite X with at
+    least as many rows as columns; return Q, R' and piv.
+
+    Raises RankDeficient when a pivot falls below RANK_TOL times the
+    leading pivot.
+    """
+    q = X.shape[1]
+    # one Fortran-ordered copy, factored and then overwritten by Q in place
+    qr = np.array(X, dtype=np.float64, order="F")
+    qr, jpvt, tau = _lapack(lapack.dgeqp3, qr, overwrite_a=1)
+    diag = np.abs(qr.diagonal()).tolist()
+    if diag[0] == 0.0 or min(diag) < RANK_TOL * diag[0]:
+        raise RankDeficient(
+            f"pivot ratio {min(diag) / max(diag[0], 1e-300):.2e} below {RANK_TOL:.0e}"
+        )
+    # R' in Fortran order, the layout `solve_triangular` hands dtrtrs for
+    # a C-ordered R. Its strictly upper part keeps Householder entries,
+    # which dtrtrs with lower=1 never reads, so R needs no zeroing.
+    R_t = np.array(qr[:q], order="C").T  # a copy: dorgqr overwrites qr
+    (Q,) = _lapack(lapack.dorgqr, qr, tau, overwrite_a=1)
+    return Q, R_t, jpvt - 1
+
+
 def factor_qr(X: np.ndarray):
     """Factor X once by column-pivoted QR; return `solve(v) -> beta`.
 
@@ -98,20 +122,7 @@ def factor_qr(X: np.ndarray):
         return lambda v: np.zeros(0)
     if not np.isfinite(X).all():
         raise ValueError("array must not contain infs or NaNs")
-    # one Fortran-ordered copy, factored and then overwritten by Q in place
-    qr = np.array(X, dtype=np.float64, order="F")
-    qr, jpvt, tau = _lapack(lapack.dgeqp3, qr, overwrite_a=1)
-    diag = np.abs(qr.diagonal()).tolist()
-    if diag[0] == 0.0 or min(diag) < RANK_TOL * diag[0]:
-        raise RankDeficient(
-            f"pivot ratio {min(diag) / max(diag[0], 1e-300):.2e} below {RANK_TOL:.0e}"
-        )
-    # R' in Fortran order, the layout `solve_triangular` hands dtrtrs for
-    # a C-ordered R. Its strictly upper part keeps Householder entries,
-    # which dtrtrs with lower=1 never reads, so R needs no zeroing.
-    R_t = np.array(qr[:q], order="C").T  # a copy: dorgqr overwrites qr
-    (Q,) = _lapack(lapack.dorgqr, qr, tau, overwrite_a=1)
-    piv = jpvt - 1
+    Q, R_t, piv = pivoted_qr(X)
 
     def solve(v: np.ndarray) -> np.ndarray:
         qtv = Q.T @ v

@@ -11,6 +11,10 @@ node's bound is half the least-squares RSS over the fixed-in rows. Each
 node carries those rows' triangular factor, so a child costs one Givens
 row update rather than a least-squares solve. Branching follows one
 order per incumbent: rows by decreasing residual under the incumbent fit.
+A closed node, whose discarded rows are all determined, is first screened
+by the leave-out identity from one QR of the full design; only a node
+that could beat the incumbent within a rounding-error bound is solved by
+pivoted QR, so every incumbent still comes from that solve.
 
 `proven_optimal` means the incumbent's objective is within `GAP_TOL`
 (1e-8) relative of the dual bound, the tolerance at which
@@ -23,13 +27,13 @@ import itertools
 import time
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from math import comb, hypot
+from math import comb, hypot, sqrt
 
 import numpy as np
 
-from .errors import InvariantViolated, TooFewInliers, TooLarge
+from .errors import InvariantViolated, RankDeficient, TooFewInliers, TooLarge
 from .l0 import SparsitySolution, _top_k_indices, _trimmed_solution
-from .linalg import Dataset
+from .linalg import RANK_TOL, Dataset, pivoted_qr
 
 N_LIMIT = 200
 ENUM_LIMIT = 2_000_000
@@ -47,6 +51,8 @@ class OracleResult:
     primal: float
     dual: float
     proven_optimal: bool
+    # heap entries popped by branch and bound, closed nodes the screen
+    # settles included; the enumerated discard sets when enumerating
     nodes_explored: int
     wall_time: float
 
@@ -148,6 +154,100 @@ def _add_row(factor: tuple, z: list, tiny: list) -> tuple[tuple, float]:
     return tuple(slots), z[0] * z[0]
 
 
+def _leave_out_screen(X: np.ndarray, y: np.ndarray):
+    """From one QR of the full design, a screen for closed nodes: return
+    `screen(drop) -> (value, err)`, or None when X fails `pivoted_qr`'s
+    rank test.
+
+    When the rows `drop`, a set A of a rows, go, the leave-out identity
+    (Cook 1977, *Technometrics* 19) gives the kept rows' RSS as
+    s = RSS_full - quad, quad = r_A' M^-1 r_A, M = I - H_AA, where r is the
+    full residual and H = Q Q' the hat matrix. `screen` bounds M's
+    smallest eigenvalue from below by Gershgorin's theorem, lam, and
+    refuses, returning None, once lam <= `floor` (below). Otherwise it
+    takes quad = |L^-1 r_A|^2 from M's Cholesky factor L and returns
+    value = s/2 and err = E/2. The objective t/2 that `_trimmed_solution`
+    computes for the same rows is then at least value - err.
+
+    E bounds s_hat - t_hat, the computed s less the computed t, to first
+    order in machine epsilon eps. Let gamma = 8 N q eps, which takes in
+    the constants of the backward-error bounds used (Higham 2002, *Accuracy
+    and Stability of Numerical Algorithms*, Thms 3.5, 8.5, 10.3, 19.4).
+    - The full Householder QR is exact for X + dX, |dX e_j| <= gamma
+      |X e_j|. The computed full RSS is within gamma |y|^2 of that of
+      X + dX, and the subtraction s = RSS_full - quad adds gamma |y|^2.
+    - The computed r_A and M are within gamma |y| and gamma of those of
+      X + dX, and the Cholesky factorization and the triangular solve are
+      backward stable. So quad moves by at most gamma (|y|^2 + 2 |w|^2),
+      where w = M^-1 r_A and |w|^2 <= quad / lam.
+    - The kept rows' RSS for X + dX exceeds s by at most 2 gamma |y| S.
+      Here S = sum_j |X e_j| |beta_j| over the kept rows' coefficients,
+      and S <= sqrt(q) |y| / (sigma sqrt(lam)), with sigma the smallest
+      singular value of X scaled to unit columns.
+    - t_hat is at least the exact RSS at the computed coefficients, which
+      is at least s, less the rounding of the residuals and of their sum:
+      2 gamma |y| (|y| + S) + gamma |y|^2.
+    Together, E = gamma (|y|^2 (6 + 4 sqrt(q) / (sigma sqrt(lam)))
+    + 2 quad / lam). The first-order terms dominate because
+    lam > floor >= sqrt(eps), so gamma / lam < 1e-3 for every N <= 200.
+    `floor` also keeps the kept rows clear of `factor_qr`'s rank test:
+    their smallest pivot ratio is at least sigma sqrt(lam) times the
+    ratio of the smallest to the largest column norm of X. So a node whose
+    solve would fail that test is never screened out.
+    """
+    n, q = X.shape
+    try:
+        Q, R_t, piv = pivoted_qr(X)
+    except RankDeficient:
+        return None
+    eps = np.finfo(float).eps
+    gamma = 8 * n * q * eps
+    norms = np.linalg.norm(X, axis=0)
+    sigma = np.linalg.svd(np.triu(R_t.T) / norms[piv], compute_uv=False)[-1]
+    floor = max(sqrt(eps), (2 * RANK_TOL * norms.max() / (sigma * norms.min())) ** 2)
+    yy = float(y @ y)
+    resid = y - Q @ (Q.T @ y)
+    rss = float(resid @ resid)
+    r = resid.tolist()
+    hat = (Q @ Q.T).tolist()
+
+    def screen(drop: list):
+        lam = 1.0
+        L: list = []
+        z: list = []
+        quad = 0.0
+        for i, row in enumerate(drop):
+            h = hat[row]
+            m = [h[b] for b in drop]  # row i of M is -m, plus 1 at m[i]
+            # Gershgorin, with the diagonal 1 - m[i] and m[i] >= 0
+            lam = min(lam, 1.0 - sum(map(abs, m)))
+            if lam <= floor:
+                return None
+            # row i of M's Cholesky factor L, and z_i of z = L^-1 r_A
+            li = []
+            pivot = 1.0 - m[i]
+            for j in range(i):
+                lj = L[j]
+                v = -m[j]
+                for t in range(j):
+                    v -= li[t] * lj[t]
+                v /= lj[j]
+                li.append(v)
+                pivot -= v * v
+            li.append(sqrt(pivot))
+            L.append(li)
+            v = r[row]
+            for t in range(i):
+                v -= li[t] * z[t]
+            v /= li[i]
+            z.append(v)
+            quad += v * v
+        err = gamma * (yy * (6 + 4 * sqrt(q) / (sigma * sqrt(lam))) + 2 * quad / lam)
+        return 0.5 * (rss - quad), 0.5 * err
+
+    return screen
+
+
 def _branch_and_bound(
     data: Dataset,
     k: int,
@@ -165,14 +265,21 @@ def _branch_and_bound(
     one order per incumbent, by decreasing residual under the incumbent
     fit (ties to the lower index); the order is recomputed whenever a
     closed node improves the incumbent. A closed node, one whose kept and
-    discarded rows are both determined, is solved by `_trimmed_solution`.
-    The search stops once the gap is within `GAP_TOL` relative.
+    discarded rows are both determined, goes first to the screen of
+    `_leave_out_screen`, built once per call, and is solved by
+    `_trimmed_solution` unless its screened objective less the screen's
+    error bound exceeds the primal, which proves the solve could not
+    improve the incumbent. The screen is off when the full design fails
+    the rank test, and refuses a node whose I - H_AA is near singular, so
+    those nodes are all solved. The search stops once the gap is within
+    `GAP_TOL` relative.
     """
     X, y = data.design, data.y
     n, q = X.shape
     start = time.perf_counter()
     rows = np.hstack([X, y[:, None]]).tolist()
     tiny = _rounding_level(X)
+    screen = _leave_out_screen(X, y)
 
     best = _greedy_incumbent(data, k)
     if warm_start is not None and warm_start.objective < best.objective:
@@ -214,6 +321,10 @@ def _branch_and_bound(
             drop = list(fixed_out)
             if budget > 0:
                 drop += [i for i in range(n) if i not in used]
+            if screen is not None:
+                hit = screen(drop)
+                if hit is not None and hit[0] - hit[1] > primal:
+                    continue
             cand = _trimmed_solution(data, np.array(drop, dtype=np.intp), k)
             if cand.objective < primal:
                 best, primal = cand, cand.objective

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import time
 from heapq import heappop, heappush
@@ -8,7 +9,7 @@ import pytest
 from trimreg import oracle
 from trimreg.classic import fit_ols, initial_beta
 from trimreg.dgp import DgpConfig, generate
-from trimreg.errors import InvariantViolated, TooLarge
+from trimreg.errors import InvariantViolated, RankDeficient, TooLarge
 from trimreg.l0 import _trimmed_solution, fit_iht, fit_lcs
 from trimreg.linalg import Dataset
 from trimreg.oracle import best_subset_exact, equal_solution
@@ -162,9 +163,11 @@ def _reference_rss_fixed(X, y, rows):
     return float(rss[0]), beta
 
 
-def _reference_branch_and_bound(data, k, warm_start, rss_fixed=_reference_rss_fixed):
+def _reference_branch_and_bound(data, k, warm_start, rss_fixed=_reference_rss_fixed,
+                                trimmed_solution=_trimmed_solution):
     """Frozen copy of the search before the carried factor (free rows by
-    setdiff1d, branching by argmax over them, the bound by `rss_fixed`)."""
+    setdiff1d, branching by argmax over them, the bound by `rss_fixed`),
+    solving every closed node by `trimmed_solution`."""
     X, y = data.design, data.y
     n = data.n_obs
     start = time.perf_counter()
@@ -202,7 +205,7 @@ def _reference_branch_and_bound(data, k, warm_start, rss_fixed=_reference_rss_fi
                 drop = np.array(fixed_out, dtype=np.intp)
             else:
                 drop = np.concatenate([np.array(fixed_out, dtype=np.intp), free])
-            cand = _trimmed_solution(data, drop, k)
+            cand = trimmed_solution(data, drop, k)
             if cand.objective < primal:
                 best, primal = cand, cand.objective
             continue
@@ -229,42 +232,135 @@ def _exact_zero_below_q(X, y, rows):
     return (0.0 if rows.shape[0] < X.shape[1] else rss), beta
 
 
+def _offset_design(seed, n=30):
+    """Two regressors at 1e3 + N(0,1), nearly parallel to the intercept,
+    with three rows shifted by 8."""
+    r = np.random.default_rng(seed)
+    x = 1e3 + r.normal(size=(n, 2))
+    y = 0.5 + x.sum(axis=1) + r.normal(size=n)
+    y[:3] += 8.0
+    return Dataset(y=y, x=x)
+
+
+LEVERAGE_ROW = 4
+
+
+def _leverage_one_design(seed, n=30):
+    """A third regressor nonzero on `LEVERAGE_ROW` only, so that row has
+    leverage one and I - H_AA is singular for every A holding it."""
+    r = np.random.default_rng(seed)
+    x = r.normal(size=(n, 3))
+    x[:, 2] = 0.0
+    x[LEVERAGE_ROW, 2] = 1.5
+    y = 0.5 + x[:, :2].sum(axis=1) + r.normal(size=n)
+    y[:3] += 8.0
+    return Dataset(y=y, x=x)
+
+
+def _collinear_design(seed, n=30, noise=1e-3):
+    """The second regressor is twice the first, plus `noise` times N(0,1)."""
+    r = np.random.default_rng(seed)
+    x = r.normal(size=(n, 2))
+    x[:, 1] = 2.0 * x[:, 0] + noise * r.normal(size=n)
+    y = 0.5 + x[:, 0] + r.normal(size=n)
+    y[:3] += 8.0
+    return Dataset(y=y, x=x)
+
+
 def _tree_cases():
     for i in range(20):
         s = generate(DgpConfig(dgp=1, N=30, p=0.1, mu_alpha=5.0, sigma_alpha=5.0,
                                seed=424242 ^ (i + 1), n_test=10))
-        yield s.train, 3, None
+        yield "dgp1", s.train, 3, None
     for i in range(10):
         d = generate(DgpConfig(dgp=1, N=60, p=0.1, mu_alpha=5.0, sigma_alpha=5.0,
                                seed=1000 + i, n_test=10)).train
-        yield d, 5, None
-        yield d, 5, fit_lcs(d, 5, initial_beta(d), 2)
+        yield "dgp1", d, 5, None
+        yield "dgp1", d, 5, fit_lcs(d, 5, initial_beta(d), 2)
     r = np.random.default_rng(11)
     for _ in range(5):
         x = r.normal(size=(40, 10))
         y = 1.0 + x.sum(axis=1) + r.normal(size=40)
         y[:3] += 6.0
-        yield Dataset(y=y, x=x), 3, None
+        yield "q11", Dataset(y=y, x=x), 3, None
+    for seed in range(3):
+        yield "offset", _offset_design(500 + seed), 3, None
+    for seed in range(2):
+        yield "leverage-one", _leverage_one_design(600 + seed), 3, None
+    yield "rank-deficient", _collinear_design(7, noise=0.0), 3, None
 
 
-def test_branch_and_bound_matches_frozen_reference():
+def test_branch_and_bound_matches_frozen_reference(monkeypatch):
     # Same incumbent bits and certificate everywhere. Node counts match too,
     # but for one tie: below q fixed-in rows the reference's lstsq bound is
     # a rounding residue of about 1e-30 where the carried factor gives an
     # exact 0, and heap entries at bound 0 then pop in a different order.
     # Where the counts differ, they must match once that residue reads 0.
-    for data, k, warm in _tree_cases():
-        ref = _reference_branch_and_bound(data, k, warm)
+    # Both searches solve through the counted `_trimmed_solution`: the
+    # reference once per closed node, the new one only where the screen
+    # lets a closed node through; each also solves its greedy incumbent.
+    solves = []
+
+    def counted(data, drop, k):
+        solves.append(1)
+        return _trimmed_solution(data, drop, k)
+
+    monkeypatch.setattr(oracle, "_trimmed_solution", counted)
+    reference = functools.partial(_reference_branch_and_bound,
+                                  trimmed_solution=counted)
+    for label, data, k, warm in _tree_cases():
+        if label == "rank-deficient":
+            # the screen is off, and the greedy incumbent's solve refuses
+            assert oracle._leave_out_screen(data.design, data.y) is None
+            for search in (reference, oracle._branch_and_bound):
+                with pytest.raises(RankDeficient):
+                    search(data, k, warm)
+            continue
+        solves.clear()
+        ref = reference(data, k, warm)
+        closed = len(solves) - 1
+        solves.clear()
         new = oracle._branch_and_bound(data, k, warm)
+        if label == "dgp1":
+            assert len(solves) - 1 < closed
         assert np.array_equal(new[0].outliers, ref[0].outliers)
         assert new[1].hex() == ref[1].hex()
         for best, primal, dual, nodes, timed_out in (ref, new):
             assert not timed_out
             assert primal - dual <= oracle.GAP_TOL * max(dual, 1e-12)
         if new[3] != ref[3]:
-            tied = _reference_branch_and_bound(data, k, warm, _exact_zero_below_q)
+            tied = reference(data, k, warm, rss_fixed=_exact_zero_below_q)
             assert new[3] == tied[3]
             assert new[2].hex() == tied[2].hex()
+
+
+@pytest.mark.parametrize("design", ["plain", "offset", "collinear", "leverage-one"])
+def test_closed_node_screen_matches_trimmed_solution(design):
+    # On drop sets of every size up to k, the screened objective is within
+    # the screen's own error bound of the pivoted-QR objective; a drop set
+    # whose I - H_AA is singular is refused, and its solve fails.
+    k = 4
+    data = {
+        "plain": lambda: _instance(3, n=30, k0=3),
+        "offset": lambda: _offset_design(0),
+        "collinear": lambda: _collinear_design(1),
+        "leverage-one": lambda: _leverage_one_design(2),
+    }[design]()
+    screen = oracle._leave_out_screen(data.design, data.y)
+    r = np.random.default_rng(len(design))
+    for _ in range(300):
+        drop = r.choice(data.n_obs, size=int(r.integers(0, k + 1)), replace=False)
+        hit = screen(drop.tolist())
+        if design == "leverage-one" and LEVERAGE_ROW in drop:
+            assert hit is None
+            with pytest.raises(RankDeficient):
+                _trimmed_solution(data, drop, k)
+            continue
+        assert hit is not None
+        value, err = hit
+        objective = _trimmed_solution(data, drop, k).objective
+        assert abs(value - objective) <= err
+        assert err <= 0.05 * objective
 
 
 def _lstsq_rss(X, y):
