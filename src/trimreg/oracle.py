@@ -1,9 +1,10 @@
 """Exact best-subset solver for the outlier-budget problem at small N.
 
 Certifies global optima by branch and bound over the per-row keep/discard
-indicators, with a fully vectorized exhaustive sweep when the support
-count is small enough. Serves as ground truth for equal-solution
-frequencies and optimality-gap reporting.
+indicators. Serves as ground truth for equal-solution frequencies and
+optimality-gap reporting. `method="enumerate"` instead scores every
+discard set by a vectorized sweep, a brute-force check on branch and
+bound that `method="auto"` never takes.
 
 A branch-and-bound node is the rows it fixes out and the rows it fixes
 in; their union is its used set, and the rest of the rows are free. The
@@ -27,7 +28,7 @@ import itertools
 import time
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from math import comb, hypot, sqrt
+from math import hypot, inf, sqrt
 
 import numpy as np
 
@@ -36,7 +37,9 @@ from .l0 import SparsitySolution, _top_k_indices, _trimmed_solution
 from .linalg import RANK_TOL, Dataset, pivoted_qr
 
 N_LIMIT = 200
-ENUM_LIMIT = 2_000_000
+# `auto` never enumerates; the name stays only because the benchmark's
+# tracer (`bench/spans.py::_oracle_mode`) imports it
+ENUM_LIMIT = 0
 # relative tolerance of both the optimality certificate and `equal_solution`
 GAP_TOL = 1e-8
 TIME_LIMIT = 300.0
@@ -52,7 +55,7 @@ class OracleResult:
     dual: float
     proven_optimal: bool
     # heap entries popped by branch and bound, closed nodes the screen
-    # settles included; the enumerated discard sets when enumerating
+    # settles included; with `method="enumerate"`, the discard sets scored
     nodes_explored: int
     wall_time: float
 
@@ -113,6 +116,13 @@ def _greedy_incumbent(data: Dataset, k: int) -> SparsitySolution:
     """Drop the k largest full-fit residuals; a cheap but valid incumbent."""
     beta = np.linalg.lstsq(data.design, data.y, rcond=None)[0]
     return _trimmed_solution(data, _top_k_indices(data.y - data.design @ beta, k), k)
+
+
+def _prune_level(primal: float) -> float:
+    """Bound at or above which a node cannot improve an incumbent of
+    objective `primal`; inf with no incumbent (primal = inf), where the
+    relative margin would make it inf - inf = nan and prune every child."""
+    return primal - 1e-12 * max(1.0, primal) if primal < inf else inf
 
 
 def _rounding_level(X: np.ndarray) -> list:
@@ -271,8 +281,12 @@ def _branch_and_bound(
     error bound exceeds the primal, which proves the solve could not
     improve the incumbent. The screen is off when the full design fails
     the rank test, and refuses a node whose I - H_AA is near singular, so
-    those nodes are all solved. The search stops once the gap is within
-    `GAP_TOL` relative.
+    those nodes are all solved. A closed node whose kept rows fail the
+    rank test is infeasible and skipped, as is a greedy incumbent that
+    fails it; with no warm start either, the search starts without an
+    incumbent, branches in the full fit's residual order, and raises
+    `RankDeficient` if no closed node is feasible. The search stops once
+    the gap is within `GAP_TOL` relative.
     """
     X, y = data.design, data.y
     n, q = X.shape
@@ -281,15 +295,23 @@ def _branch_and_bound(
     tiny = _rounding_level(X)
     screen = _leave_out_screen(X, y)
 
-    best = _greedy_incumbent(data, k)
-    if warm_start is not None and warm_start.objective < best.objective:
+    try:
+        best = _greedy_incumbent(data, k)
+    except RankDeficient:
+        best = None
+    if warm_start is not None and (best is None or warm_start.objective < best.objective):
         best = warm_start
-    primal = best.objective
 
-    def branching_order(sol: SparsitySolution) -> list:
-        return np.argsort(-np.abs(y - X @ sol.beta), kind="stable").tolist()
+    def branching_order(beta: np.ndarray) -> list:
+        return np.argsort(-np.abs(y - X @ beta), kind="stable").tolist()
 
-    order = branching_order(best)
+    if best is None:
+        primal = inf
+        order = branching_order(np.linalg.lstsq(X, y, rcond=None)[0])
+    else:
+        primal = best.objective
+        order = branching_order(best.beta)
+    prune = _prune_level(primal)
 
     # heap entries: (bound, tiebreak, fixed_out, fixed_in, factor, rss)
     heap: list = []
@@ -306,7 +328,7 @@ def _branch_and_bound(
         dual = max(dual, bound)
         if (primal - dual) <= GAP_TOL * max(dual, 1e-12):
             break
-        if bound >= primal - 1e-12 * max(1.0, primal):
+        if bound >= prune:
             continue
         if time.perf_counter() - start > TIME_LIMIT:
             timed_out = True
@@ -325,10 +347,14 @@ def _branch_and_bound(
                 hit = screen(drop)
                 if hit is not None and hit[0] - hit[1] > primal:
                     continue
-            cand = _trimmed_solution(data, np.array(drop, dtype=np.intp), k)
+            try:
+                cand = _trimmed_solution(data, np.array(drop, dtype=np.intp), k)
+            except RankDeficient:
+                continue  # infeasible: the kept rows fail the rank test
             if cand.objective < primal:
                 best, primal = cand, cand.objective
-                order = branching_order(best)
+                prune = _prune_level(primal)
+                order = branching_order(best.beta)
             continue
 
         row = next(i for i in order if i not in used)
@@ -336,10 +362,12 @@ def _branch_and_bound(
         factor_in, added = _add_row(factor, rows[row], tiny)
         rss_in = rss + added
         in_bound = 0.5 * rss_in
-        if in_bound < primal - 1e-12 * max(1.0, primal):
+        if in_bound < prune:
             heappush(heap, (in_bound, next(counter), fixed_out, fixed_in + (row,),
                             factor_in, rss_in))
 
+    if best is None:
+        raise RankDeficient(f"no kept set of N - k = {n - k} rows passed the rank test")
     if not heap and not timed_out:
         dual = primal
     dual = min(dual, primal)
@@ -354,12 +382,13 @@ def best_subset_exact(
 ) -> OracleResult:
     """Certified minimizer of the trimmed objective at budget k.
 
-    With `method="auto"` the solver enumerates all discard sets when there
-    are at most two million of them and otherwise branches and bounds. A
-    warm start seeds the incumbent (and never worsens the result). Returns
-    the best incumbent with an honest dual bound when `TIME_LIMIT` binds.
-    `proven_optimal` holds when the primal is within `GAP_TOL` relative of
-    the dual and the time limit did not bind.
+    `method="auto"` and `"branch-and-bound"` both branch and bound;
+    `"enumerate"` scores all C(N, k) discard sets instead, a brute-force
+    check on the search. A warm start seeds the incumbent (and never
+    worsens the result). Returns the best incumbent with an honest dual
+    bound when `TIME_LIMIT` binds. `proven_optimal` holds when the primal
+    is within `GAP_TOL` relative of the dual and the time limit did not
+    bind.
     """
     n = data.n_obs
     if n > N_LIMIT:
@@ -379,9 +408,6 @@ def best_subset_exact(
             proven_optimal=True, nodes_explored=1,
             wall_time=time.perf_counter() - start,
         )
-
-    if method == "auto":
-        method = "enumerate" if comb(n, k) <= ENUM_LIMIT else "branch-and-bound"
 
     if method == "enumerate":
         sol, n_eval = _enumerate_exact(data, k)

@@ -56,6 +56,83 @@ def test_matches_exhaustive_enumeration():
     assert set(res.solution.outliers) <= best_set  # zero shifts may drop out
 
 
+@pytest.mark.parametrize("seed", [3, 17, 29])
+def test_enumeration_matches_exhaustive_oracle(seed):
+    # the brute-force method the benchmark's branch-and-bound check uses;
+    # a warm start wins only when it is strictly better than every set
+    d = _instance(seed, n=12, k0=2)
+    best_val, best_set = exhaustive_oracle(d, 2)
+    res = best_subset_exact(d, 2, method="enumerate")
+    assert res.proven_optimal and res.dual == res.primal
+    assert res.nodes_explored == 66  # C(12, 2)
+    assert res.primal == pytest.approx(best_val, rel=1e-9)
+    assert set(res.solution.outliers) <= best_set
+
+    worse = _trimmed_solution(d, np.array([10, 11]), 2)
+    assert worse.objective > best_val
+    res_worse = best_subset_exact(d, 2, warm_start=worse, method="enumerate")
+    assert res_worse.primal == res.primal
+    assert np.array_equal(res_worse.solution.outliers, res.solution.outliers)
+
+    # dropping one row more undercuts every discard set of size 2
+    better = _trimmed_solution(d, np.array(sorted(best_set) + [11]), 3)
+    assert better.objective < best_val
+    res_better = best_subset_exact(d, 2, warm_start=better, method="enumerate")
+    assert res_better.solution is better
+    assert res_better.primal == res_better.dual == better.objective
+
+
+def _dummy_design(seed, n=20):
+    """A dummy regressor that is 1 on rows 0-1 only, with those rows
+    shifted by 30 and row 2 by 10: every kept set holding neither row 0
+    nor row 1 fails the rank test."""
+    rng = np.random.default_rng(seed)
+    x = np.column_stack([rng.normal(size=n), np.r_[1.0, 1.0, np.zeros(n - 2)]])
+    y = 1.0 + x @ np.array([1.0, 8.0]) + rng.normal(size=n)
+    y[:2] += 30.0
+    y[2] += 10.0
+    return Dataset(y=y, x=x)
+
+
+@pytest.mark.parametrize("seed", [5, 108])
+def test_branch_and_bound_skips_rank_deficient_kept_sets(seed):
+    # seed 5: a closed node's kept rows fail the rank test; seed 108: the
+    # greedy incumbent's do. Enumeration scores such sets as infeasible,
+    # and so must branch and bound.
+    d = _dummy_design(seed)
+    exact = best_subset_exact(d, 3, method="enumerate")
+    for method in ("auto", "branch-and-bound"):
+        res = best_subset_exact(d, 3, method=method)
+        assert res.proven_optimal
+        assert np.array_equal(res.solution.outliers, exact.solution.outliers)
+        assert abs(res.primal - exact.primal) <= oracle.GAP_TOL * exact.primal
+
+
+def test_auto_is_branch_and_bound(monkeypatch):
+    # criterion-4 replications with the harness's lcs2 warm start
+    cases = []
+    for rep in range(1, 11):
+        s = generate(DgpConfig(dgp=1, N=40, p=0.1, mu_alpha=5.0, sigma_alpha=5.0,
+                               seed=271828 ^ rep, n_test=10))
+        k = len(s.true_outliers)
+        cases.append((s.train, k, fit_lcs(s.train, k, initial_beta(s.train), 2)))
+
+    def refuse(data, k):
+        raise AssertionError("auto enumerated")
+
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "_enumerate_exact", refuse)
+        solved = [(best_subset_exact(d, k, warm_start=w),
+                   best_subset_exact(d, k, warm_start=w, method="branch-and-bound"))
+                  for d, k, w in cases]
+    for (d, k, w), (auto, bnb) in zip(cases, solved):
+        assert auto.primal.hex() == bnb.primal.hex()
+        assert np.array_equal(auto.solution.outliers, bnb.solution.outliers)
+        assert auto.nodes_explored == bnb.nodes_explored
+        exact = best_subset_exact(d, k, warm_start=w, method="enumerate")
+        assert np.array_equal(auto.solution.outliers, exact.solution.outliers)
+
+
 def test_warm_start_already_optimal():
     d = _instance(7, n=14, k0=2)
     first = best_subset_exact(d, 2)
@@ -310,7 +387,7 @@ def test_branch_and_bound_matches_frozen_reference(monkeypatch):
                                   trimmed_solution=counted)
     for label, data, k, warm in _tree_cases():
         if label == "rank-deficient":
-            # the screen is off, and the greedy incumbent's solve refuses
+            # the screen is off, and every kept set fails the rank test
             assert oracle._leave_out_screen(data.design, data.y) is None
             for search in (reference, oracle._branch_and_bound):
                 with pytest.raises(RankDeficient):
