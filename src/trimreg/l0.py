@@ -19,17 +19,19 @@ downdates for the dropped kept rows. The neighborhood thus costs a few
 batched matrix products rather than one QR per candidate. The winning
 support is always refit through the pivoted-QR path before acceptance.
 
-Each kept set is solved once per call. The outermost public search call
-in progress (`fit_iht`, `local_swap_search`, `fit_lcs`,
-`neighborhood_search` or `fit_l0_auto`) holds one memo from (k,
-discarded rows) to the trimmed solution, which the searches nested in it
-share and which is dropped when it returns. The solution is a pure
-function of that key, so a hit changes no output: it returns the same
-read-only arrays with a fresh `info` dict. The searches re-visit
-supports often: a swap's refit is usually the first support of the
-alternation that follows it, a budget sweep's refits land on supports
-an earlier refit reached, and `fit_l0_auto`'s closing polish starts on
-the support the sweep selected.
+Each kept set is solved, and each support swap-searched, once per call.
+The outermost public search call in progress (`fit_iht`,
+`local_swap_search`, `fit_lcs`, `neighborhood_search` or `fit_l0_auto`)
+holds one memo, which the searches nested in it share and which is
+dropped when it returns. It maps (k, discarded rows) to the trimmed
+solution and (l, discarded rows) to the order-l swap pass. Both are
+pure functions of their keys, so a hit changes no output: a solution
+comes back with the same read-only arrays and a fresh `info` dict, and
+`local_swap_search` writes the same `info` entries as after a fresh
+pass. The searches re-visit supports often: a swap's refit is usually
+the first support of the alternation that follows it, a budget sweep's
+refits land on supports an earlier refit reached, and `fit_l0_auto`'s
+closing polish starts on the support the sweep selected.
 """
 
 from __future__ import annotations
@@ -55,11 +57,12 @@ DOWNDATE_TOL = 1e-10
 # readmitted pairs scored per batch: the scoring arrays then hold a few
 # times PAIR_BLOCK * (N - k) floats however many pairs there are
 PAIR_BLOCK = 256
-# complexity charge per discarded row used when selecting the budget, as a
-# multiple of log N. The plain value 1 never stops: trimming one more clean
-# row always cuts the trimmed RSS by about the squared noise maximum
-# (~2 log N per row), which beats a log N charge for any N. Calibrated so
-# the selected budget tracks the planted count when shifts are separable.
+# complexity charge per discarded row, as a multiple of log N, when
+# selecting the budget here or psi in `l1` (where rows are flagged). The
+# plain value 1 never stops: trimming one more clean row always cuts the
+# trimmed RSS by about the squared noise maximum (~2 log N per row),
+# which beats a log N charge for any N. Calibrated so the selected budget
+# tracks the planted count when shifts are separable.
 BIC_SELECTION_MULT = 2.75
 
 
@@ -128,6 +131,12 @@ def _solves_once_per_call(search):
     return call
 
 
+def _call_memo(data: Dataset) -> dict | None:
+    """The memo of the public search call in progress on `data`, if any."""
+    active = _ACTIVE_MEMO.get()
+    return active[1] if active is not None and active[0] is data else None
+
+
 def _trimmed_solution(data: Dataset, drop_rows: np.ndarray, k: int) -> SparsitySolution:
     """Restricted least squares with the given rows fully absorbed.
 
@@ -135,8 +144,7 @@ def _trimmed_solution(data: Dataset, drop_rows: np.ndarray, k: int) -> SparsityS
     a repeated (k, drop_rows) is answered from that call's memo, with a
     fresh `info` dict.
     """
-    active = _ACTIVE_MEMO.get()
-    memo = active[1] if active is not None and active[0] is data else None
+    memo = _call_memo(data)
     if memo is not None:
         key = (k, np.asarray(drop_rows, dtype=np.intp).tobytes())
         hit = memo.get(key)
@@ -334,7 +342,8 @@ def local_swap_search(data: Dataset, sol: SparsitySolution, l: int) -> SparsityS
     out, scoring every such support by restricted least squares. If no
     candidate beats the current objective by more than a 1e-12 relative
     margin, the input is returned unchanged and certified swap-inescapable
-    of order l.
+    of order l. The swap pass comes from the call's memo when the same
+    (l, discarded rows) was searched before.
     """
     if l not in (1, 2):
         raise ValueError("l must be 1 or 2")
@@ -343,9 +352,11 @@ def local_swap_search(data: Dataset, sol: SparsitySolution, l: int) -> SparsityS
         sol.info["swap_candidates"] = 0
         sol.info["inescapable_order"] = l
         return sol
-    best_rss, drop_rows, add_rows, n_cand = _swap_pass(
-        data.design, data.y, sol.inliers, sol.outliers, l
-    )
+    memo = _call_memo(data)  # never None: this is a public search call
+    key = ("swap", l, np.asarray(sol.outliers, dtype=np.intp).tobytes())
+    if key not in memo:
+        memo[key] = _swap_pass(data.design, data.y, sol.inliers, sol.outliers, l)
+    best_rss, drop_rows, add_rows, n_cand = memo[key]
     sol.info["swap_candidates"] = n_cand
     if 0.5 * best_rss < sol.objective - margin:
         # no more rows go out than come back in, so at least q rows stay
@@ -363,27 +374,19 @@ def local_swap_search(data: Dataset, sol: SparsitySolution, l: int) -> SparsityS
 def fit_lcs(data: Dataset, k: int, beta0: np.ndarray, l: int) -> SparsitySolution:
     """Hard-thresholding alternation refined by exhaustive local swaps.
 
-    Each round runs the alternating fit and then the order-l swap search;
-    strict improvements restart the alternation from the improved
+    Runs the alternating fit, then rounds of the order-l swap search;
+    each strict improvement restarts the alternation from the improved
     coefficients. Terminates at a swap-inescapable solution (or after
     `LCS_MAX_OUTER` rounds), with the objective non-increasing throughout.
     """
-    return _refine(data, fit_iht(data, k, beta0), l)
-
-
-def _refine(data: Dataset, cur: SparsitySolution, l: int) -> SparsitySolution:
-    """The swap rounds of `fit_lcs`, from the IHT solution `cur`.
-
-    A pure function of `cur`'s (k, beta, outliers), which fix its inliers
-    and objective too.
-    """
+    cur = fit_iht(data, k, beta0)
     for _ in range(LCS_MAX_OUTER):
         swapped = local_swap_search(data, cur, l)
         if swapped is cur:
             break
         if not swapped.objective <= cur.objective:
             raise InvariantViolated("swap accepted without descent")
-        nxt = fit_iht(data, cur.k, swapped.beta)
+        nxt = fit_iht(data, k, swapped.beta)
         if not nxt.objective <= swapped.objective + IMPROVE_TOL * max(1.0, swapped.objective):
             raise InvariantViolated("re-threshold after swap increased the objective")
         cur = nxt
@@ -396,40 +399,26 @@ def neighborhood_search(
 ) -> list[SparsitySolution]:
     """Solve every budget 1..K, re-seeding each from adjacent budgets.
 
-    After the initial pass, budgets are swept in ascending order; budget k
-    keeps the best of its current solution and refits started from the
-    coefficients at k-1 (already updated this sweep) and k+1. Sweeps stop
-    when the summed objective is unchanged. Per-budget objectives never
-    increase across sweeps. A refit whose IHT start repeats an earlier
-    one's (same k, beta and discarded rows) reuses that refit's swap
-    rounds instead of running them again.
+    Every fit is `fit_lcs`. After the initial pass, budgets are swept in
+    ascending order; budget k keeps the best of its current solution and
+    refits started from the coefficients at k-1 (already updated this
+    sweep) and k+1. Sweeps stop when the summed objective is unchanged.
+    Per-budget objectives never increase across sweeps. Refits share this
+    call's memo, so a refit that lands on a support solved or
+    swap-searched before repeats neither.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
     if K > data.n_obs // 2:
         raise ValueError(f"K={K} exceeds floor(N/2)={data.n_obs // 2}")
-    refined: dict[tuple, SparsitySolution] = {}
-
-    def lcs(k: int, init: np.ndarray) -> SparsitySolution:
-        start = fit_iht(data, k, init)
-        key = (k, start.beta.tobytes(), start.outliers.tobytes())
-        if key not in refined:
-            refined[key] = _refine(data, start, l)
-        return refined[key]
-
-    sols = [lcs(k, beta0) for k in range(1, K + 1)]
+    sols = [fit_lcs(data, k, beta0, l) for k in range(1, K + 1)]
     total = sum(s.objective for s in sols)
     for _ in range(SWEEP_MAX):
         for j in range(K):
             best = sols[j]
-            neighbors = []
-            if j > 0:
-                neighbors.append(sols[j - 1].beta)
-            if j < K - 1:
-                neighbors.append(sols[j + 1].beta)
             # every budget was fitted once already, so no refit can fail
-            for init in neighbors:
-                cand = lcs(j + 1, init)
+            for init in [sols[i].beta for i in (j - 1, j + 1) if 0 <= i < K]:
+                cand = fit_lcs(data, j + 1, init, l)
                 if cand.objective < best.objective:
                     best = cand
             if not best.objective <= sols[j].objective:

@@ -21,15 +21,12 @@ from .classic import (
     soft_threshold_alpha,
 )
 from .errors import AllFitsFailed, InvariantViolated, NotConverged
-from .l0 import select_by_score
+from .l0 import BIC_SELECTION_MULT, select_by_score
 from .linalg import Dataset, factor_qr
 
 PSI_GRID_SIZE = 30
 # MAD-to-sigma factor for the default grid scale
 MAD_SCALE = 1.4826
-# complexity charge per flagged row when selecting psi, as a multiple of
-# log N; the plain value 1 flags most of the sample (see l0 module note)
-BIC_SELECTION_MULT = 2.75
 
 
 @dataclass(frozen=True)

@@ -71,7 +71,10 @@ def equal_solution(a: SparsitySolution, b: SparsitySolution) -> bool:
 
 
 def _enumerate_exact(data: Dataset, k: int) -> tuple[SparsitySolution, int]:
-    """Score every discard set of size k via batched Gram downdates."""
+    """Score every discard set of size k via batched Gram downdates.
+
+    Raises RankDeficient if every kept set's Gram is exactly singular.
+    """
     X, y = data.design, data.y
     n, q = X.shape
     G0, b0, yy = X.T @ X, X.T @ y, float(y @ y)
@@ -108,6 +111,8 @@ def _enumerate_exact(data: Dataset, k: int) -> tuple[SparsitySolution, int]:
         if rss[j] < best_rss:
             best_rss = float(rss[j])
             best_combo = chunk[j].copy()
+    if best_combo is None:
+        raise RankDeficient(f"every kept set of N - k = {n - k} rows has a singular Gram")
     sol = _trimmed_solution(data, best_combo, k)
     return sol, n_eval
 
@@ -385,10 +390,11 @@ def best_subset_exact(
     `method="auto"` and `"branch-and-bound"` both branch and bound;
     `"enumerate"` scores all C(N, k) discard sets instead, a brute-force
     check on the search. A warm start seeds the incumbent (and never
-    worsens the result). Returns the best incumbent with an honest dual
-    bound when `TIME_LIMIT` binds. `proven_optimal` holds when the primal
-    is within `GAP_TOL` relative of the dual and the time limit did not
-    bind.
+    worsens the result); one that does not cover these N rows or that
+    discards more than k raises ValueError. Returns the best incumbent
+    with an honest dual bound when `TIME_LIMIT` binds. `proven_optimal`
+    holds when the primal is within `GAP_TOL` relative of the dual and the
+    time limit did not bind.
     """
     n = data.n_obs
     if n > N_LIMIT:
@@ -399,6 +405,10 @@ def best_subset_exact(
         raise TooFewInliers(f"N - k = {n - k} < {data.n_coef} coefficients")
     if method not in ("auto", "enumerate", "branch-and-bound"):
         raise ValueError(f"unknown method {method!r}")
+    if warm_start is not None and (
+        warm_start.alpha.shape[0] != n or warm_start.outliers.shape[0] > k
+    ):
+        raise ValueError(f"warm start must discard at most k={k} of the N={n} rows")
     start = time.perf_counter()
 
     if k == 0:

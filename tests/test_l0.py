@@ -515,8 +515,8 @@ def test_neighborhood_search_equals_plain_refit_loop(cfg, K):
 def test_each_kept_set_is_solved_once_per_call(monkeypatch, cfg, k):
     d = generate(cfg).train
     b0 = initial_beta(d)
-    exact, trimmed = l0.lstsq_qr, l0._trimmed_solution
-    solved, returned = [], []
+    exact, trimmed, swap = l0.lstsq_qr, l0._trimmed_solution, l0._swap_pass
+    solved, returned, searched = [], [], []
 
     def counted(X, v):
         solved.append(X.tobytes())  # the kept rows, in order
@@ -527,8 +527,13 @@ def test_each_kept_set_is_solved_once_per_call(monkeypatch, cfg, k):
         returned.append(sol)
         return sol
 
+    def swapped(X, v, in_idx, out_idx, l):
+        searched.append((l, out_idx.tobytes()))
+        return swap(X, v, in_idx, out_idx, l)
+
     monkeypatch.setattr(l0, "lstsq_qr", counted)
     monkeypatch.setattr(l0, "_trimmed_solution", kept)
+    monkeypatch.setattr(l0, "_swap_pass", swapped)
     calls = [
         lambda: neighborhood_search(d, b0, 12, 1),
         lambda: neighborhood_search(d, b0, 6, 2),
@@ -539,8 +544,10 @@ def test_each_kept_set_is_solved_once_per_call(monkeypatch, cfg, k):
     for call in calls:
         solved.clear()
         returned.clear()
+        searched.clear()
         call()
         assert solved and len(set(solved)) == len(solved)
+        assert searched and len(set(searched)) == len(searched)
         assert len(returned) > len(solved)  # some supports were re-visited
         # every returned solution has its own info dict
         for i, sol in enumerate(returned):

@@ -58,8 +58,7 @@ def test_matches_exhaustive_enumeration():
 
 @pytest.mark.parametrize("seed", [3, 17, 29])
 def test_enumeration_matches_exhaustive_oracle(seed):
-    # the brute-force method the benchmark's branch-and-bound check uses;
-    # a warm start wins only when it is strictly better than every set
+    # the brute-force method the benchmark's branch-and-bound check uses
     d = _instance(seed, n=12, k0=2)
     best_val, best_set = exhaustive_oracle(d, 2)
     res = best_subset_exact(d, 2, method="enumerate")
@@ -74,12 +73,15 @@ def test_enumeration_matches_exhaustive_oracle(seed):
     assert res_worse.primal == res.primal
     assert np.array_equal(res_worse.solution.outliers, res.solution.outliers)
 
-    # dropping one row more undercuts every discard set of size 2
-    better = _trimmed_solution(d, np.array(sorted(best_set) + [11]), 3)
-    assert better.objective < best_val
-    res_better = best_subset_exact(d, 2, warm_start=better, method="enumerate")
-    assert res_better.solution is better
-    assert res_better.primal == res_better.dual == better.objective
+    # a warm start over budget, or from another dataset, is refused: one
+    # discarding a row more would undercut every discard set of size 2
+    over = _trimmed_solution(d, np.array(sorted(best_set) + [11]), 3)
+    assert over.objective < best_val
+    other = _trimmed_solution(_instance(seed, n=13, k0=2), np.array([0, 1]), 2)
+    for method in ("enumerate", "branch-and-bound"):
+        for warm in (over, other):
+            with pytest.raises(ValueError):
+                best_subset_exact(d, 2, warm_start=warm, method=method)
 
 
 def _dummy_design(seed, n=20):
@@ -365,6 +367,9 @@ def _tree_cases():
     for seed in range(2):
         yield "leverage-one", _leverage_one_design(600 + seed), 3, None
     yield "rank-deficient", _collinear_design(7, noise=0.0), 3, None
+    # an all-zero regressor: every kept set's Gram is exactly singular
+    zero = _instance(4)
+    yield "rank-deficient", Dataset(y=zero.y, x=np.column_stack([zero.x[:, 0], np.zeros(12)])), 2, None
 
 
 def test_branch_and_bound_matches_frozen_reference(monkeypatch):
@@ -392,6 +397,8 @@ def test_branch_and_bound_matches_frozen_reference(monkeypatch):
             for search in (reference, oracle._branch_and_bound):
                 with pytest.raises(RankDeficient):
                     search(data, k, warm)
+            with pytest.raises(RankDeficient):
+                best_subset_exact(data, k, method="enumerate")
             continue
         solves.clear()
         ref = reference(data, k, warm)
