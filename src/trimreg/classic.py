@@ -95,48 +95,53 @@ def soft_threshold_alpha(r: np.ndarray, psi: float) -> np.ndarray:
     """Closed-form shift update: shrink residuals toward zero by psi.
 
     Entries with |r| < psi map to exactly zero; the two outer branches
-    meet the middle one continuously at +-psi.
+    meet the middle one continuously at +-psi. This is the one check of
+    the threshold for Huber and L1: psi must satisfy 0 < psi < inf.
     """
-    if psi <= 0:
-        raise ValueError("psi must be positive")
+    if not 0 < psi < np.inf:
+        raise ValueError(f"psi must lie in (0, inf), not {psi}")
     r = np.asarray(r, dtype=np.float64)
     return np.where(r >= psi, r - psi, np.where(r <= -psi, r + psi, 0.0))
 
 
 def shift_alternation(
     data: Dataset, psi: float, beta: np.ndarray, solve
-) -> tuple[np.ndarray, int, bool]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, int, bool]:
     """Alternate the shift update with least squares on y - alpha, from `beta`.
 
     `solve` is the least-squares solver of the design (`factor_qr`). Stops
     once the coefficient change falls below BETA_TOL in max-norm, or after
-    SHIFT_MAX_ITER steps. Returns (beta, iterations, converged).
+    SHIFT_MAX_ITER steps. Returns (beta, r, alpha, loss, iterations,
+    converged): r = y - X beta at the returned beta, alpha its shifts and
+    loss its Huber loss. Each step forms one residual, and the shifts are
+    taken before the loss, so a psi outside (0, inf) raises before it can warn.
     """
     X, y = data.design, data.y
-    obj = huber_objective(y - X @ beta, psi)
+    r = y - X @ beta
+    alpha = soft_threshold_alpha(r, psi)
+    loss = huber_objective(r, psi)
     converged = False
     it = 0
     for it in range(1, SHIFT_MAX_ITER + 1):
-        beta_new = solve(y - soft_threshold_alpha(y - X @ beta, psi))
-        obj_new = huber_objective(y - X @ beta_new, psi)
-        if not obj_new <= obj + 1e-12 * max(1.0, obj):
+        beta_new = solve(y - alpha)
+        r = y - X @ beta_new
+        alpha = soft_threshold_alpha(r, psi)
+        loss_new = huber_objective(r, psi)
+        if not loss_new <= loss + 1e-12 * max(1.0, loss):
             raise InvariantViolated("shift update increased the Huber objective")
-        obj = obj_new
+        loss = loss_new
         converged = bool(np.max(np.abs(beta_new - beta)) < BETA_TOL)
         beta = beta_new
         if converged:
             break
-    return beta, it, converged
+    return beta, r, alpha, loss, it, converged
 
 
 def fit_huber(data: Dataset, psi: float) -> ClassicFit:
     """Huber regression with fixed cutoff psi: the shift alternation from OLS."""
-    if psi <= 0:
-        raise ValueError("psi must be positive")
     solve = factor_qr(data.design)
-    beta, it, converged = shift_alternation(data, psi, solve(data.y), solve)
-    obj = huber_objective(data.y - data.design @ beta, psi)
-    return ClassicFit(beta=beta, objective=obj, iterations=it, converged=converged)
+    beta, _, _, loss, it, converged = shift_alternation(data, psi, solve(data.y), solve)
+    return ClassicFit(beta=beta, objective=loss, iterations=it, converged=converged)
 
 
 def initial_beta(data: Dataset) -> np.ndarray:

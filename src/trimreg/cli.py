@@ -137,6 +137,8 @@ def _validate_method_flags(args) -> None:
         raise UsageError("--method l1 needs exactly one of --psi or --auto")
     if args.method == "huber" and args.psi is None:
         raise UsageError("--method huber requires --psi")
+    if args.psi is not None and not 0 < args.psi < math.inf:
+        raise UsageError(f"--psi must lie in (0, inf), not {args.psi}")
 
 
 def _check_budgets(k: int | None, k_max: int | None, n: int, q: int) -> None:

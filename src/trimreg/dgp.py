@@ -58,6 +58,9 @@ class DgpConfig:
             raise ValueError("p: floor(p*N) must be at least 1")
         if self.n_test < 1:
             raise ValueError("n_test: must be at least 1")
+        for name in ("mu_alpha", "sigma_alpha", "rho"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name}: must be a finite number")
 
     @property
     def k0(self) -> int:

@@ -13,13 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classic import (
-    SHIFT_MAX_ITER,
-    fit_lad,
-    huber_objective,
-    shift_alternation,
-    soft_threshold_alpha,
-)
+from .classic import SHIFT_MAX_ITER, fit_lad, shift_alternation, soft_threshold_alpha
 from .errors import AllFitsFailed, InvariantViolated, NotConverged
 from .l0 import BIC_SELECTION_MULT, select_by_score
 from .linalg import Dataset, factor_qr
@@ -49,28 +43,23 @@ def _penalized_objective(r_adj: np.ndarray, alpha: np.ndarray, psi: float) -> fl
     return 0.5 * float(r_adj @ r_adj) + psi * float(np.sum(np.abs(alpha)))
 
 
-def fit_l1(data: Dataset, psi: float, beta0: np.ndarray | None = None) -> L1Solution:
-    """The shift alternation at fixed psi, from `beta0` or else the LAD fit.
+def fit_l1(data: Dataset, psi: float) -> L1Solution:
+    """The shift alternation at fixed psi, from the LAD fit.
 
-    Raises NotConverged if it has not converged after SHIFT_MAX_ITER steps.
+    Raises NotConverged if it has not converged after SHIFT_MAX_ITER steps,
+    and ValueError unless 0 < psi < inf (`soft_threshold_alpha`).
     """
-    if psi <= 0:
-        raise ValueError("psi must be positive")
-    beta = fit_lad(data).beta if beta0 is None else np.asarray(beta0, dtype=np.float64)
-    return _fit_l1(data, psi, beta, factor_qr(data.design))
+    return _fit_l1(data, psi, fit_lad(data).beta, factor_qr(data.design))
 
 
 def _fit_l1(data: Dataset, psi: float, beta: np.ndarray, solve) -> L1Solution:
     """`fit_l1` from `beta`, with `solve` the least-squares solver of the design."""
-    beta, _, converged = shift_alternation(data, psi, beta, solve)
+    beta, r, alpha, profile, _, converged = shift_alternation(data, psi, beta, solve)
     if not converged:
         raise NotConverged(f"fit_l1 did not converge in {SHIFT_MAX_ITER} iterations")
-    r = data.y - data.design @ beta
-    alpha = soft_threshold_alpha(r, psi)
     obj = _penalized_objective(r - alpha, alpha, psi)
     # profile identity: the penalized objective at the alpha-argmin equals
-    # the Huber loss of the residuals at cutoff psi
-    profile = huber_objective(r, psi)
+    # the Huber loss `profile` of the residuals at cutoff psi
     if not abs(obj - profile) <= 1e-8 * (1.0 + abs(profile)):
         raise InvariantViolated("penalized objective disagrees with its profiled form")
     return L1Solution(
@@ -96,7 +85,7 @@ def default_psi_grid(
     return np.geomspace(0.1 * scale, 10.0 * scale, size)
 
 
-def bic_l1(data: Dataset, sol: L1Solution, mult: float = 1.0) -> float:
+def bic_l1(data: Dataset, sol: L1Solution, mult: float) -> float:
     """BIC score with the detected-outlier count as the complexity term."""
     n = data.n_obs
     r = data.y - data.design @ sol.beta - sol.alpha
@@ -111,7 +100,8 @@ def select_psi_bic(
 
     `grid` is either the psi values or the size of the default grid.
     Ties break toward larger psi (fewer flagged rows). Non-convergent grid
-    points are skipped; if none converge, raises AllFitsFailed. All grid
+    points are skipped; if none converge, raises AllFitsFailed. A grid
+    point outside (0, inf) raises ValueError, as in `fit_l1`. All grid
     points share one LAD starting point, so they stay order-independent,
     and one factorization of the design.
     `info` carries the selected score under "bic" and, under "bic_trace",
@@ -124,8 +114,6 @@ def select_psi_bic(
     grid = np.asarray(grid, dtype=np.float64)
     if grid.size == 0:
         raise ValueError("psi grid is empty")
-    if np.any(grid <= 0):
-        raise ValueError("psi grid must be positive")
     solve = factor_qr(data.design)
     fits = []
     for psi in np.sort(grid):

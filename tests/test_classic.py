@@ -1,9 +1,11 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from trimreg import classic
 from trimreg.classic import (
     BETA_TOL,
     MAX_ITER,
@@ -13,9 +15,11 @@ from trimreg.classic import (
     fit_ols,
     huber_objective,
     lad_objective,
+    shift_alternation,
     soft_threshold_alpha,
 )
-from trimreg.linalg import Dataset, lstsq_qr
+from trimreg.l1 import fit_l1, select_psi_bic
+from trimreg.linalg import Dataset, factor_qr, lstsq_qr
 
 
 def test_ols_exact_fit():
@@ -124,6 +128,40 @@ def test_huber_requires_positive_psi(rng):
     d = Dataset(y=rng.normal(size=5), x=rng.normal(size=(5, 1)))
     with pytest.raises(ValueError):
         fit_huber(d, 0.0)
+
+
+@pytest.mark.parametrize("psi", [0.0, -1.0, np.nan, np.inf])
+def test_every_entry_point_rejects_psi_outside_the_open_half_line(rng, psi):
+    d = Dataset(y=rng.normal(size=12), x=rng.normal(size=(12, 1)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (
+            lambda: soft_threshold_alpha(d.y, psi),
+            lambda: fit_huber(d, psi),
+            lambda: fit_l1(d, psi),
+            lambda: select_psi_bic(d, grid=[psi]),
+        ):
+            with pytest.raises(ValueError, match="psi"):
+                call()
+
+
+@pytest.mark.parametrize("cap", [SHIFT_MAX_ITER, 2])
+def test_shift_alternation_returns_the_state_at_its_beta(rng, monkeypatch, cap):
+    # r, alpha and loss are what a caller would recompute from beta, bit for bit,
+    # whether the loop converged or stopped at its cap
+    monkeypatch.setattr(classic, "SHIFT_MAX_ITER", cap)
+    x = rng.normal(size=(50, 2))
+    y = 1.0 + x @ np.array([1.0, -1.0]) + rng.standard_t(df=2, size=50)
+    d = Dataset(y=y, x=x)
+    solve = factor_qr(d.design)
+    for start in (fit_ols(d).beta, fit_lad(d).beta):
+        for psi in (0.5, 1.345, 3.0):
+            beta, r, alpha, loss, it, converged = shift_alternation(d, psi, start, solve)
+            assert converged == (cap == SHIFT_MAX_ITER)
+            assert it <= cap
+            assert r.tobytes() == (y - d.design @ beta).tobytes()
+            assert alpha.tobytes() == soft_threshold_alpha(r, psi).tobytes()
+            assert loss == huber_objective(r, psi)
 
 
 def test_descent_assertions_hold_on_heavy_tailed_data(rng):

@@ -80,6 +80,11 @@ def exit_code(argv):
     (["forecast", "--method", "ols", "--window", "20", "--seed", "1"], "--seed"),
     (["forecast", "--method", "ols", "--window", "20", "--threads", "0"], "--threads"),
     (["forecast", "--method", "ols", "--window", "20", "--threads", "-3"], "--threads"),
+    (["fit", "--method", "huber", "--psi", "0"], "--psi"),
+    (["fit", "--method", "huber", "--psi", "-1"], "--psi"),
+    (["fit", "--method", "huber", "--psi", "nan"], "--psi"),
+    (["fit", "--method", "l1", "--psi", "inf"], "--psi"),
+    (["forecast", "--method", "l1", "--psi", "-2", "--window", "30"], "--psi"),
 ])
 def test_out_of_range_or_unknown_flags_are_usage_errors(two_regressor_csv, argv, flag, capsys):
     argv = [argv[0], two_regressor_csv, *argv[1:]]
@@ -341,6 +346,9 @@ def test_simulate_invalid_p(tmp_path, capsys):
     ("N", 30.0),
     ("estimators", [["ols"]]),
     ("estimators", ["ols", "ols"]),
+    ("rho", float("nan")),
+    ("mu_alpha", float("inf")),
+    ("sigma_alpha", float("-inf")),
 ])
 def test_simulate_config_type_and_range_errors(tmp_path, capsys, field, value):
     cfg = {"dgp": 1, "N": 30, "p": 0.1, "R": 1, "estimators": ["ols"], field: value}

@@ -25,6 +25,9 @@ def test_config_validation():
         DgpConfig(dgp=1, N=50, p=0.01)  # floor(p*N) = 0
     with pytest.raises(ValueError, match="^n_test: "):
         DgpConfig(dgp=1, N=50, p=0.1, n_test=0)
+    for name, value in (("rho", np.nan), ("mu_alpha", np.inf), ("sigma_alpha", -np.inf)):
+        with pytest.raises(ValueError, match=f"^{name}: "):
+            DgpConfig(dgp=2, N=50, p=0.1, **{name: value})
 
 
 def test_dgp1_degenerate_single_shift():

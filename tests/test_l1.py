@@ -13,7 +13,7 @@ from trimreg.l1 import (
     select_psi_bic,
     soft_threshold_alpha,
 )
-from trimreg.linalg import Dataset, lstsq_qr
+from trimreg.linalg import Dataset, factor_qr, lstsq_qr
 
 
 def test_soft_threshold_branches():
@@ -101,7 +101,7 @@ def test_fit_l1_matches_per_iteration_refit():
     d = generate(DgpConfig(dgp=2, N=200, p=0.1, rho=5.0, seed=3, n_test=10)).train
     b0 = fit_lad(d).beta
     for psi in (0.3, 1.0, 4.0):
-        sol = fit_l1(d, psi, beta0=b0)
+        sol = fit_l1(d, psi)
         beta, alpha = _l1_refit_each_iteration(d, psi, b0)
         assert sol.beta.tobytes() == beta.tobytes()
         assert sol.alpha.tobytes() == alpha.tobytes()
@@ -112,7 +112,7 @@ def test_fit_l1_from_ols_is_huber():
     d = generate(DgpConfig(dgp=2, N=200, p=0.1, rho=5.0, seed=3, n_test=10)).train
     b0 = fit_ols(d).beta
     for psi in (0.3, 1.0, 4.0):
-        sol = fit_l1(d, psi, beta0=b0)
+        sol = l1._fit_l1(d, psi, b0, factor_qr(d.design))
         hub = fit_huber(d, psi)
         assert hub.converged
         assert sol.beta.tobytes() == hub.beta.tobytes()
@@ -142,7 +142,7 @@ def test_select_psi_bic_factors_the_design_once(monkeypatch):
     sol = select_psi_bic(d, penalty_mult=1.0)
     assert calls == [d.design.shape]
     b0 = fit_lad(d).beta
-    fits = [fit_l1(d, float(psi), beta0=b0) for psi in default_psi_grid(d, lad_beta=b0)]
+    fits = [fit_l1(d, float(psi)) for psi in default_psi_grid(d, lad_beta=b0)]
     assert len(calls) == 1 + len(fits)
     assert sol.info["bic_trace"] == [
         (f.psi, f.objective, bic_l1(d, f, 1.0), f.n_outliers) for f in fits
