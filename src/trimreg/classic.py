@@ -94,14 +94,14 @@ def huber_objective(r: np.ndarray, psi: float) -> float:
 def soft_threshold_alpha(r: np.ndarray, psi: float) -> np.ndarray:
     """Closed-form shift update: shrink residuals toward zero by psi.
 
-    Entries with |r| < psi map to exactly zero; the two outer branches
-    meet the middle one continuously at +-psi. This is the one check of
-    the threshold for Huber and L1: psi must satisfy 0 < psi < inf.
+    Entries with |r| <= psi map to exactly zero: r less r clipped to
+    [-psi, psi]. This is the one check of the threshold for Huber and L1:
+    psi must satisfy 0 < psi < inf.
     """
     if not 0 < psi < np.inf:
         raise ValueError(f"psi must lie in (0, inf), not {psi}")
     r = np.asarray(r, dtype=np.float64)
-    return np.where(r >= psi, r - psi, np.where(r <= -psi, r + psi, 0.0))
+    return r - np.clip(r, -psi, psi)
 
 
 def shift_alternation(

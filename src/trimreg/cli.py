@@ -111,8 +111,6 @@ def write_report(report: dict, out: str | None) -> None:
 
 
 def write_csv(path: str, rows: list[dict], fieldnames: list[str] | None = None) -> None:
-    if not rows and fieldnames is None:
-        return
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=fieldnames or list(rows[0].keys()))
         writer.writeheader()
@@ -137,25 +135,35 @@ def _validate_method_flags(args) -> None:
         raise UsageError("--method l1 needs exactly one of --psi or --auto")
     if args.method == "huber" and args.psi is None:
         raise UsageError("--method huber requires --psi")
+    if args.k_max is not None and not (args.method == "l0" and args.auto):
+        raise UsageError("--k-max is only valid with --method l0 --auto")
     if args.psi is not None and not 0 < args.psi < math.inf:
         raise UsageError(f"--psi must lie in (0, inf), not {args.psi}")
 
 
-def _check_budgets(k: int | None, k_max: int | None, n: int, q: int) -> None:
-    """Range checks of --k and --k-max for N rows and q coefficients."""
-    if k is not None and not 0 <= k <= n - q:
+def _check_budgets(args, n: int, q: int) -> None:
+    """Range checks of --k and, with --auto, --k-max for N rows and q coefficients."""
+    if args.k is not None and not 0 <= args.k <= n - q:
         raise UsageError(f"--k must lie in [0, N - q] = [0, {n - q}]")
-    if k_max is not None and not 1 <= k_max <= n // 2:
-        raise UsageError(f"--k-max must lie in [1, N // 2] = [1, {n // 2}]")
+    if args.method == "l0" and args.auto:
+        _sweep_budget(args.k_max, n, q)
+
+
+def _sweep_budget(k_max: int | None, n: int, q: int) -> int:
+    """The largest budget the L0 sweep scans: --k-max, or N // 4, within
+    [1, min(N // 2, N - q)], so at least q rows and half the rows stay."""
+    cap = min(n // 2, n - q)
+    if cap < 1:
+        raise DimensionError(f"no outlier budget fits N = {n} rows and q = {q} coefficients")
+    k_max = min(max(1, n // 4), cap) if k_max is None else k_max
+    if not 1 <= k_max <= cap:
+        raise UsageError(f"--k-max must lie in [1, min(N // 2, N - q)] = [1, {cap}]")
+    return k_max
 
 
 def _check_threads(threads: int | None) -> None:
     if threads is not None and threads < 1:
         raise UsageError("--threads must be at least 1")
-
-
-def _default_k_max(n: int) -> int:
-    return max(1, n // 4)
 
 
 def _fit_once(data: Dataset, args) -> dict:
@@ -185,7 +193,7 @@ def _fit_once(data: Dataset, args) -> dict:
                 "tuning": tuning, "converged": True}
     # l0
     if args.auto:
-        K = _default_k_max(n) if args.k_max is None else args.k_max
+        K = _sweep_budget(args.k_max, n, data.n_coef)
         sol = fit_l0_auto(data, K=K, l_final=args.l)
         tuning = {
             "k": sol.k,
@@ -205,7 +213,7 @@ def _fit_once(data: Dataset, args) -> dict:
 def cmd_fit(args) -> int:
     _validate_method_flags(args)
     data, header = read_csv_dataset(args.input)
-    _check_budgets(args.k, args.k_max, data.n_obs, data.n_coef)
+    _check_budgets(args, data.n_obs, data.n_coef)
     res = _fit_once(data, args)
     alpha = np.asarray(res["alpha"])
     flagged = np.flatnonzero(alpha != 0.0)
@@ -229,10 +237,11 @@ def cmd_fit(args) -> int:
 def cmd_tune(args) -> int:
     if args.grid_size < 1:
         raise UsageError("--grid-size must be at least 1")
+    if args.method == "l1" and args.k_max is not None:
+        raise UsageError("--k-max is only valid with --method l0")
     data, header = read_csv_dataset(args.input)
-    _check_budgets(None, args.k_max, data.n_obs, data.n_coef)
     if args.method == "l0":
-        K = _default_k_max(data.n_obs) if args.k_max is None else args.k_max
+        K = _sweep_budget(args.k_max, data.n_obs, data.n_coef)
         sol = select_k_bic(data, initial_beta(data), K, args.l)
         param, value = "k", sol.k
     else:
@@ -309,7 +318,7 @@ def cmd_forecast(args) -> int:
         raise UsageError(f"--window must be at least d+2 = {d + 2}")
     if args.window >= T:
         raise WindowTooLarge(f"window {args.window} leaves no targets in {T} rows")
-    _check_budgets(args.k, args.k_max, args.window, d + 1)
+    _check_budgets(args, args.window, d + 1)
     targets = list(range(args.window, T))  # 0-based target rows
     results = process_map(partial(_forecast_one, y, x, args), targets, args.threads)
 
@@ -478,7 +487,7 @@ def _add_method_flags(sub) -> None:
     sub.add_argument("--l", type=int, choices=(1, 2), default=2,
                      help="swap-search order for l0")
     sub.add_argument("--k-max", dest="k_max", type=int, default=None,
-                     help="largest budget scanned by --auto (default N//4)")
+                     help="largest budget --auto scans (default N//4, at most N//2, N-q)")
 
 
 def build_parser() -> argparse.ArgumentParser:

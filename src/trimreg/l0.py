@@ -441,10 +441,10 @@ def bic_score(data: Dataset, sol: SparsitySolution) -> float:
     return n * np.log(rss / n) + sol.k * np.log(n)
 
 
-def selection_score(data: Dataset, sol: SparsitySolution, mult: float) -> float:
-    """`bic_score` with the complexity term scaled by `mult`."""
+def selection_score(data: Dataset, sol: SparsitySolution) -> float:
+    """`bic_score` with the complexity term scaled by `BIC_SELECTION_MULT`."""
     n = data.n_obs
-    return bic_score(data, sol) + (mult - 1.0) * sol.k * np.log(n)
+    return bic_score(data, sol) + (BIC_SELECTION_MULT - 1.0) * sol.k * np.log(n)
 
 
 def select_by_score(candidates, score, prefer_last: bool = False):
@@ -465,13 +465,7 @@ def select_by_score(candidates, score, prefer_last: bool = False):
     return selected, best, trace
 
 
-def select_k_bic(
-    data: Dataset,
-    beta0: np.ndarray,
-    K: int,
-    l: int,
-    penalty_mult: float = BIC_SELECTION_MULT,
-) -> SparsitySolution:
+def select_k_bic(data: Dataset, beta0: np.ndarray, K: int, l: int) -> SparsitySolution:
     """Budget sweep followed by BIC selection; ties go to the smaller k.
 
     `info` carries the selected score under "bic" and, under "bic_trace",
@@ -480,7 +474,7 @@ def select_k_bic(
     """
     best, score, trace = select_by_score(
         neighborhood_search(data, beta0, K, l),
-        lambda sol: selection_score(data, sol, penalty_mult),
+        lambda sol: selection_score(data, sol),
     )
     best.info["bic"] = score
     best.info["bic_trace"] = [

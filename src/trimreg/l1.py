@@ -71,12 +71,8 @@ def _fit_l1(data: Dataset, psi: float, beta: np.ndarray, solve) -> L1Solution:
     )
 
 
-def default_psi_grid(
-    data: Dataset, size: int = PSI_GRID_SIZE, lad_beta: np.ndarray | None = None
-) -> np.ndarray:
-    """Log-spaced grid from 0.1*s to 10*s, s = 1.4826 * MAD of LAD residuals."""
-    if lad_beta is None:
-        lad_beta = fit_lad(data).beta
+def default_psi_grid(data: Dataset, size: int, lad_beta: np.ndarray) -> np.ndarray:
+    """Log-spaced grid from 0.1*s to 10*s, s = 1.4826 * MAD of the residuals at `lad_beta`."""
     r = data.y - data.design @ lad_beta
     mad = float(np.median(np.abs(r - np.median(r))))
     scale = MAD_SCALE * mad
@@ -110,7 +106,7 @@ def select_psi_bic(
     """
     beta0 = fit_lad(data).beta
     if np.ndim(grid) == 0:
-        grid = default_psi_grid(data, int(grid), lad_beta=beta0)
+        grid = default_psi_grid(data, int(grid), beta0)
     grid = np.asarray(grid, dtype=np.float64)
     if grid.size == 0:
         raise ValueError("psi grid is empty")

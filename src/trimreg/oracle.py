@@ -4,7 +4,7 @@ Certifies global optima by branch and bound over the per-row keep/discard
 indicators. Serves as ground truth for equal-solution frequencies and
 optimality-gap reporting. `method="enumerate"` instead scores every
 discard set by a vectorized sweep, a brute-force check on branch and
-bound that `method="auto"` never takes.
+bound, the default.
 
 A branch-and-bound node is the rows it fixes out and the rows it fixes
 in; their union is its used set, and the rest of the rows are free. The
@@ -37,8 +37,7 @@ from .l0 import SparsitySolution, _top_k_indices, _trimmed_solution
 from .linalg import RANK_TOL, Dataset, pivoted_qr
 
 N_LIMIT = 200
-# `auto` never enumerates; the name stays only because the benchmark's
-# tracer (`bench/spans.py::_oracle_mode`) imports it
+# kept only because the benchmark's tracer (`bench/spans.py::_oracle_mode`) imports it
 ENUM_LIMIT = 0
 # relative tolerance of both the optimality certificate and `equal_solution`
 GAP_TOL = 1e-8
@@ -291,7 +290,9 @@ def _branch_and_bound(
     fails it; with no warm start either, the search starts without an
     incumbent, branches in the full fit's residual order, and raises
     `RankDeficient` if no closed node is feasible. The search stops once
-    the gap is within `GAP_TOL` relative.
+    the gap is within `GAP_TOL` relative or the heap is empty, which makes
+    the dual the primal, or else at `TIME_LIMIT`, checked after the gap
+    test: so `timed_out` is set exactly when the gap exceeds `GAP_TOL`.
     """
     X, y = data.design, data.y
     n, q = X.shape
@@ -383,18 +384,17 @@ def best_subset_exact(
     data: Dataset,
     k: int,
     warm_start: SparsitySolution | None = None,
-    method: str = "auto",
+    method: str = "branch-and-bound",
 ) -> OracleResult:
     """Certified minimizer of the trimmed objective at budget k.
 
-    `method="auto"` and `"branch-and-bound"` both branch and bound;
+    `method="branch-and-bound"` searches keep/discard assignments;
     `"enumerate"` scores all C(N, k) discard sets instead, a brute-force
     check on the search. A warm start seeds the incumbent (and never
     worsens the result); one that does not cover these N rows or that
     discards more than k raises ValueError. Returns the best incumbent
     with an honest dual bound when `TIME_LIMIT` binds. `proven_optimal`
-    holds when the primal is within `GAP_TOL` relative of the dual and the
-    time limit did not bind.
+    holds when it did not: the gap is then within `GAP_TOL` relative.
     """
     n = data.n_obs
     if n > N_LIMIT:
@@ -403,7 +403,7 @@ def best_subset_exact(
         raise ValueError(f"k={k} must be >= 0")
     if n - k < data.n_coef:
         raise TooFewInliers(f"N - k = {n - k} < {data.n_coef} coefficients")
-    if method not in ("auto", "enumerate", "branch-and-bound"):
+    if method not in ("branch-and-bound", "enumerate"):
         raise ValueError(f"unknown method {method!r}")
     if warm_start is not None and (
         warm_start.alpha.shape[0] != n or warm_start.outliers.shape[0] > k
@@ -430,10 +430,9 @@ def best_subset_exact(
         )
 
     best, primal, dual, nodes, timed_out = _branch_and_bound(data, k, warm_start)
-    gap_ok = (primal - dual) <= GAP_TOL * max(dual, 1e-12)
     return OracleResult(
         solution=best, primal=primal, dual=dual,
-        proven_optimal=gap_ok and not timed_out, nodes_explored=nodes,
+        proven_optimal=not timed_out, nodes_explored=nodes,
         wall_time=time.perf_counter() - start,
     )
 

@@ -85,11 +85,63 @@ def exit_code(argv):
     (["fit", "--method", "huber", "--psi", "nan"], "--psi"),
     (["fit", "--method", "l1", "--psi", "inf"], "--psi"),
     (["forecast", "--method", "l1", "--psi", "-2", "--window", "30"], "--psi"),
+    # --k-max means something only to the --auto budget sweep
+    (["fit", "--method", "l1", "--auto", "--k-max", "3"], "--k-max"),
+    (["fit", "--method", "huber", "--psi", "1", "--k-max", "3"], "--k-max"),
+    (["fit", "--method", "lad", "--k-max", "3"], "--k-max"),
+    (["fit", "--method", "ols", "--k-max", "3"], "--k-max"),
+    (["fit", "--method", "l0", "--k", "2", "--k-max", "3"], "--k-max"),
+    (["forecast", "--method", "l1", "--psi", "1", "--window", "20", "--k-max", "3"], "--k-max"),
+    (["forecast", "--method", "ols", "--window", "20", "--k-max", "3"], "--k-max"),
+    (["forecast", "--method", "l0", "--k", "2", "--window", "20", "--k-max", "3"], "--k-max"),
+    (["tune", "--method", "l1", "--k-max", "3"], "--k-max"),
 ])
 def test_out_of_range_or_unknown_flags_are_usage_errors(two_regressor_csv, argv, flag, capsys):
     argv = [argv[0], two_regressor_csv, *argv[1:]]
     assert exit_code(argv) == 2
     assert flag in capsys.readouterr().err
+
+
+def _regressor_csv(tmp_path, n, d):
+    rng = np.random.default_rng(n + d)
+    x = rng.normal(size=(n, d))
+    path = tmp_path / f"n{n}_d{d}.csv"
+    write_csv(path, ["y"] + [f"x{j}" for j in range(d)],
+              np.column_stack([x.sum(axis=1) + rng.normal(size=n), x]).tolist())
+    return str(path)
+
+
+# every budget keeps q rows: --k-max lies in [1, min(N // 2, N - q)]
+@pytest.mark.parametrize("n, d, argv, code, needle", [
+    (1, 0, ["fit", "--method", "l0", "--auto"], 3, "N = 1 rows and q = 1"),
+    (1, 1, ["fit", "--method", "l0", "--auto"], 3, "N = 1 rows and q = 2"),
+    (1, 0, ["tune", "--method", "l0"], 3, "N = 1 rows and q = 1"),
+    (1, 1, ["tune", "--method", "l0", "--k-max", "1"], 3, "N = 1 rows and q = 2"),
+    (3, 2, ["fit", "--method", "l0", "--auto"], 3, "N = 3 rows and q = 3"),
+    (8, 4, ["fit", "--method", "l0", "--auto", "--k-max", "4"], 2, "--k-max"),
+    (8, 4, ["tune", "--method", "l0", "--k-max", "4"], 2, "--k-max"),
+    (30, 4, ["forecast", "--method", "l0", "--auto", "--window", "6", "--k-max", "3"], 2,
+     "--k-max"),
+])
+def test_budgets_that_keep_fewer_than_q_rows_are_refused(tmp_path, capsys, n, d, argv,
+                                                         code, needle):
+    out = tmp_path / "report.json"
+    argv = [argv[0], _regressor_csv(tmp_path, n, d), *argv[1:], "--out", str(out)]
+    assert exit_code(argv) == code
+    err = capsys.readouterr().err
+    assert needle in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_default_budget_is_clamped_to_keep_q_rows(tmp_path):
+    out = str(tmp_path / "report.json")
+    # N = 8, q = 7: N // 4 = 2 is clamped to the cap N - q = 1;
+    # N = 8, q = 5: the cap N - q = 3 is accepted
+    for d, extra, ks in ((6, [], [1]), (4, ["--k-max", "3"], [1, 2, 3])):
+        path = _regressor_csv(tmp_path, 8, d)
+        assert main(["tune", path, "--method", "l0", *extra, "--out", out]) == 0
+        assert [t["k"] for t in load_json(out)["trace"]] == ks
 
 
 def test_report_is_strict_json(tmp_path):

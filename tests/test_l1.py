@@ -142,7 +142,7 @@ def test_select_psi_bic_factors_the_design_once(monkeypatch):
     sol = select_psi_bic(d, penalty_mult=1.0)
     assert calls == [d.design.shape]
     b0 = fit_lad(d).beta
-    fits = [fit_l1(d, float(psi)) for psi in default_psi_grid(d, lad_beta=b0)]
+    fits = [fit_l1(d, float(psi)) for psi in default_psi_grid(d, l1.PSI_GRID_SIZE, b0)]
     assert len(calls) == 1 + len(fits)
     assert sol.info["bic_trace"] == [
         (f.psi, f.objective, bic_l1(d, f, 1.0), f.n_outliers) for f in fits
@@ -206,7 +206,7 @@ def test_default_grid_spans_residual_scale(rng):
     x = rng.normal(size=(50, 2))
     y = 0.5 + x @ np.array([1.0, 1.0]) + rng.normal(size=50)
     d = Dataset(y=y, x=x)
-    grid = default_psi_grid(d)
+    grid = default_psi_grid(d, l1.PSI_GRID_SIZE, fit_lad(d).beta)
     assert len(grid) == 30
     assert grid[0] < 1.0 < grid[-1]
     assert np.all(np.diff(grid) > 0)

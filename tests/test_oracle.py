@@ -103,15 +103,15 @@ def test_branch_and_bound_skips_rank_deficient_kept_sets(seed):
     # and so must branch and bound.
     d = _dummy_design(seed)
     exact = best_subset_exact(d, 3, method="enumerate")
-    for method in ("auto", "branch-and-bound"):
-        res = best_subset_exact(d, 3, method=method)
-        assert res.proven_optimal
-        assert np.array_equal(res.solution.outliers, exact.solution.outliers)
-        assert abs(res.primal - exact.primal) <= oracle.GAP_TOL * exact.primal
+    res = best_subset_exact(d, 3, method="branch-and-bound")
+    assert res.proven_optimal
+    assert np.array_equal(res.solution.outliers, exact.solution.outliers)
+    assert abs(res.primal - exact.primal) <= oracle.GAP_TOL * exact.primal
 
 
-def test_auto_is_branch_and_bound(monkeypatch):
-    # criterion-4 replications with the harness's lcs2 warm start
+def test_default_is_branch_and_bound(monkeypatch):
+    # criterion-4 replications with the harness's lcs2 warm start: the
+    # default method never enumerates and finds enumeration's discard rows
     cases = []
     for rep in range(1, 11):
         s = generate(DgpConfig(dgp=1, N=40, p=0.1, mu_alpha=5.0, sigma_alpha=5.0,
@@ -124,15 +124,31 @@ def test_auto_is_branch_and_bound(monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(oracle, "_enumerate_exact", refuse)
-        solved = [(best_subset_exact(d, k, warm_start=w),
-                   best_subset_exact(d, k, warm_start=w, method="branch-and-bound"))
-                  for d, k, w in cases]
-    for (d, k, w), (auto, bnb) in zip(cases, solved):
-        assert auto.primal.hex() == bnb.primal.hex()
-        assert np.array_equal(auto.solution.outliers, bnb.solution.outliers)
-        assert auto.nodes_explored == bnb.nodes_explored
+        solved = [best_subset_exact(d, k, warm_start=w) for d, k, w in cases]
+    for (d, k, w), res in zip(cases, solved):
+        assert res.proven_optimal
         exact = best_subset_exact(d, k, warm_start=w, method="enumerate")
-        assert np.array_equal(auto.solution.outliers, exact.solution.outliers)
+        assert np.array_equal(res.solution.outliers, exact.solution.outliers)
+    d, k, _ = cases[0]
+    with pytest.raises(ValueError):
+        best_subset_exact(d, k, method="auto")
+
+
+def test_time_limit_keeps_the_better_start_and_an_honest_dual(monkeypatch):
+    # a negative limit binds at the root, the first node past the gap test
+    monkeypatch.setattr(oracle, "TIME_LIMIT", -1.0)
+    d = _instance(1, n=14, k0=3)
+    greedy = oracle._greedy_incumbent(d, 3)
+    better = best_subset_exact(d, 3, method="enumerate").solution
+    worse = _trimmed_solution(d, np.array([11, 12, 13]), 3)
+    assert better.objective < greedy.objective < worse.objective
+    for warm, want in ((better, better), (worse, greedy), (None, greedy)):
+        res = best_subset_exact(d, 3, warm_start=warm)
+        assert not res.proven_optimal
+        assert res.nodes_explored == 1
+        assert 0 <= res.dual < res.primal
+        assert res.primal == want.objective
+        assert np.array_equal(res.solution.outliers, want.outliers)
 
 
 def test_warm_start_already_optimal():
