@@ -37,5 +37,5 @@ from .l0 import (
     select_k_bic,
 )
 from .l1 import L1Solution, fit_l1, select_psi_bic, soft_threshold_alpha
-from .linalg import Dataset, residuals
+from .linalg import Dataset
 from .oracle import OracleResult, best_subset_exact, equal_solution

@@ -84,6 +84,9 @@ def read_csv_dataset(path: str) -> tuple[Dataset, list[str]]:
         data = Dataset(y=values[:, 0], x=values[:, 1:])
     except ValueError as exc:
         raise DimensionError(str(exc)) from exc
+    n, q = data.n_obs, data.n_coef
+    if n < q:  # every method fits q coefficients, the intercept's included
+        raise DimensionError(f"N = {n} rows and q = {q} coefficients: a fit needs N >= q")
     return data, header
 
 

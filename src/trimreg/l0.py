@@ -12,12 +12,12 @@ residual entirely). Three layers of search are provided:
 * `neighborhood_search`: solve for every budget k = 1..K, re-seeding
   each budget from its neighbors until the solutions stop improving.
 
-Swap candidates are scored exactly from one inverse of the kept rows'
-Gram: one kernel (`_readmit_scores`) readmits one discarded row, or a
-pair, by a Woodbury update of that inverse, then applies leave-out
-downdates for the dropped kept rows. The neighborhood thus costs a few
-batched matrix products rather than one QR per candidate. The winning
-support is always refit through the pivoted-QR path before acceptance.
+Swap candidates are scored exactly from one pivoted QR of the kept rows,
+as every solve is: one kernel (`_readmit_scores`) readmits one discarded
+row, or a pair, by a Woodbury update in that factor's orthonormal basis,
+then applies leave-out downdates for the dropped kept rows. No Gram is
+formed, whose normal equations would lose digits (Higham 2002, ch. 20).
+The winning support is always refit by pivoted QR before acceptance.
 
 Each kept set is solved, and each support swap-searched, once per call.
 The outermost public search call in progress (`fit_iht`,
@@ -42,10 +42,11 @@ from dataclasses import dataclass, field, replace
 from math import comb
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .classic import initial_beta
-from .errors import DegenerateFit, InvariantViolated, TooFewInliers
-from .linalg import Dataset, lstsq_qr
+from .errors import DegenerateFit, InvariantViolated, RankDeficient, TooFewInliers
+from .linalg import Dataset, lstsq_qr, pivoted_qr
 
 IHT_MAX_ITER = 100
 LCS_MAX_OUTER = 50
@@ -228,16 +229,23 @@ def count_swap_candidates(n_inliers: int, n_outliers: int, l: int) -> int:
 
 
 def _kept_fit(X_in, y_in):
-    """(G0, beta0, rss0, e0, 1 - h0, X_in): the inverse Gram, fit, RSS,
-    residuals and leave-out denominators of the m kept rows. Raises
-    LinAlgError if their Gram is singular."""
-    G0 = np.linalg.inv(X_in.T @ X_in)
-    b_in = X_in.T @ y_in
-    beta0 = G0 @ b_in
-    rss0 = float(y_in @ y_in) - float(b_in @ beta0)
-    e0 = y_in - X_in @ beta0
-    d0 = 1.0 - np.einsum("ij,ij->i", X_in @ G0, X_in)
-    return G0, beta0, rss0, e0, d0, X_in
+    """(T, Q, Q'y_in, rss0, e0, 1 - h0) of the m kept rows, from their
+    `pivoted_qr` X_in[:, piv] = Q R: T is R^-1 with its rows in design
+    order (X_in T = Q), then the fit's RSS, residuals and leave-out
+    denominators. Raises RankDeficient as `pivoted_qr` does."""
+    Q, R_t, piv = pivoted_qr(X_in)
+    # dtrtri, not dtrtrs: a matrix right-hand side takes the threaded BLAS
+    # path, far slower at this size. Row i of R^-1 is Rt_inv[i:, i]; above
+    # the diagonal Rt_inv keeps R_t's Householder entries.
+    Rt_inv, info = lapack.dtrtri(R_t, lower=1)
+    if info != 0:  # a zero pivot, which the rank test has ruled out
+        raise np.linalg.LinAlgError(f"dtrtri failed with info={info}")
+    T = np.zeros_like(Rt_inv)
+    for i, row in enumerate(piv):
+        T[row, i:] = Rt_inv[i:, i]
+    qty = Q.T @ y_in
+    e0 = y_in - Q @ qty
+    return T, Q, qty, float(e0 @ e0), e0, 1.0 - np.einsum("ij,ij->i", Q, Q)
 
 
 def _readmit_scores(kept, X_A, y_A):
@@ -250,22 +258,21 @@ def _readmit_scores(kept, X_A, y_A):
     rows' residuals e and denominators 1 - h after each readmission, and
     W and C^-1 W for the leverage update H = H0 - W' C^-1 W.
 
-    Woodbury from G0: with U = X_A G0, C = I + U X_A' (never singular,
-    since C >= I), r = y_A - X_A beta0 and W = U X_in', readmitting A adds
-    r' C^-1 r to the RSS, moves e by -W' C^-1 r and 1 - h by the diagonal
-    of W' C^-1 W; the drop then removes e_j^2 / (1 - h_j).
+    Woodbury in the kept rows' orthonormal basis: with Z = X_A T, C = I +
+    Z Z' (never singular, since C >= I), r = y_A - Z Q'y_in and W = Z Q',
+    readmitting A adds r' C^-1 r to the RSS, moves e by -W' C^-1 r and
+    1 - h by the diagonal of W' C^-1 W; the drop then removes e_j^2 / (1 - h_j).
     """
-    G0, beta0, rss0, e0, d0, X_in = kept
+    T, Q, qty, rss0, e0, d0 = kept
     P, s, q = X_A.shape
-    X_rows = X_A.reshape(P * s, q)  # row p * s + t is row t of set p
-    U = X_rows @ G0
-    W = U @ X_in.T
-    r = y_A.reshape(-1) - X_rows @ beta0
+    Z = X_A.reshape(P * s, q) @ T  # row p * s + t is row t of set p
+    W = Z @ Q.T
+    r = y_A.reshape(-1) - Z @ qty
     if s == 1:  # a 1 x 1 solve is a divide
-        c = 1.0 + np.einsum("ij,ij->i", U, X_rows)
+        c = 1.0 + np.einsum("ij,ij->i", Z, Z)
         Cr, CW = r / c, W / c[:, None]
     else:
-        C = np.eye(2) + U.reshape(P, 2, q) @ X_A.transpose(0, 2, 1)
+        C = np.eye(2) + Z.reshape(P, 2, q) @ Z.reshape(P, 2, q).transpose(0, 2, 1)
         Cr = np.linalg.solve(C, r.reshape(P, 2, 1)).reshape(-1)
         CW = np.linalg.solve(C, W.reshape(P, 2, -1)).reshape(P * 2, -1)
 
@@ -286,19 +293,18 @@ def _swap_pass(X, y, in_idx, out_idx, l):
     Returns (best_rss, rows_to_drop, rows_to_readmit, n_candidates) where
     the rows are global indices; rows_to_drop come from the current kept
     set and rows_to_readmit from the discarded set. Every readmission (one
-    row, or a pair when l = 2) is scored from one inverse of the kept
-    rows' Gram (`_readmit_scores`). Of equal scores the first wins, in the
+    row, or a pair when l = 2) is scored from one pivoted QR of the kept
+    rows (`_readmit_scores`). Of equal scores the first wins, in the
     order singles then pairs, each with no drop, then one, then two.
     Degenerate candidates (singular after removal) score inf but are
-    counted; if the kept rows' Gram is singular, every candidate does.
+    counted; every candidate does if the kept rows fail the rank test.
     """
-    X_in = X[in_idx]
     m, ko = in_idx.shape[0], out_idx.shape[0]
     n_cand = count_swap_candidates(m, ko, l)
     best_rss, best_drop, best_add = np.inf, [], out_idx[:0]
     try:
-        kept = _kept_fit(X_in, y[in_idx])
-    except np.linalg.LinAlgError:
+        kept = _kept_fit(X[in_idx], y[in_idx])
+    except RankDeficient:
         return best_rss, in_idx[:0], best_add, n_cand
     readmits = [out_idx[:, None]]  # in tie order: singles, then pairs
     if l == 2 and ko >= 2:
@@ -306,7 +312,7 @@ def _swap_pass(X, y, in_idx, out_idx, l):
         readmits += np.split(pairs, range(PAIR_BLOCK, pairs.shape[0], PAIR_BLOCK))
         i1, i2 = np.triu_indices(m, 1)  # the kept-row pairs a pair may drop
         flat = i1 * m + i2  # their entries in an m x m matrix
-        H0_12 = (X_in @ kept[0] @ X_in.T).take(flat)  # H0 = X_in G0 X_in'
+        H0_12 = (kept[1] @ kept[1].T).take(flat)  # H0 = Q Q'
     for A in readmits:
         table, e, denom, W, CW = _readmit_scores(kept, X[A], y[A])
         if A.shape[1] == 2:  # also drop two kept rows: each pair's best

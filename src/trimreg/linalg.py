@@ -145,12 +145,3 @@ def lstsq_qr(X: np.ndarray, y: np.ndarray) -> np.ndarray:
     """
     return factor_qr(X)(y)
 
-
-def residuals(data: Dataset, beta: np.ndarray) -> np.ndarray:
-    """r_i = y_i - [1, x_i]' beta for every row."""
-    beta = np.asarray(beta, dtype=np.float64).reshape(-1)
-    if beta.shape[0] != data.n_coef:
-        raise ValueError(
-            f"beta has length {beta.shape[0]}, design width is {data.n_coef}"
-        )
-    return data.y - data.design @ beta

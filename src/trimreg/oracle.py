@@ -12,10 +12,11 @@ node's bound is half the least-squares RSS over the fixed-in rows. Each
 node carries those rows' triangular factor, so a child costs one Givens
 row update rather than a least-squares solve. Branching follows one
 order per incumbent: rows by decreasing residual under the incumbent fit.
-A closed node, whose discarded rows are all determined, is first screened
-by the leave-out identity from one QR of the full design; only a node
-that could beat the incumbent within a rounding-error bound is solved by
-pivoted QR, so every incumbent still comes from that solve.
+One pivoted QR of the full design gives the greedy incumbent and screens
+each closed node, whose discarded rows are all determined, by the
+leave-out identity; only a node that could beat the incumbent within a
+rounding-error bound is solved by pivoted QR, so every incumbent still
+comes from that solve.
 
 `proven_optimal` means the incumbent's objective is within `GAP_TOL`
 (1e-8) relative of the dual bound, the tolerance at which
@@ -116,10 +117,11 @@ def _enumerate_exact(data: Dataset, k: int) -> tuple[SparsitySolution, int]:
     return sol, n_eval
 
 
-def _greedy_incumbent(data: Dataset, k: int) -> SparsitySolution:
-    """Drop the k largest full-fit residuals; a cheap but valid incumbent."""
-    beta = np.linalg.lstsq(data.design, data.y, rcond=None)[0]
-    return _trimmed_solution(data, _top_k_indices(data.y - data.design @ beta, k), k)
+def _greedy_incumbent(data: Dataset, k: int, Q: np.ndarray) -> SparsitySolution:
+    """Drop the k largest full-fit residuals y - Q Q'y, Q from the full
+    design's `pivoted_qr`; a cheap but valid incumbent."""
+    y = data.y
+    return _trimmed_solution(data, _top_k_indices(y - Q @ (Q.T @ y), k), k)
 
 
 def _prune_level(primal: float) -> float:
@@ -168,10 +170,9 @@ def _add_row(factor: tuple, z: list, tiny: list) -> tuple[tuple, float]:
     return tuple(slots), z[0] * z[0]
 
 
-def _leave_out_screen(X: np.ndarray, y: np.ndarray):
-    """From one QR of the full design, a screen for closed nodes: return
-    `screen(drop) -> (value, err)`, or None when X fails `pivoted_qr`'s
-    rank test.
+def _leave_out_screen(X: np.ndarray, y: np.ndarray, full: tuple):
+    """From `full`, the full design's `pivoted_qr` (Q, R', piv), a screen
+    for closed nodes: return `screen(drop) -> (value, err)`.
 
     When the rows `drop`, a set A of a rows, go, the leave-out identity
     (Cook 1977, *Technometrics* 19) gives the kept rows' RSS as
@@ -210,10 +211,7 @@ def _leave_out_screen(X: np.ndarray, y: np.ndarray):
     solve would fail that test is never screened out.
     """
     n, q = X.shape
-    try:
-        Q, R_t, piv = pivoted_qr(X)
-    except RankDeficient:
-        return None
+    Q, R_t, piv = full
     eps = np.finfo(float).eps
     gamma = 8 * n * q * eps
     norms = np.linalg.norm(X, axis=0)
@@ -280,43 +278,45 @@ def _branch_and_bound(
     fit (ties to the lower index); the order is recomputed whenever a
     closed node improves the incumbent. A closed node, one whose kept and
     discarded rows are both determined, goes first to the screen of
-    `_leave_out_screen`, built once per call, and is solved by
-    `_trimmed_solution` unless its screened objective less the screen's
-    error bound exceeds the primal, which proves the solve could not
-    improve the incumbent. The screen is off when the full design fails
-    the rank test, and refuses a node whose I - H_AA is near singular, so
-    those nodes are all solved. A closed node whose kept rows fail the
-    rank test is infeasible and skipped, as is a greedy incumbent that
-    fails it; with no warm start either, the search starts without an
-    incumbent, branches in the full fit's residual order, and raises
+    `_leave_out_screen`, and is solved by `_trimmed_solution` unless its
+    screened objective less the screen's error bound exceeds the primal,
+    which proves the solve could not improve the incumbent. The screen
+    and the greedy incumbent read one `pivoted_qr` of the full design; if
+    that fails the rank test there is neither, yet kept sets may pass (a
+    row of large leverage can sink the full design alone). The screen
+    refuses a node whose I - H_AA is near singular, so those nodes are
+    all solved. A closed node or greedy incumbent whose kept rows fail
+    the rank test is skipped. With no incumbent, rows branch by
+    decreasing |y|, which needs no fit; the search raises
     `RankDeficient` if no closed node is feasible. The search stops once
-    the gap is within `GAP_TOL` relative or the heap is empty, which makes
-    the dual the primal, or else at `TIME_LIMIT`, checked after the gap
-    test: so `timed_out` is set exactly when the gap exceeds `GAP_TOL`.
+    the gap is within `GAP_TOL` relative or the heap is empty, which
+    makes the dual the primal, or else at `TIME_LIMIT`, checked after the
+    gap test: so `timed_out` is set exactly when the gap exceeds `GAP_TOL`.
     """
     X, y = data.design, data.y
     n, q = X.shape
     start = time.perf_counter()
     rows = np.hstack([X, y[:, None]]).tolist()
     tiny = _rounding_level(X)
-    screen = _leave_out_screen(X, y)
-
+    screen = best = None
     try:
-        best = _greedy_incumbent(data, k)
+        full = pivoted_qr(X)
+        screen = _leave_out_screen(X, y, full)
+        best = _greedy_incumbent(data, k, full[0])
     except RankDeficient:
-        best = None
+        pass  # the full design, or the greedy incumbent's kept rows, fail the test
     if warm_start is not None and (best is None or warm_start.objective < best.objective):
         best = warm_start
 
-    def branching_order(beta: np.ndarray) -> list:
-        return np.argsort(-np.abs(y - X @ beta), kind="stable").tolist()
+    def branching_order(r: np.ndarray) -> list:
+        return np.argsort(-np.abs(r), kind="stable").tolist()
 
     if best is None:
         primal = inf
-        order = branching_order(np.linalg.lstsq(X, y, rcond=None)[0])
+        order = branching_order(y)  # needs no fit
     else:
         primal = best.objective
-        order = branching_order(best.beta)
+        order = branching_order(y - X @ best.beta)
     prune = _prune_level(primal)
 
     # heap entries: (bound, tiebreak, fixed_out, fixed_in, factor, rss)
@@ -360,7 +360,7 @@ def _branch_and_bound(
             if cand.objective < primal:
                 best, primal = cand, cand.objective
                 prune = _prune_level(primal)
-                order = branching_order(best.beta)
+                order = branching_order(y - X @ best.beta)
             continue
 
         row = next(i for i in order if i not in used)

@@ -122,6 +122,16 @@ def _regressor_csv(tmp_path, n, d):
     (8, 4, ["tune", "--method", "l0", "--k-max", "4"], 2, "--k-max"),
     (30, 4, ["forecast", "--method", "l0", "--auto", "--window", "6", "--k-max", "3"], 2,
      "--k-max"),
+    # fewer rows than coefficients is a data error for every method and
+    # command, found as the CSV is read
+    (1, 1, ["fit", "--method", "ols"], 3, "N = 1 rows and q = 2"),
+    (1, 1, ["fit", "--method", "lad"], 3, "N = 1 rows and q = 2"),
+    (1, 1, ["fit", "--method", "huber", "--psi", "1"], 3, "N = 1 rows and q = 2"),
+    (1, 1, ["fit", "--method", "l1", "--auto"], 3, "N = 1 rows and q = 2"),
+    (1, 1, ["fit", "--method", "l1", "--psi", "1"], 3, "N = 1 rows and q = 2"),
+    (1, 1, ["fit", "--method", "l0", "--k", "0"], 3, "N = 1 rows and q = 2"),
+    (1, 1, ["tune", "--method", "l1"], 3, "N = 1 rows and q = 2"),
+    (1, 1, ["forecast", "--method", "ols", "--window", "3"], 3, "N = 1 rows and q = 2"),
 ])
 def test_budgets_that_keep_fewer_than_q_rows_are_refused(tmp_path, capsys, n, d, argv,
                                                          code, needle):

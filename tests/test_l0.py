@@ -401,6 +401,26 @@ def test_singular_kept_gram_scores_every_candidate_inf():
         assert n_cand == count_swap_candidates(n - 3, 3, l)
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_swap_scores_on_offset_regressors_match_the_refit(seed):
+    # regressors at 1e3 + N(0,1) nearly parallel the intercept, which
+    # squares into a Gram that loses digits; the winning score must match
+    # the pivoted-QR refit of its support
+    r = np.random.default_rng(seed)
+    n = 60
+    x = 1e3 + r.normal(size=(n, 2))
+    y = x.sum(axis=1) + r.normal(size=n)
+    y[:5] += 10.0
+    d = Dataset(y=y, x=x)
+    for k in (3, 6):
+        sol = fit_iht(d, k, initial_beta(d))
+        for l in (1, 2):
+            best, drop, add, _ = l0._swap_pass(d.design, d.y, sol.inliers, sol.outliers, l)
+            support = np.union1d(np.setdiff1d(sol.outliers, add), drop).astype(np.intp)
+            refit = 2.0 * l0._trimmed_solution(d, support, k).objective
+            assert best == pytest.approx(refit, rel=1e-11, abs=0.0)
+
+
 def test_swap_search_keeps_global_optimum(rng):
     d = _contaminated(rng, n=16, shift=10.0, k0=2)
     oracle = best_subset_exact(d, 2).solution

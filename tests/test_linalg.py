@@ -1,11 +1,15 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 from hypothesis import given, strategies as st
 
+import trimreg
 from trimreg.classic import fit_ols
 from trimreg.errors import RankDeficient, TooFewRows
-from trimreg.linalg import RANK_TOL, Dataset, factor_qr, lstsq_qr, residuals
+from trimreg.linalg import RANK_TOL, Dataset, factor_qr, lstsq_qr
 
 
 def normal_equation_oracle(X, y):
@@ -58,30 +62,6 @@ def test_orthogonality_of_restricted_residuals(rng):
         cols = d.design[active]
         scale = np.linalg.norm(y) * np.linalg.norm(cols, axis=0) + 1e-30
         assert np.all(np.abs(cols.T @ r) <= 1e-8 * scale)
-
-
-def test_residuals_perfect_fit():
-    x = np.linspace(0, 1, 9)
-    y = 2.0 + 3.0 * x
-    d = Dataset(y=y, x=x.reshape(-1, 1))
-    r = residuals(d, np.array([2.0, 3.0]))
-    assert np.allclose(r, 0.0, atol=1e-14)
-
-
-def test_residuals_zero_beta():
-    y = np.array([1.0, -2.0, 5.0])
-    d = Dataset(y=y, x=np.ones((3, 1)))
-    assert np.array_equal(residuals(d, np.zeros(2)), y)
-
-
-def test_residuals_loop_oracle(rng):
-    x = rng.normal(size=(8, 2))
-    y = rng.normal(size=8)
-    beta = rng.normal(size=3)
-    d = Dataset(y=y, x=x)
-    r = residuals(d, beta)
-    for i in range(8):
-        assert r[i] == pytest.approx(y[i] - beta[0] - x[i] @ beta[1:], abs=1e-12)
 
 
 def test_deterministic_bitwise(rng):
@@ -218,8 +198,6 @@ def test_dataset_validation():
         Dataset(y=np.ones(3), x=np.ones((2, 1)))
     with pytest.raises(ValueError):
         Dataset(y=np.empty(0), x=np.empty((0, 1)))
-    with pytest.raises(ValueError):
-        residuals(Dataset(y=np.ones(3), x=np.ones((3, 1))), np.zeros(3))
 
 
 def test_dataset_owns_its_arrays(rng):
@@ -234,3 +212,31 @@ def test_dataset_owns_its_arrays(rng):
     assert np.array_equal(d.design[:, 1:], d.x)
     for arr in (d.y, d.x, d.design):
         assert not arr.flags.writeable
+
+
+# solvers with their own rank rule, outside the one pivoted-QR path
+OTHER_SOLVERS = {"inv", "lstsq", "pinv"}
+
+
+def _other_solver_uses(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in OTHER_SOLVERS:
+            yield node.lineno, ast.unparse(node)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg"):
+            for alias in node.names:
+                if alias.name in OTHER_SOLVERS:
+                    yield node.lineno, f"from {node.module} import {alias.name}"
+
+
+def test_library_solves_least_squares_only_by_pivoted_qr():
+    # every least-squares solve goes through `linalg`'s pivoted QR, so
+    # that one rank test decides every fit and every swap score
+    seen = ("import numpy as np\nfrom numpy.linalg import pinv\n"
+            "np.linalg.inv(a)\nnumpy.linalg.lstsq(a, b)\nnp.linalg.solve(a, b)\n")
+    assert [text for _, text in _other_solver_uses(ast.parse(seen))] == [
+        "from numpy.linalg import pinv", "np.linalg.inv", "numpy.linalg.lstsq"]
+    found = []
+    for path in sorted(Path(trimreg.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [f"{path.name}:{line}: {text}" for line, text in _other_solver_uses(tree)]
+    assert not found

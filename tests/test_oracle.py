@@ -11,7 +11,7 @@ from trimreg.classic import fit_ols, initial_beta
 from trimreg.dgp import DgpConfig, generate
 from trimreg.errors import InvariantViolated, RankDeficient, TooLarge
 from trimreg.l0 import _trimmed_solution, fit_iht, fit_lcs
-from trimreg.linalg import Dataset
+from trimreg.linalg import Dataset, pivoted_qr
 from trimreg.oracle import best_subset_exact, equal_solution
 
 
@@ -138,7 +138,7 @@ def test_time_limit_keeps_the_better_start_and_an_honest_dual(monkeypatch):
     # a negative limit binds at the root, the first node past the gap test
     monkeypatch.setattr(oracle, "TIME_LIMIT", -1.0)
     d = _instance(1, n=14, k0=3)
-    greedy = oracle._greedy_incumbent(d, 3)
+    greedy = oracle._greedy_incumbent(d, 3, pivoted_qr(d.design)[0])
     better = best_subset_exact(d, 3, method="enumerate").solution
     worse = _trimmed_solution(d, np.array([11, 12, 13]), 3)
     assert better.objective < greedy.objective < worse.objective
@@ -267,7 +267,7 @@ def _reference_branch_and_bound(data, k, warm_start, rss_fixed=_reference_rss_fi
     n = data.n_obs
     start = time.perf_counter()
 
-    best = oracle._greedy_incumbent(data, k)
+    best = oracle._greedy_incumbent(data, k, pivoted_qr(X)[0])
     if warm_start is not None and warm_start.objective < best.objective:
         best = warm_start
     primal = best.objective
@@ -408,8 +408,10 @@ def test_branch_and_bound_matches_frozen_reference(monkeypatch):
                                   trimmed_solution=counted)
     for label, data, k, warm in _tree_cases():
         if label == "rank-deficient":
-            # the screen is off, and every kept set fails the rank test
-            assert oracle._leave_out_screen(data.design, data.y) is None
+            # the screen is off, as the full design fails the rank test,
+            # and every kept set fails it too
+            with pytest.raises(RankDeficient):
+                pivoted_qr(data.design)
             for search in (reference, oracle._branch_and_bound):
                 with pytest.raises(RankDeficient):
                     search(data, k, warm)
@@ -446,7 +448,7 @@ def test_closed_node_screen_matches_trimmed_solution(design):
         "collinear": lambda: _collinear_design(1),
         "leverage-one": lambda: _leverage_one_design(2),
     }[design]()
-    screen = oracle._leave_out_screen(data.design, data.y)
+    screen = oracle._leave_out_screen(data.design, data.y, pivoted_qr(data.design))
     r = np.random.default_rng(len(design))
     for _ in range(300):
         drop = r.choice(data.n_obs, size=int(r.integers(0, k + 1)), replace=False)
