@@ -38,7 +38,7 @@ from .errors import (
     TrimregError,
     WindowTooLarge,
 )
-from .l0 import fit_l0_auto, fit_lcs, select_k_bic
+from .l0 import fit_l0_auto, fit_lcs, select_k_bic, sweep_cap
 from .l1 import fit_l1, select_psi_bic, soft_threshold_alpha
 from .linalg import Dataset
 
@@ -125,6 +125,15 @@ def write_csv(path: str, rows: list[dict], fieldnames: list[str] | None = None) 
 # ---------------------------------------------------------------------------
 
 
+def _resolve_l(args, default: int) -> None:
+    """`--l` is the l0 swap order: a usage error with any other method,
+    `default` with l0 when not given."""
+    if args.method != "l0" and args.l is not None:
+        raise UsageError("--l is only valid with --method l0")
+    if args.method == "l0" and args.l is None:
+        args.l = default
+
+
 def _validate_method_flags(args) -> None:
     if args.method != "l0" and args.k is not None:
         raise UsageError("--k is only valid with --method l0")
@@ -142,6 +151,7 @@ def _validate_method_flags(args) -> None:
         raise UsageError("--k-max is only valid with --method l0 --auto")
     if args.psi is not None and not 0 < args.psi < math.inf:
         raise UsageError(f"--psi must lie in (0, inf), not {args.psi}")
+    _resolve_l(args, default=2)
 
 
 def _check_budgets(args, n: int, q: int) -> None:
@@ -154,8 +164,8 @@ def _check_budgets(args, n: int, q: int) -> None:
 
 def _sweep_budget(k_max: int | None, n: int, q: int) -> int:
     """The largest budget the L0 sweep scans: --k-max, or N // 4, within
-    [1, min(N // 2, N - q)], so at least q rows and half the rows stay."""
-    cap = min(n // 2, n - q)
+    [1, `sweep_cap`] = [1, min(N // 2, N - q)]."""
+    cap = sweep_cap(n, q)
     if cap < 1:
         raise DimensionError(f"no outlier budget fits N = {n} rows and q = {q} coefficients")
     k_max = min(max(1, n // 4), cap) if k_max is None else k_max
@@ -169,48 +179,39 @@ def _check_threads(threads: int | None) -> None:
         raise UsageError("--threads must be at least 1")
 
 
+def _bic_trace(sol, param: str) -> list[dict]:
+    """The report entries {k|psi, objective, bic, n_outliers} of the BIC
+    selection that chose `sol`, one per scored budget or psi."""
+    return [{param: v, "objective": obj, "bic": b, "n_outliers": m}
+            for v, obj, b, m in sol.info["bic_trace"]]
+
+
 def _fit_once(data: Dataset, args) -> dict:
     """Run the requested method; return beta/alpha/objective and tuning info."""
-    n = data.n_obs
-    if args.method == "ols":
-        fit = fit_ols(data)
-        return {"beta": fit.beta, "alpha": np.zeros(n), "objective": fit.objective,
-                "tuning": None, "converged": fit.converged}
-    if args.method == "lad":
-        fit = fit_lad(data)
-        return {"beta": fit.beta, "alpha": np.zeros(n), "objective": fit.objective,
-                "tuning": None, "converged": fit.converged}
-    if args.method == "huber":
-        fit = fit_huber(data, args.psi)
-        alpha = soft_threshold_alpha(data.y - data.design @ fit.beta, args.psi)
-        return {"beta": fit.beta, "alpha": alpha, "objective": fit.objective,
-                "tuning": {"psi": args.psi}, "converged": fit.converged}
-    if args.method == "l1":
-        if args.auto:
-            sol = select_psi_bic(data)
-            tuning = {"psi": sol.psi, "selected_by": "bic"}
-        else:
-            sol = fit_l1(data, args.psi)
-            tuning = {"psi": sol.psi}
-        return {"beta": sol.beta, "alpha": sol.alpha, "objective": sol.objective,
-                "tuning": tuning, "converged": True}
-    # l0
-    if args.auto:
-        K = _sweep_budget(args.k_max, n, data.n_coef)
-        sol = fit_l0_auto(data, K=K, l_final=args.l)
-        tuning = {
-            "k": sol.k,
-            "selected_by": "bic",
-            "bic_trace": [
-                {"k": k, "objective": obj, "bic": b}
-                for k, obj, b, _ in sol.info["bic_trace"]
-            ],
-        }
+    tuning = None
+    if args.method in ("ols", "lad"):
+        sol = (fit_ols if args.method == "ols" else fit_lad)(data)
+        alpha = np.zeros(data.n_obs)
+    elif args.method == "huber":
+        sol = fit_huber(data, args.psi)
+        alpha = soft_threshold_alpha(data.y - data.design @ sol.beta, args.psi)
+        tuning = {"psi": args.psi}
     else:
-        sol = fit_lcs(data, args.k, initial_beta(data), args.l)
-        tuning = {"k": args.k}
-    return {"beta": sol.beta, "alpha": sol.alpha, "objective": sol.objective,
-            "tuning": tuning, "converged": True}
+        param = "psi" if args.method == "l1" else "k"
+        if args.method == "l1":
+            sol = select_psi_bic(data) if args.auto else fit_l1(data, args.psi)
+        elif args.auto:
+            K = _sweep_budget(args.k_max, data.n_obs, data.n_coef)
+            sol = fit_l0_auto(data, K=K, l_final=args.l)
+        else:
+            sol = fit_lcs(data, args.k, initial_beta(data), args.l)
+        alpha = sol.alpha
+        tuning = {param: getattr(sol, param)}
+        if args.auto:
+            tuning.update(selected_by="bic", bic_trace=_bic_trace(sol, param))
+    # the classic fits report convergence; the L0 and L1 fits raise instead
+    return {"beta": sol.beta, "alpha": alpha, "objective": sol.objective,
+            "tuning": tuning, "converged": getattr(sol, "converged", True)}
 
 
 def cmd_fit(args) -> int:
@@ -242,26 +243,20 @@ def cmd_tune(args) -> int:
         raise UsageError("--grid-size must be at least 1")
     if args.method == "l1" and args.k_max is not None:
         raise UsageError("--k-max is only valid with --method l0")
+    _resolve_l(args, default=1)
     data, header = read_csv_dataset(args.input)
     if args.method == "l0":
         K = _sweep_budget(args.k_max, data.n_obs, data.n_coef)
-        sol = select_k_bic(data, initial_beta(data), K, args.l)
-        param, value = "k", sol.k
+        sol, param = select_k_bic(data, initial_beta(data), K, args.l), "k"
     else:
-        sol = select_psi_bic(data, args.grid_size)
-        param, value = "psi", sol.psi
-    trace = [
-        {param: v, "objective": obj, "bic": b, "n_outliers": m}
-        for v, obj, b, m in sol.info["bic_trace"]
-    ]
-    selection = {param: value, "bic": sol.info["bic"]}
+        sol, param = select_psi_bic(data, args.grid_size), "psi"
     report = {
         "command": "tune",
         "version": __version__,
         "config": _resolved_config(args),
         "columns": {"response": header[0], "regressors": header[1:]},
-        "trace": trace,
-        "selected": selection,
+        "trace": _bic_trace(sol, param),
+        "selected": {param: getattr(sol, param), "bic": sol.info["bic"]},
     }
     write_report(report, args.out)
     return 0
@@ -478,8 +473,7 @@ def cmd_simulate(args) -> int:
 
 
 def _resolved_config(args) -> dict:
-    cfg = {k: v for k, v in vars(args).items() if k != "func"}
-    return cfg
+    return {k: v for k, v in vars(args).items() if k != "func"}
 
 
 def _add_method_flags(sub) -> None:
@@ -487,8 +481,9 @@ def _add_method_flags(sub) -> None:
     sub.add_argument("--k", type=int, default=None, help="outlier budget (l0)")
     sub.add_argument("--psi", type=float, default=None, help="threshold (l1/huber)")
     sub.add_argument("--auto", action="store_true", help="tune k or psi by BIC")
-    sub.add_argument("--l", type=int, choices=(1, 2), default=2,
-                     help="swap-search order for l0")
+    sub.add_argument("--l", type=int, choices=(1, 2), default=None,
+                     help="swap order for l0: of the LCS with --k, of the polish "
+                          "with --auto (default 2)")
     sub.add_argument("--k-max", dest="k_max", type=int, default=None,
                      help="largest budget --auto scans (default N//4, at most N//2, N-q)")
 
@@ -511,7 +506,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_tune.add_argument("input")
     p_tune.add_argument("--method", choices=("l0", "l1"), required=True)
     p_tune.add_argument("--k-max", dest="k_max", type=int, default=None)
-    p_tune.add_argument("--l", type=int, choices=(1, 2), default=1)
+    p_tune.add_argument("--l", type=int, choices=(1, 2), default=None,
+                        help="swap order of the l0 sweep (default 1)")
     p_tune.add_argument("--grid-size", dest="grid_size", type=int, default=30)
     p_tune.add_argument("--out", default=None)
     p_tune.set_defaults(func=cmd_tune)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .classic import fit_lad, fit_ols, initial_beta
 from .errors import TrimregError
-from .l0 import SparsitySolution, fit_iht, fit_l0_auto, fit_lcs
+from .l0 import SparsitySolution, fit_iht, fit_l0_auto, fit_lcs, sweep_cap
 from .l1 import select_psi_bic
 from .linalg import Dataset
 from .oracle import best_subset_exact, equal_solution
@@ -220,8 +220,10 @@ def _l1(sample: DgpSample):
 
 
 def _l0(sample: DgpSample):
-    K = min(sample.train.n_obs // 2, 2 * max(len(sample.true_outliers), 1))
-    return fit_l0_auto(sample.train, K)
+    # twice the true count within the sweep's cap, and at least 1, so that
+    # a sample no budget fits fails in the sweep with TooFewInliers
+    cap = sweep_cap(sample.train.n_obs, sample.train.n_coef)
+    return fit_l0_auto(sample.train, max(1, min(2 * max(len(sample.true_outliers), 1), cap)))
 
 
 def _iht(sample: DgpSample):

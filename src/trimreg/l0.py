@@ -399,6 +399,12 @@ def fit_lcs(data: Dataset, k: int, beta0: np.ndarray, l: int) -> SparsitySolutio
     return cur
 
 
+def sweep_cap(n: int, q: int) -> int:
+    """The largest budget a sweep may scan, min(N // 2, N - q): half the
+    rows and at least q rows stay. Below 1, no budget fits."""
+    return min(n // 2, n - q)
+
+
 @_solves_once_per_call
 def neighborhood_search(
     data: Dataset, beta0: np.ndarray, K: int, l: int
@@ -412,11 +418,16 @@ def neighborhood_search(
     Per-budget objectives never increase across sweeps. Refits share this
     call's memo, so a refit that lands on a support solved or
     swap-searched before repeats neither.
+    K must lie in [1, `sweep_cap`]: K > N - q raises TooFewInliers, as
+    in `fit_iht`, and any other K outside it ValueError.
     """
+    n, q = data.n_obs, data.n_coef
     if K < 1:
         raise ValueError("K must be >= 1")
-    if K > data.n_obs // 2:
-        raise ValueError(f"K={K} exceeds floor(N/2)={data.n_obs // 2}")
+    if K > n - q:
+        raise TooFewInliers(f"K={K} leaves N - K = {n - K} < {q} coefficients")
+    if K > n // 2:
+        raise ValueError(f"K={K} exceeds floor(N/2)={n // 2}")
     sols = [fit_lcs(data, k, beta0, l) for k in range(1, K + 1)]
     total = sum(s.objective for s in sols)
     for _ in range(SWEEP_MAX):
@@ -447,12 +458,6 @@ def bic_score(data: Dataset, sol: SparsitySolution) -> float:
     return n * np.log(rss / n) + sol.k * np.log(n)
 
 
-def selection_score(data: Dataset, sol: SparsitySolution) -> float:
-    """`bic_score` with the complexity term scaled by `BIC_SELECTION_MULT`."""
-    n = data.n_obs
-    return bic_score(data, sol) + (BIC_SELECTION_MULT - 1.0) * sol.k * np.log(n)
-
-
 def select_by_score(candidates, score, prefer_last: bool = False):
     """Score every candidate; return (selected, its score, trace).
 
@@ -472,7 +477,8 @@ def select_by_score(candidates, score, prefer_last: bool = False):
 
 
 def select_k_bic(data: Dataset, beta0: np.ndarray, K: int, l: int) -> SparsitySolution:
-    """Budget sweep followed by BIC selection; ties go to the smaller k.
+    """Budget sweep followed by BIC selection, the complexity term scaled
+    by `BIC_SELECTION_MULT`; ties go to the smaller k.
 
     `info` carries the selected score under "bic" and, under "bic_trace",
     one (k, objective, score, rows discarded) tuple per budget in
@@ -480,12 +486,11 @@ def select_k_bic(data: Dataset, beta0: np.ndarray, K: int, l: int) -> SparsitySo
     """
     best, score, trace = select_by_score(
         neighborhood_search(data, beta0, K, l),
-        lambda sol: selection_score(data, sol),
+        lambda sol: bic_score(data, sol) + (BIC_SELECTION_MULT - 1.0) * sol.k * np.log(data.n_obs),
     )
     best.info["bic"] = score
-    best.info["bic_trace"] = [
-        (sol.k, sol.objective, s, int(sol.outliers.shape[0])) for sol, s in trace
-    ]
+    best.info["bic_trace"] = [(sol.k, sol.objective, s, int(sol.outliers.shape[0]))
+                              for sol, s in trace]
     return best
 
 
@@ -515,6 +520,7 @@ __all__ = [
     "local_swap_search",
     "fit_lcs",
     "neighborhood_search",
+    "sweep_cap",
     "bic_score",
     "select_by_score",
     "select_k_bic",

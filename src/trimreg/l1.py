@@ -90,29 +90,25 @@ def bic_l1(data: Dataset, sol: L1Solution, mult: float) -> float:
 
 
 def select_psi_bic(
-    data: Dataset, grid=PSI_GRID_SIZE, penalty_mult: float = BIC_SELECTION_MULT
+    data: Dataset, size: int = PSI_GRID_SIZE, penalty_mult: float = BIC_SELECTION_MULT
 ) -> L1Solution:
-    """Fit every psi on the grid, score by BIC, return the minimizer.
+    """Fit every psi of the `size`-point default grid, score by BIC, return
+    the minimizer; a size below 1 raises ValueError.
 
-    `grid` is either the psi values or the size of the default grid.
     Ties break toward larger psi (fewer flagged rows). Non-convergent grid
-    points are skipped; if none converge, raises AllFitsFailed. A grid
-    point outside (0, inf) raises ValueError, as in `fit_l1`. All grid
+    points are skipped; if none converge, raises AllFitsFailed. All grid
     points share one LAD starting point, so they stay order-independent,
     and one factorization of the design.
     `info` carries the selected score under "bic" and, under "bic_trace",
     one (psi, objective, score, rows flagged) tuple per converged point in
     ascending psi.
     """
+    if size < 1:
+        raise ValueError(f"psi grid size must be at least 1, not {size}")
     beta0 = fit_lad(data).beta
-    if np.ndim(grid) == 0:
-        grid = default_psi_grid(data, int(grid), beta0)
-    grid = np.asarray(grid, dtype=np.float64)
-    if grid.size == 0:
-        raise ValueError("psi grid is empty")
     solve = factor_qr(data.design)
     fits = []
-    for psi in np.sort(grid):
+    for psi in default_psi_grid(data, size, beta0):  # ascending
         try:
             fits.append(_fit_l1(data, float(psi), beta0, solve))
         except NotConverged:
@@ -123,9 +119,7 @@ def select_psi_bic(
         fits, lambda sol: bic_l1(data, sol, penalty_mult), prefer_last=True
     )
     best.info["bic"] = score
-    best.info["bic_trace"] = [
-        (sol.psi, sol.objective, s, sol.n_outliers) for sol, s in trace
-    ]
+    best.info["bic_trace"] = [(sol.psi, sol.objective, s, sol.n_outliers) for sol, s in trace]
     return best
 
 

@@ -18,7 +18,7 @@ from trimreg.classic import (
     shift_alternation,
     soft_threshold_alpha,
 )
-from trimreg.l1 import fit_l1, select_psi_bic
+from trimreg.l1 import fit_l1
 from trimreg.linalg import Dataset, factor_qr, lstsq_qr
 
 
@@ -139,7 +139,6 @@ def test_every_entry_point_rejects_psi_outside_the_open_half_line(rng, psi):
             lambda: soft_threshold_alpha(d.y, psi),
             lambda: fit_huber(d, psi),
             lambda: fit_l1(d, psi),
-            lambda: select_psi_bic(d, grid=[psi]),
         ):
             with pytest.raises(ValueError, match="psi"):
                 call()

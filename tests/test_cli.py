@@ -95,6 +95,15 @@ def exit_code(argv):
     (["forecast", "--method", "ols", "--window", "20", "--k-max", "3"], "--k-max"),
     (["forecast", "--method", "l0", "--k", "2", "--window", "20", "--k-max", "3"], "--k-max"),
     (["tune", "--method", "l1", "--k-max", "3"], "--k-max"),
+    # --l is the swap order of the l0 searches, which no other method runs
+    (["fit", "--method", "ols", "--l", "1"], "--l"),
+    (["fit", "--method", "lad", "--l", "2"], "--l"),
+    (["fit", "--method", "huber", "--psi", "1", "--l", "1"], "--l"),
+    (["fit", "--method", "l1", "--psi", "1", "--l", "1"], "--l"),
+    (["fit", "--method", "l1", "--auto", "--l", "2"], "--l"),
+    (["forecast", "--method", "ols", "--window", "20", "--l", "1"], "--l"),
+    (["forecast", "--method", "l1", "--psi", "1", "--window", "20", "--l", "2"], "--l"),
+    (["tune", "--method", "l1", "--l", "2"], "--l"),
 ])
 def test_out_of_range_or_unknown_flags_are_usage_errors(two_regressor_csv, argv, flag, capsys):
     argv = [argv[0], two_regressor_csv, *argv[1:]]
@@ -152,6 +161,57 @@ def test_default_budget_is_clamped_to_keep_q_rows(tmp_path):
         path = _regressor_csv(tmp_path, 8, d)
         assert main(["tune", path, "--method", "l0", *extra, "--out", out]) == 0
         assert [t["k"] for t in load_json(out)["trace"]] == ks
+
+
+def test_config_shows_the_resolved_swap_order(two_regressor_csv, tmp_path):
+    # l0 runs fill in --l (2 for fit and forecast, 1 for tune); no other method has one
+    out = str(tmp_path / "report.json")
+    for argv, want in (
+        (["fit", "--method", "l0", "--k", "2"], 2),
+        (["fit", "--method", "l0", "--auto", "--l", "1"], 1),
+        (["tune", "--method", "l0"], 1),
+        (["forecast", "--method", "l0", "--k", "2", "--window", "38"], 2),
+        (["fit", "--method", "ols"], None),
+        (["tune", "--method", "l1", "--grid-size", "3"], None),
+    ):
+        assert main([argv[0], two_regressor_csv, *argv[1:], "--out", out]) == 0
+        assert load_json(out)["config"]["l"] == want
+
+
+@pytest.mark.parametrize("method", ["l0", "l1"])
+def test_fit_auto_reports_the_trace_tune_reports(outlier_csv, tmp_path, method):
+    fit_out, tune_out = str(tmp_path / "fit.json"), str(tmp_path / "tune.json")
+    assert main(["fit", outlier_csv, "--method", method, "--auto", "--out", fit_out]) == 0
+    assert main(["tune", outlier_csv, "--method", method, "--out", tune_out]) == 0
+    fit_trace = load_json(fit_out)["tuning"]["bic_trace"]
+    tune_trace = load_json(tune_out)["trace"]
+    assert len(fit_trace) > 1
+    assert fit_trace == tune_trace
+
+
+def test_forecast_fits_through_the_cli_module_global(tmp_path, monkeypatch):
+    # a timing hook replaces trimreg.cli.fit_l0_auto and expects one call per window
+    from trimreg import cli
+    from trimreg.dgp import DgpConfig, generate
+
+    window, windows = 30, 4
+    train = generate(DgpConfig(dgp=3, N=window + windows, p=0.1, seed=5, n_test=1)).train
+    path = tmp_path / "series.csv"
+    write_csv(path, ["y"] + [f"x{j}" for j in range(1, 6)],
+              np.column_stack([train.y, train.x]).tolist())
+    real, calls = cli.fit_l0_auto, []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].n_obs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "fit_l0_auto", counted)
+    out = str(tmp_path / "fc.json")
+    assert main(["forecast", str(path), "--method", "l0", "--auto",
+                 "--window", str(window), "--out", out]) == 0
+    report = load_json(out)
+    assert report["n_targets"] == windows and report["n_skipped"] == 0
+    assert calls == [window] * windows
 
 
 def test_report_is_strict_json(tmp_path):

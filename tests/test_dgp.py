@@ -262,6 +262,26 @@ def test_harness_runs_the_time_series_design():
     assert abs(res["l0"].bias) <= abs(res["ols"].bias)
 
 
+def test_harness_l0_budget_keeps_q_rows():
+    # N = 10 rows and q = 6 coefficients: twice the true count (8) and
+    # N // 2 = 5 both exceed N - q = 4, so the sweep is capped at 4
+    cfg = DgpConfig(dgp=3, N=10, p=0.45, seed=2, n_test=5)
+    estimators = [ESTIMATOR_FACTORIES["l0"](), ESTIMATOR_FACTORIES["lcs2"]()]
+    summaries, records = run_monte_carlo_records(cfg, estimators, R=5)
+    assert summaries["l0"].n_failed == 0
+    assert summaries["lcs2"].n_failed == 0
+    assert np.all(np.isfinite([r.beta1 for r in records]))
+
+
+def test_harness_records_a_sample_no_budget_fits_as_failed():
+    # N = q = 6: no budget keeps q rows, so the l0 fit fails in every
+    # replication, and the harness records that instead of raising
+    cfg = DgpConfig(dgp=3, N=6, p=0.5, seed=2, n_test=5)
+    summaries, records = run_monte_carlo_records(cfg, [ESTIMATOR_FACTORIES["l0"]()], R=2)
+    assert [r.failed for r in records] == [True, True]
+    assert summaries["l0"].n_failed == 2
+
+
 def test_equal_oracle_frequencies_midsize_design():
     # frozen replication stream; the certified solver runs its search tree
     # here (the discard-set count is far beyond the enumeration limit)

@@ -21,6 +21,7 @@ from trimreg.l0 import (
     neighborhood_search,
     select_by_score,
     select_k_bic,
+    sweep_cap,
 )
 from trimreg.linalg import Dataset
 from trimreg.oracle import best_subset_exact
@@ -724,3 +725,8 @@ def test_neighborhood_budget_cap(rng):
     d = _contaminated(rng, n=20, shift=5.0, k0=2)
     with pytest.raises(ValueError):
         neighborhood_search(d, initial_beta(d), K=11, l=1)
+    # a budget that keeps fewer than q = 3 rows fails as fit_iht fails
+    small = _contaminated(rng, n=4, shift=5.0, k0=1)
+    assert (sweep_cap(20, 3), sweep_cap(4, 3), sweep_cap(3, 3)) == (10, 1, 0)
+    with pytest.raises(TooFewInliers):
+        neighborhood_search(small, initial_beta(small), K=2, l=1)

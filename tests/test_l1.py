@@ -169,8 +169,9 @@ def test_select_psi_single_point_grid(rng):
     x = rng.normal(size=(20, 1))
     y = rng.normal(size=20)
     d = Dataset(y=y, x=x)
-    sol = select_psi_bic(d, grid=[1.5])
-    assert sol.psi == 1.5
+    sol = select_psi_bic(d, 1)
+    assert sol.psi == default_psi_grid(d, 1, fit_lad(d).beta)[0]
+    assert [t[0] for t in sol.info["bic_trace"]] == [sol.psi]
 
 
 def test_select_psi_clean_data_flags_nothing():
@@ -194,10 +195,9 @@ def test_select_psi_recovers_planted_support():
 
 def test_grid_validation(rng):
     d = Dataset(y=rng.normal(size=10), x=rng.normal(size=(10, 1)))
-    with pytest.raises(ValueError):
-        select_psi_bic(d, grid=[])
-    with pytest.raises(ValueError):
-        select_psi_bic(d, grid=[-1.0, 2.0])
+    for size in (0, -1):
+        with pytest.raises(ValueError):
+            select_psi_bic(d, size)
     with pytest.raises(ValueError):
         fit_l1(d, psi=-1.0)
 
