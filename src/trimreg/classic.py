@@ -9,7 +9,9 @@ loss, so descent is checked on the smoothed objective.
 soft-thresholded at psi) with least squares on the shift-adjusted
 response. That is block coordinate descent on the jointly convex problem
 0.5 ||y - X b - a||^2 + psi ||a||_1, whose profile in b is the Huber loss
-at cutoff psi, so descent is checked on the Huber loss.
+at cutoff psi, so descent is checked on the Huber loss. It runs a list of
+thresholds in lockstep, one lane per psi (Huber and `fit_l1` pass one, the
+BIC grid all of them), and every lane carries the bits of a one-psi run.
 """
 
 from __future__ import annotations
@@ -24,6 +26,9 @@ from .linalg import Dataset, factor_qr, lstsq_qr
 MAX_ITER = 1000
 # cap of the shift alternation shared by Huber and L1
 SHIFT_MAX_ITER = 2000
+# elements per (lanes, N) array of the shift alternation: lanes run in blocks
+# of LANE_BLOCK // N (at least one), so its arrays stay a few times this size
+LANE_BLOCK = 1 << 16
 BETA_TOL = 1e-8
 # smoothing floor for the LAD weights
 LAD_EPS = 1e-8
@@ -81,66 +86,96 @@ def fit_lad(data: Dataset) -> ClassicFit:
     return ClassicFit(beta=beta, objective=lad_objective(r), iterations=it, converged=converged)
 
 
+def _shifts_and_rho(r: np.ndarray, psi) -> tuple[np.ndarray, np.ndarray]:
+    """Shifts r - c and elementwise Huber loss from one clip c = clip(r, -psi, psi):
+    with h = 0.5 c^2, the loss is h where the shift is zero, else psi |r| - h."""
+    c = np.minimum(np.maximum(r, -psi), psi)  # clip(r, -psi, psi)
+    alpha = r - c
+    h = (0.5 * c) * c
+    return alpha, np.where(alpha == 0, h, psi * np.abs(r) - h)
+
+
 def huber_rho(r: np.ndarray, psi: float) -> np.ndarray:
     """Elementwise Huber loss: quadratic inside [-psi, psi], linear outside."""
-    a = np.abs(r)
-    return np.where(a <= psi, 0.5 * r * r, psi * a - 0.5 * psi * psi)
+    return _shifts_and_rho(np.asarray(r, dtype=np.float64), psi)[1]
 
 
 def huber_objective(r: np.ndarray, psi: float) -> float:
     return float(np.sum(huber_rho(r, psi)))
 
 
+def _check_psi(psi) -> np.ndarray:
+    """The one check of the threshold for Huber and L1: every psi lies in (0, inf)."""
+    psi = np.asarray(psi, dtype=np.float64)
+    if not ((0 < psi) & (psi < np.inf)).all():
+        raise ValueError(f"psi must lie in (0, inf), not {psi}")
+    return psi
+
+
 def soft_threshold_alpha(r: np.ndarray, psi: float) -> np.ndarray:
     """Closed-form shift update: shrink residuals toward zero by psi.
 
     Entries with |r| <= psi map to exactly zero: r less r clipped to
-    [-psi, psi]. This is the one check of the threshold for Huber and L1:
-    psi must satisfy 0 < psi < inf.
+    [-psi, psi]. Raises ValueError unless 0 < psi < inf.
     """
-    if not 0 < psi < np.inf:
-        raise ValueError(f"psi must lie in (0, inf), not {psi}")
-    r = np.asarray(r, dtype=np.float64)
-    return r - np.clip(r, -psi, psi)
+    return _shifts_and_rho(np.asarray(r, dtype=np.float64), _check_psi(psi))[0]
 
 
-def shift_alternation(
-    data: Dataset, psi: float, beta: np.ndarray, solve
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, int, bool]:
-    """Alternate the shift update with least squares on y - alpha, from `beta`.
+def shift_alternation(data: Dataset, psis, beta: np.ndarray, solve) -> list[tuple]:
+    """Alternate the shift update with least squares on y - alpha, from
+    `beta`, at every threshold of `psis` in lockstep, one lane per psi.
 
-    `solve` is the least-squares solver of the design (`factor_qr`). Stops
-    once the coefficient change falls below BETA_TOL in max-norm, or after
-    SHIFT_MAX_ITER steps. Returns (beta, r, alpha, loss, iterations,
-    converged): r = y - X beta at the returned beta, alpha its shifts and
-    loss its Huber loss. Each step forms one residual, and the shifts are
-    taken before the loss, so a psi outside (0, inf) raises before it can warn.
+    `solve` is the least-squares solver of the design (`factor_qr`). A lane
+    stops once its coefficient change falls below BETA_TOL in max-norm, or
+    after SHIFT_MAX_ITER steps. Returns, per psi in order, (beta, r, alpha,
+    loss, iterations, converged): r = y - X beta at the lane's beta, alpha
+    its shifts and loss its Huber loss. Every psi is checked before any
+    arithmetic, so a psi outside (0, inf) raises before it can warn.
+    Shifts, losses and stopping tests run on (lanes, N) arrays row by row,
+    and every BLAS/LAPACK call takes one lane's vector, so each lane (and
+    each block of lanes) carries the bits of a one-psi call.
     """
+    psi = _check_psi(psis).reshape(-1, 1)
+    step = max(1, LANE_BLOCK // data.n_obs)
+    return [lane for i in range(0, psi.shape[0], step)
+            for lane in _alternate_lanes(data, psi[i:i + step], beta, solve)]
+
+
+def _alternate_lanes(data: Dataset, psi: np.ndarray, beta: np.ndarray, solve) -> list[tuple]:
+    """`shift_alternation` for one block of lanes (psi a column). The arrays hold
+    the running lanes: a lane leaves once it converges or reaches the cap."""
     X, y = data.design, data.y
+    b = np.tile(beta, (psi.shape[0], 1))
     r = y - X @ beta
-    alpha = soft_threshold_alpha(r, psi)
-    loss = huber_objective(r, psi)
-    converged = False
-    it = 0
+    alpha, rho = _shifts_and_rho(r, psi)
+    loss = rho.sum(axis=1)
+    run = np.arange(psi.shape[0])  # the lane of each row
+    lanes = [None] * psi.shape[0]
     for it in range(1, SHIFT_MAX_ITER + 1):
-        beta_new = solve(y - alpha)
-        r = y - X @ beta_new
-        alpha = soft_threshold_alpha(r, psi)
-        loss_new = huber_objective(r, psi)
-        if not loss_new <= loss + 1e-12 * max(1.0, loss):
+        b_new = solve(y - alpha)
+        r = y - np.array([X @ v for v in b_new])
+        alpha, rho = _shifts_and_rho(r, psi)
+        loss_new = rho.sum(axis=1)
+        if not (loss_new <= loss + 1e-12 * np.maximum(1.0, loss)).all():
             raise InvariantViolated("shift update increased the Huber objective")
-        loss = loss_new
-        converged = bool(np.max(np.abs(beta_new - beta)) < BETA_TOL)
-        beta = beta_new
-        if converged:
-            break
-    return beta, r, alpha, loss, it, converged
+        done = np.abs(b_new - b).max(axis=1) < BETA_TOL
+        b, loss = b_new, loss_new
+        leave = done if it < SHIFT_MAX_ITER else np.ones_like(done)
+        if leave.any():
+            for i in np.flatnonzero(leave):
+                lanes[run[i]] = (b[i].copy(), r[i].copy(), alpha[i].copy(),
+                                 float(loss[i]), it, bool(done[i]))
+            stay = ~leave
+            run, b, alpha, loss, psi = run[stay], b[stay], alpha[stay], loss[stay], psi[stay]
+            if not run.size:
+                break
+    return lanes
 
 
 def fit_huber(data: Dataset, psi: float) -> ClassicFit:
     """Huber regression with fixed cutoff psi: the shift alternation from OLS."""
     solve = factor_qr(data.design)
-    beta, _, _, loss, it, converged = shift_alternation(data, psi, solve(data.y), solve)
+    [(beta, _, _, loss, it, converged)] = shift_alternation(data, [psi], solve(data.y), solve)
     return ClassicFit(beta=beta, objective=loss, iterations=it, converged=converged)
 
 

@@ -39,7 +39,7 @@ from .errors import (
     WindowTooLarge,
 )
 from .l0 import fit_l0_auto, fit_lcs, select_k_bic, sweep_cap
-from .l1 import fit_l1, select_psi_bic, soft_threshold_alpha
+from .l1 import PSI_GRID_SIZE, fit_l1, select_psi_bic, soft_threshold_alpha
 from .linalg import Dataset
 
 METHODS = ("l0", "l1", "lad", "ols", "huber")
@@ -239,10 +239,14 @@ def cmd_fit(args) -> int:
 
 
 def cmd_tune(args) -> int:
-    if args.grid_size < 1:
-        raise UsageError("--grid-size must be at least 1")
-    if args.method == "l1" and args.k_max is not None:
-        raise UsageError("--k-max is only valid with --method l0")
+    if args.method == "l0" and args.grid_size is not None:
+        raise UsageError("--grid-size is only valid with --method l1")
+    if args.method == "l1":
+        if args.k_max is not None:
+            raise UsageError("--k-max is only valid with --method l0")
+        args.grid_size = PSI_GRID_SIZE if args.grid_size is None else args.grid_size
+        if args.grid_size < 1:
+            raise UsageError("--grid-size must be at least 1")
     _resolve_l(args, default=1)
     data, header = read_csv_dataset(args.input)
     if args.method == "l0":
@@ -508,7 +512,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_tune.add_argument("--k-max", dest="k_max", type=int, default=None)
     p_tune.add_argument("--l", type=int, choices=(1, 2), default=None,
                         help="swap order of the l0 sweep (default 1)")
-    p_tune.add_argument("--grid-size", dest="grid_size", type=int, default=30)
+    p_tune.add_argument("--grid-size", dest="grid_size", type=int, default=None,
+                        help="points on the l1 psi grid (default 30)")
     p_tune.add_argument("--out", default=None)
     p_tune.set_defaults(func=cmd_tune)
 

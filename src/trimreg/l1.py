@@ -4,7 +4,9 @@ Minimizes 0.5 ||y - X b - a||^2 + psi ||a||_1 with the shift alternation
 `classic.shift_alternation`, the same loop Huber runs: the shift vector
 `a` is the residuals soft-thresholded at psi, and b is least squares of
 y - a on X. The profiled objective coincides with the Huber loss at
-cutoff psi, which the fit cross-checks at convergence.
+cutoff psi, which the fit cross-checks at convergence. `select_psi_bic`
+runs its whole grid through one call, one lane per psi, from one LAD start
+and one factorization; each lane equals `fit_l1` at its psi, bit for bit.
 """
 
 from __future__ import annotations
@@ -47,28 +49,31 @@ def fit_l1(data: Dataset, psi: float) -> L1Solution:
     """The shift alternation at fixed psi, from the LAD fit.
 
     Raises NotConverged if it has not converged after SHIFT_MAX_ITER steps,
-    and ValueError unless 0 < psi < inf (`soft_threshold_alpha`).
+    and ValueError unless 0 < psi < inf.
     """
-    return _fit_l1(data, psi, fit_lad(data).beta, factor_qr(data.design))
-
-
-def _fit_l1(data: Dataset, psi: float, beta: np.ndarray, solve) -> L1Solution:
-    """`fit_l1` from `beta`, with `solve` the least-squares solver of the design."""
-    beta, r, alpha, profile, _, converged = shift_alternation(data, psi, beta, solve)
-    if not converged:
+    fits = _fit_l1(data, [psi], fit_lad(data).beta, factor_qr(data.design))
+    if not fits:
         raise NotConverged(f"fit_l1 did not converge in {SHIFT_MAX_ITER} iterations")
-    obj = _penalized_objective(r - alpha, alpha, psi)
-    # profile identity: the penalized objective at the alpha-argmin equals
-    # the Huber loss `profile` of the residuals at cutoff psi
-    if not abs(obj - profile) <= 1e-8 * (1.0 + abs(profile)):
-        raise InvariantViolated("penalized objective disagrees with its profiled form")
-    return L1Solution(
-        beta=beta,
-        alpha=alpha,
-        psi=psi,
-        objective=obj,
-        n_outliers=int(np.count_nonzero(alpha)),
-    )
+    return fits[0]
+
+
+def _fit_l1(data: Dataset, psis, beta0: np.ndarray, solve) -> list[L1Solution]:
+    """`fit_l1` at every psi of `psis` in lockstep from `beta0`, with `solve`
+    the least-squares solver of the design; one solution per converged
+    psi, in order."""
+    fits = []
+    for psi, lane in zip(psis, shift_alternation(data, psis, beta0, solve)):
+        beta, r, alpha, profile, _, converged = lane
+        if not converged:
+            continue
+        obj = _penalized_objective(r - alpha, alpha, psi)
+        # profile identity: the penalized objective at the alpha-argmin equals
+        # the Huber loss `profile` of the residuals at cutoff psi
+        if not abs(obj - profile) <= 1e-8 * (1.0 + abs(profile)):
+            raise InvariantViolated("penalized objective disagrees with its profiled form")
+        fits.append(L1Solution(beta=beta, alpha=alpha, psi=psi, objective=obj,
+                               n_outliers=int(np.count_nonzero(alpha))))
+    return fits
 
 
 def default_psi_grid(data: Dataset, size: int, lad_beta: np.ndarray) -> np.ndarray:
@@ -106,13 +111,8 @@ def select_psi_bic(
     if size < 1:
         raise ValueError(f"psi grid size must be at least 1, not {size}")
     beta0 = fit_lad(data).beta
-    solve = factor_qr(data.design)
-    fits = []
-    for psi in default_psi_grid(data, size, beta0):  # ascending
-        try:
-            fits.append(_fit_l1(data, float(psi), beta0, solve))
-        except NotConverged:
-            continue
+    grid = default_psi_grid(data, size, beta0).tolist()  # ascending
+    fits = _fit_l1(data, grid, beta0, factor_qr(data.design))
     if not fits:
         raise AllFitsFailed("no psi on the grid produced a converged fit")
     best, score, trace = select_by_score(

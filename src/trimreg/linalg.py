@@ -71,12 +71,21 @@ class Dataset:
         return self.design.shape[1]
 
 
+# optimal workspace size per (routine, input shapes), filled on first use
+_LWORK: dict = {}
+
+
 def _lapack(routine, *args, **kwargs):
-    """Call a LAPACK routine with its workspace queried first (`lwork=-1`),
-    as `scipy.linalg` does: the blocked path depends on `lwork`, so the
-    bits do too. Returns the outputs before `work` and `info`."""
-    query = routine(*args, lwork=-1, **kwargs)
-    out = routine(*args, lwork=int(query[-2][0]), **kwargs)
+    """Call a LAPACK routine with its optimal workspace, as `scipy.linalg`
+    does: the blocked path depends on `lwork`, so the bits do too. The
+    size depends only on the routine and the shapes of its inputs, so it
+    is queried (`lwork=-1`) once per shape and kept. Returns the outputs
+    before `work` and `info`."""
+    key = (routine, *(a.shape for a in args))
+    lwork = _LWORK.get(key)
+    if lwork is None:
+        lwork = _LWORK[key] = int(routine(*args, lwork=-1, **kwargs)[-2][0])
+    out = routine(*args, lwork=lwork, **kwargs)
     if out[-1] != 0:
         raise ValueError(f"illegal value in argument {-out[-1]} of {routine.__name__}")
     return out[:-2]
@@ -106,11 +115,20 @@ def pivoted_qr(X: np.ndarray):
     return Q, R_t, jpvt - 1
 
 
+def _triangular(R_t: np.ndarray, qtv: np.ndarray) -> np.ndarray:
+    """The c with R c = Q'v, from R' as `pivoted_qr` returns it."""
+    coef_piv, info = lapack.dtrtrs(R_t, qtv, lower=1, trans=1, overwrite_b=1)
+    if info != 0:  # a zero pivot, which the rank test has ruled out
+        raise np.linalg.LinAlgError(f"dtrtrs failed with info={info}")
+    return coef_piv
+
+
 def factor_qr(X: np.ndarray):
     """Factor X once by column-pivoted QR; return `solve(v) -> beta`.
 
     `solve(v)` is the least-squares coefficient vector of v on X, so a
-    fixed design refit against many responses is factored only once.
+    fixed design refit against many responses is factored only once; a
+    (lanes, N) block of responses gives a (lanes, q) block of coefficients.
     Raises RankDeficient when a pivot falls below RANK_TOL times the
     leading pivot, TooFewRows when there are fewer rows than columns, and
     ValueError when X, or Q'v in `solve`, holds NaN or Inf.
@@ -119,20 +137,25 @@ def factor_qr(X: np.ndarray):
     if n < q:
         raise TooFewRows(f"{n} rows < {q} columns")
     if q == 0:
-        return lambda v: np.zeros(0)
+        return lambda v: np.zeros(np.shape(v)[:-1] + (0,))
     if not np.isfinite(X).all():
         raise ValueError("array must not contain infs or NaNs")
     Q, R_t, piv = pivoted_qr(X)
+    Q_t = Q.T
 
     def solve(v: np.ndarray) -> np.ndarray:
-        qtv = Q.T @ v
+        # a (lanes, N) block is solved row by row, each row by the calls a
+        # vector takes, so a row carries the bits of its own solve
+        rows = v.ndim == 2
+        qtv = np.array([Q_t @ row for row in v]) if rows else Q_t @ v
         if not np.isfinite(qtv).all():
             raise ValueError("array must not contain infs or NaNs")
-        coef_piv, info = lapack.dtrtrs(R_t, qtv, lower=1, trans=1, overwrite_b=1)
-        if info != 0:  # a zero pivot, which the rank test has ruled out
-            raise np.linalg.LinAlgError(f"dtrtrs failed with info={info}")
-        beta = np.empty(q)
-        beta[piv] = coef_piv
+        if rows:
+            beta = np.empty_like(qtv)
+            beta[:, piv] = [_triangular(R_t, row) for row in qtv]
+        else:
+            beta = np.empty(q)
+            beta[piv] = _triangular(R_t, qtv)
         return beta
 
     return solve

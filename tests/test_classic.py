@@ -14,11 +14,14 @@ from trimreg.classic import (
     fit_lad,
     fit_ols,
     huber_objective,
+    huber_rho,
     lad_objective,
     shift_alternation,
     soft_threshold_alpha,
 )
-from trimreg.l1 import fit_l1
+from trimreg.dgp import DgpConfig, generate
+from trimreg.errors import InvariantViolated
+from trimreg.l1 import default_psi_grid, fit_l1
 from trimreg.linalg import Dataset, factor_qr, lstsq_qr
 
 
@@ -139,6 +142,7 @@ def test_every_entry_point_rejects_psi_outside_the_open_half_line(rng, psi):
             lambda: soft_threshold_alpha(d.y, psi),
             lambda: fit_huber(d, psi),
             lambda: fit_l1(d, psi),
+            lambda: shift_alternation(d, [1.0, psi], fit_ols(d).beta, factor_qr(d.design)),
         ):
             with pytest.raises(ValueError, match="psi"):
                 call()
@@ -153,9 +157,10 @@ def test_shift_alternation_returns_the_state_at_its_beta(rng, monkeypatch, cap):
     y = 1.0 + x @ np.array([1.0, -1.0]) + rng.standard_t(df=2, size=50)
     d = Dataset(y=y, x=x)
     solve = factor_qr(d.design)
+    psis = (0.5, 1.345, 3.0)
     for start in (fit_ols(d).beta, fit_lad(d).beta):
-        for psi in (0.5, 1.345, 3.0):
-            beta, r, alpha, loss, it, converged = shift_alternation(d, psi, start, solve)
+        lanes = shift_alternation(d, psis, start, solve)
+        for psi, (beta, r, alpha, loss, it, converged) in zip(psis, lanes, strict=True):
             assert converged == (cap == SHIFT_MAX_ITER)
             assert it <= cap
             assert r.tobytes() == (y - d.design @ beta).tobytes()
@@ -213,3 +218,88 @@ def test_objectives_match_formulas(rng):
     assert hub.objective == pytest.approx(
         huber_objective(y - d.design @ hub.beta, 0.7), abs=1e-12
     )
+
+
+def test_huber_rho_from_one_clip_equals_the_branch_formula(rng):
+    psis = np.array([0.1, 1.0, 1.345, 7.5])
+    edges = np.concatenate([psis, -psis, np.nextafter(psis, 0), np.nextafter(psis, 9)])
+    r = np.concatenate([3.0 * rng.standard_t(df=2, size=500), edges, -edges, [0.0, -0.0]])
+    for psi in psis:
+        a = np.abs(r)
+        want = np.where(a <= psi, 0.5 * r * r, psi * a - 0.5 * psi * psi)
+        assert huber_rho(r, psi).tobytes() == want.tobytes()
+        assert huber_objective(r, psi) == float(np.sum(want))
+        assert soft_threshold_alpha(r, psi).tobytes() == (r - np.clip(r, -psi, psi)).tobytes()
+
+
+def _one_psi_alternation(data, psi, beta, solve):
+    """The one-psi loop with the branch form of the Huber loss: the
+    reference each lane of `shift_alternation` must match bit for bit."""
+    X, y = data.design, data.y
+
+    def shift_and_loss(r):
+        a = np.abs(r)
+        rho = np.where(a <= psi, 0.5 * r * r, psi * a - 0.5 * psi * psi)
+        return r - np.clip(r, -psi, psi), float(np.sum(rho))
+
+    r = y - X @ beta
+    alpha, loss = shift_and_loss(r)
+    converged, it = False, 0
+    for it in range(1, classic.SHIFT_MAX_ITER + 1):
+        beta_new = solve(y - alpha)
+        r = y - X @ beta_new
+        alpha, loss_new = shift_and_loss(r)
+        assert loss_new <= loss + 1e-12 * max(1.0, loss)
+        loss = loss_new
+        converged = bool(np.max(np.abs(beta_new - beta)) < BETA_TOL)
+        beta = beta_new
+        if converged:
+            break
+    return beta, r, alpha, loss, it, converged
+
+
+def _grid_sample(dgp, seed):
+    N = {1: 100, 2: 200, 3: 120}[dgp]
+    d = generate(DgpConfig(dgp=dgp, N=N, p=0.1, rho=5.0, seed=seed, n_test=10)).train
+    b0 = fit_lad(d).beta
+    return d, b0, default_psi_grid(d, 30, b0).tolist()
+
+
+@pytest.mark.parametrize("dgp", [1, 2, 3])
+def test_every_lane_matches_the_one_psi_loop(dgp):
+    for seed in (55555, 7, 60221):
+        d, b0, grid = _grid_sample(dgp, seed)
+        solve = factor_qr(d.design)
+        lanes = shift_alternation(d, grid, b0, solve)
+        assert len(lanes) == len(grid)
+        for psi, lane in zip(grid, lanes):
+            want = _one_psi_alternation(d, psi, b0, solve)
+            for got, ref in zip(lane[:3], want[:3]):
+                assert got.tobytes() == ref.tobytes()
+            assert lane[3:] == want[3:]
+
+
+@pytest.mark.parametrize("lanes_per_block", [1, 4])
+def test_lane_blocks_move_no_bit(monkeypatch, lanes_per_block):
+    d, b0, grid = _grid_sample(2, 55555)
+    solve = factor_qr(d.design)
+    whole = shift_alternation(d, grid, b0, solve)
+    monkeypatch.setattr(classic, "LANE_BLOCK", lanes_per_block * d.n_obs)
+    blocked = shift_alternation(d, grid, b0, solve)
+    for lane, want in zip(blocked, whole, strict=True):
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(lane[:3], want[:3]))
+        assert lane[3:] == want[3:]
+
+
+def test_a_lane_whose_loss_rises_raises():
+    d, b0, grid = _grid_sample(1, 55555)
+    solve = factor_qr(d.design)
+    shift_alternation(d, grid[:3], b0, solve)
+
+    def bumped(v):
+        beta = solve(v)
+        beta[1] += 100.0  # the second lane's step overshoots
+        return beta
+
+    with pytest.raises(InvariantViolated, match="Huber"):
+        shift_alternation(d, grid[:3], b0, bumped)

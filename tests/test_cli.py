@@ -104,6 +104,10 @@ def exit_code(argv):
     (["forecast", "--method", "ols", "--window", "20", "--l", "1"], "--l"),
     (["forecast", "--method", "l1", "--psi", "1", "--window", "20", "--l", "2"], "--l"),
     (["tune", "--method", "l1", "--l", "2"], "--l"),
+    # --grid-size is the size of the l1 psi grid, which the l0 sweep never reads
+    (["tune", "--method", "l0", "--grid-size", "5"], "--grid-size"),
+    (["tune", "--method", "l0", "--grid-size", "30"], "--grid-size"),
+    (["tune", "--method", "l0", "--k-max", "5", "--grid-size", "0"], "--grid-size"),
 ])
 def test_out_of_range_or_unknown_flags_are_usage_errors(two_regressor_csv, argv, flag, capsys):
     argv = [argv[0], two_regressor_csv, *argv[1:]]
@@ -176,6 +180,18 @@ def test_config_shows_the_resolved_swap_order(two_regressor_csv, tmp_path):
     ):
         assert main([argv[0], two_regressor_csv, *argv[1:], "--out", out]) == 0
         assert load_json(out)["config"]["l"] == want
+
+
+def test_config_shows_the_resolved_grid_size(two_regressor_csv, tmp_path):
+    # only the l1 psi grid has a size: 30 unless given, null for l0
+    out = str(tmp_path / "report.json")
+    for argv, want in (
+        (["--method", "l1"], 30),
+        (["--method", "l1", "--grid-size", "4"], 4),
+        (["--method", "l0"], None),
+    ):
+        assert main(["tune", two_regressor_csv, *argv, "--out", out]) == 0
+        assert load_json(out)["config"]["grid_size"] == want
 
 
 @pytest.mark.parametrize("method", ["l0", "l1"])

@@ -112,7 +112,7 @@ def test_fit_l1_from_ols_is_huber():
     d = generate(DgpConfig(dgp=2, N=200, p=0.1, rho=5.0, seed=3, n_test=10)).train
     b0 = fit_ols(d).beta
     for psi in (0.3, 1.0, 4.0):
-        sol = l1._fit_l1(d, psi, b0, factor_qr(d.design))
+        [sol] = l1._fit_l1(d, [psi], b0, factor_qr(d.design))
         hub = fit_huber(d, psi)
         assert hub.converged
         assert sol.beta.tobytes() == hub.beta.tobytes()
@@ -151,6 +151,52 @@ def test_select_psi_bic_factors_the_design_once(monkeypatch):
     assert sol.beta.tobytes() == want.beta.tobytes()
     assert sol.alpha.tobytes() == want.alpha.tobytes()
     assert sol.objective == want.objective
+
+
+def _per_psi_fits(d, grid):
+    fits = []
+    for psi in grid:
+        try:
+            fits.append(fit_l1(d, psi))
+        except NotConverged:
+            continue
+    return fits
+
+
+def _assert_selection_is_the_per_psi_fits(d, sol, fits, mult):
+    assert sol.info["bic_trace"] == [
+        (f.psi, f.objective, bic_l1(d, f, mult), f.n_outliers) for f in fits
+    ]
+    want = next(f for f in fits if f.psi == sol.psi)
+    assert sol.beta.tobytes() == want.beta.tobytes()
+    assert sol.alpha.tobytes() == want.alpha.tobytes()
+    assert (sol.objective, sol.n_outliers) == (want.objective, want.n_outliers)
+
+
+@pytest.mark.parametrize("dgp, N", [(1, 100), (2, 200), (3, 120)])
+def test_grid_lanes_match_per_psi_fits(dgp, N):
+    # the grid's lanes run in lockstep; each carries the bits of its own fit_l1
+    for seed in (11, 60221):
+        d = generate(DgpConfig(dgp=dgp, N=N, p=0.1, rho=5.0, seed=seed, n_test=10)).train
+        grid = default_psi_grid(d, l1.PSI_GRID_SIZE, fit_lad(d).beta).tolist()
+        fits = _per_psi_fits(d, grid)
+        for mult in (1.0, 2.75):
+            _assert_selection_is_the_per_psi_fits(d, select_psi_bic(d, penalty_mult=mult), fits, mult)
+
+
+def test_capped_lanes_are_skipped(monkeypatch):
+    d = generate(DgpConfig(dgp=2, N=200, p=0.1, rho=5.0, seed=55555, n_test=10)).train
+    b0 = fit_lad(d).beta
+    grid = default_psi_grid(d, l1.PSI_GRID_SIZE, b0).tolist()
+    steps = [lane[4] for lane in classic.shift_alternation(d, grid, b0, factor_qr(d.design))]
+    cap = int(np.median(steps))
+    monkeypatch.setattr(classic, "SHIFT_MAX_ITER", cap)
+    lanes = classic.shift_alternation(d, grid, b0, factor_qr(d.design))
+    assert [lane[4:] for lane in lanes] == [(min(s, cap), s <= cap) for s in steps]
+    fits = _per_psi_fits(d, grid)
+    assert 0 < len(fits) < len(grid)
+    assert [f.psi for f in fits] == [psi for psi, s in zip(grid, steps) if s <= cap]
+    _assert_selection_is_the_per_psi_fits(d, select_psi_bic(d, penalty_mult=1.0), fits, 1.0)
 
 
 def test_huber_equivalence_random_instances():

@@ -6,10 +6,13 @@ import pytest
 import scipy.linalg as sla
 from hypothesis import given, strategies as st
 
+from scipy.linalg import lapack
+
 import trimreg
+from trimreg import linalg
 from trimreg.classic import fit_ols
 from trimreg.errors import RankDeficient, TooFewRows
-from trimreg.linalg import RANK_TOL, Dataset, factor_qr, lstsq_qr
+from trimreg.linalg import RANK_TOL, Dataset, factor_qr, lstsq_qr, pivoted_qr
 
 
 def normal_equation_oracle(X, y):
@@ -161,6 +164,35 @@ def test_factor_qr_bitwise_equals_scipy_path(rng):
     assert n_rank > 0 and n_full > 100
 
 
+def test_a_block_of_responses_is_solved_row_by_row(rng):
+    for X in _designs(rng):
+        try:
+            solve = factor_qr(X)
+        except RankDeficient:
+            continue
+        V = rng.normal(size=(4, X.shape[0])) * 10.0 ** rng.uniform(-3, 3, size=(4, 1))
+        B = solve(V)
+        assert B.shape == (4, X.shape[1])
+        for v, b in zip(V, B):
+            assert b.tobytes() == solve(v).tobytes()
+
+
+def test_cached_workspace_equals_a_fresh_query(rng):
+    shapes = [(3, 3), (5, 2), (40, 3), (120, 4), (200, 7), (1000, 6)]
+    for n, q in shapes:
+        pivoted_qr(rng.normal(size=(n, q)))
+    size = len(linalg._LWORK)
+    for n, q in shapes:
+        X = np.asfortranarray(rng.normal(size=(n, q)))
+        fresh = int(lapack.dgeqp3(X, lwork=-1)[-2][0])
+        assert linalg._LWORK[(lapack.dgeqp3, (n, q))] == fresh
+        qr, _, tau, _, _ = lapack.dgeqp3(X)
+        fresh = int(lapack.dorgqr(qr, tau, lwork=-1)[-2][0])
+        assert linalg._LWORK[(lapack.dorgqr, (n, q), (q,))] == fresh
+        pivoted_qr(X)
+    assert len(linalg._LWORK) == size  # a shape seen once is never queried again
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_factor_qr_rejects_non_finite_input(rng, bad):
     X = rng.normal(size=(12, 3))
@@ -175,6 +207,8 @@ def test_factor_qr_rejects_non_finite_input(rng, bad):
         factor_qr(X)(y_bad)
     with pytest.raises(ValueError):
         lstsq_qr(X, y_bad)
+    with pytest.raises(ValueError):
+        factor_qr(X)(np.array([y, y_bad, y]))
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
