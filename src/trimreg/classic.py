@@ -26,8 +26,8 @@ from .linalg import Dataset, factor_qr, lstsq_qr
 MAX_ITER = 1000
 # cap of the shift alternation shared by Huber and L1
 SHIFT_MAX_ITER = 2000
-# elements per (lanes, N) array of the shift alternation: lanes run in blocks
-# of LANE_BLOCK // N (at least one), so its arrays stay a few times this size
+# elements per (lanes, N) array of the shift alternation, which runs its lanes
+# in blocks of LANE_BLOCK // N (at least one)
 LANE_BLOCK = 1 << 16
 BETA_TOL = 1e-8
 # smoothing floor for the LAD weights
@@ -104,21 +104,19 @@ def huber_objective(r: np.ndarray, psi: float) -> float:
     return float(np.sum(huber_rho(r, psi)))
 
 
-def _check_psi(psi) -> np.ndarray:
-    """The one check of the threshold for Huber and L1: every psi lies in (0, inf)."""
-    psi = np.asarray(psi, dtype=np.float64)
-    if not ((0 < psi) & (psi < np.inf)).all():
-        raise ValueError(f"psi must lie in (0, inf), not {psi}")
-    return psi
-
-
-def soft_threshold_alpha(r: np.ndarray, psi: float) -> np.ndarray:
+def soft_threshold_alpha(r: np.ndarray, psi) -> np.ndarray:
     """Closed-form shift update: shrink residuals toward zero by psi.
 
     Entries with |r| <= psi map to exactly zero: r less r clipped to
-    [-psi, psi]. Raises ValueError unless 0 < psi < inf.
+    [-psi, psi]. This is the one check of the threshold for Huber and L1:
+    every psi (a column of them gives one row of shifts per psi) must
+    satisfy 0 < psi < inf.
     """
-    return _shifts_and_rho(np.asarray(r, dtype=np.float64), _check_psi(psi))[0]
+    psi = np.asarray(psi, dtype=np.float64)
+    if not ((0 < psi) & (psi < np.inf)).all():
+        raise ValueError(f"psi must lie in (0, inf), not {psi}")
+    r = np.asarray(r, dtype=np.float64)
+    return r - np.clip(r, -psi, psi)
 
 
 def shift_alternation(data: Dataset, psis, beta: np.ndarray, solve) -> list[tuple]:
@@ -129,46 +127,46 @@ def shift_alternation(data: Dataset, psis, beta: np.ndarray, solve) -> list[tupl
     stops once its coefficient change falls below BETA_TOL in max-norm, or
     after SHIFT_MAX_ITER steps. Returns, per psi in order, (beta, r, alpha,
     loss, iterations, converged): r = y - X beta at the lane's beta, alpha
-    its shifts and loss its Huber loss. Every psi is checked before any
-    arithmetic, so a psi outside (0, inf) raises before it can warn.
-    Shifts, losses and stopping tests run on (lanes, N) arrays row by row,
-    and every BLAS/LAPACK call takes one lane's vector, so each lane (and
-    each block of lanes) carries the bits of a one-psi call.
+    its shifts and loss its Huber loss. The shifts are taken before the
+    loss, so a psi outside (0, inf) raises before it can warn. Shifts, losses
+    and stopping tests run on (lanes, N) arrays row by row, and every
+    BLAS/LAPACK call takes one lane's vector, so each lane carries the bits
+    of a one-psi call. A lane leaves the arrays once it stops.
     """
-    psi = _check_psi(psis).reshape(-1, 1)
+    psi = np.asarray(psis, dtype=np.float64).reshape(-1, 1)
     step = max(1, LANE_BLOCK // data.n_obs)
-    return [lane for i in range(0, psi.shape[0], step)
-            for lane in _alternate_lanes(data, psi[i:i + step], beta, solve)]
-
-
-def _alternate_lanes(data: Dataset, psi: np.ndarray, beta: np.ndarray, solve) -> list[tuple]:
-    """`shift_alternation` for one block of lanes (psi a column). The arrays hold
-    the running lanes: a lane leaves once it converges or reaches the cap."""
+    if psi.shape[0] > step:  # one block of `step` lanes at a time
+        return [lane for i in range(0, psi.shape[0], step)
+                for lane in shift_alternation(data, psi[i:i + step], beta, solve)]
     X, y = data.design, data.y
-    b = np.tile(beta, (psi.shape[0], 1))
     r = y - X @ beta
-    alpha, rho = _shifts_and_rho(r, psi)
-    loss = rho.sum(axis=1)
+    alpha = soft_threshold_alpha(r, psi)
+    loss = huber_rho(r, psi).sum(axis=1)
+    b = np.tile(beta, (psi.shape[0], 1))
+    b_new, xb = np.empty_like(b), np.empty_like(alpha)
     run = np.arange(psi.shape[0])  # the lane of each row
     lanes = [None] * psi.shape[0]
     for it in range(1, SHIFT_MAX_ITER + 1):
-        b_new = solve(y - alpha)
-        r = y - np.array([X @ v for v in b_new])
+        for v, b_j, xb_j in zip(y - alpha, b_new, xb):
+            b_j[:] = solve(v)
+            np.dot(X, b_j, out=xb_j)
+        r = y - xb
         alpha, rho = _shifts_and_rho(r, psi)
         loss_new = rho.sum(axis=1)
-        if not (loss_new <= loss + 1e-12 * np.maximum(1.0, loss)).all():
+        if not all(n <= o + 1e-12 * max(1.0, o) for n, o in zip(loss_new.tolist(), loss.tolist())):
             raise InvariantViolated("shift update increased the Huber objective")
-        done = np.abs(b_new - b).max(axis=1) < BETA_TOL
-        b, loss = b_new, loss_new
+        done = (np.abs(b_new - b) < BETA_TOL).all(axis=1)
+        b, b_new, loss = b_new, b, loss_new
         leave = done if it < SHIFT_MAX_ITER else np.ones_like(done)
         if leave.any():
             for i in np.flatnonzero(leave):
                 lanes[run[i]] = (b[i].copy(), r[i].copy(), alpha[i].copy(),
                                  float(loss[i]), it, bool(done[i]))
             stay = ~leave
-            run, b, alpha, loss, psi = run[stay], b[stay], alpha[stay], loss[stay], psi[stay]
-            if not run.size:
+            if not stay.any():
                 break
+            run, b, alpha, loss, psi = run[stay], b[stay], alpha[stay], loss[stay], psi[stay]
+            b_new, xb = b_new[:run.size], xb[:run.size]
     return lanes
 
 

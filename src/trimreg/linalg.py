@@ -76,16 +76,14 @@ _LWORK: dict = {}
 
 
 def _lapack(routine, *args, **kwargs):
-    """Call a LAPACK routine with its optimal workspace, as `scipy.linalg`
-    does: the blocked path depends on `lwork`, so the bits do too. The
-    size depends only on the routine and the shapes of its inputs, so it
-    is queried (`lwork=-1`) once per shape and kept. Returns the outputs
-    before `work` and `info`."""
+    """Call a LAPACK routine with its optimal workspace, queried (`lwork=-1`)
+    once per routine and input shapes, as `scipy.linalg` does: the blocked
+    path depends on `lwork`, so the bits do too. Returns the outputs before
+    `work` and `info`."""
     key = (routine, *(a.shape for a in args))
-    lwork = _LWORK.get(key)
-    if lwork is None:
-        lwork = _LWORK[key] = int(routine(*args, lwork=-1, **kwargs)[-2][0])
-    out = routine(*args, lwork=lwork, **kwargs)
+    if key not in _LWORK:
+        _LWORK[key] = int(routine(*args, lwork=-1, **kwargs)[-2][0])
+    out = routine(*args, lwork=_LWORK[key], **kwargs)
     if out[-1] != 0:
         raise ValueError(f"illegal value in argument {-out[-1]} of {routine.__name__}")
     return out[:-2]
@@ -115,20 +113,11 @@ def pivoted_qr(X: np.ndarray):
     return Q, R_t, jpvt - 1
 
 
-def _triangular(R_t: np.ndarray, qtv: np.ndarray) -> np.ndarray:
-    """The c with R c = Q'v, from R' as `pivoted_qr` returns it."""
-    coef_piv, info = lapack.dtrtrs(R_t, qtv, lower=1, trans=1, overwrite_b=1)
-    if info != 0:  # a zero pivot, which the rank test has ruled out
-        raise np.linalg.LinAlgError(f"dtrtrs failed with info={info}")
-    return coef_piv
-
-
 def factor_qr(X: np.ndarray):
     """Factor X once by column-pivoted QR; return `solve(v) -> beta`.
 
     `solve(v)` is the least-squares coefficient vector of v on X, so a
-    fixed design refit against many responses is factored only once; a
-    (lanes, N) block of responses gives a (lanes, q) block of coefficients.
+    fixed design refit against many responses is factored only once.
     Raises RankDeficient when a pivot falls below RANK_TOL times the
     leading pivot, TooFewRows when there are fewer rows than columns, and
     ValueError when X, or Q'v in `solve`, holds NaN or Inf.
@@ -137,26 +126,20 @@ def factor_qr(X: np.ndarray):
     if n < q:
         raise TooFewRows(f"{n} rows < {q} columns")
     if q == 0:
-        return lambda v: np.zeros(np.shape(v)[:-1] + (0,))
+        return lambda v: np.zeros(0)
     if not np.isfinite(X).all():
         raise ValueError("array must not contain infs or NaNs")
     Q, R_t, piv = pivoted_qr(X)
-    Q_t = Q.T
+    unpivot = np.argsort(piv)  # coefficient j sits at position unpivot[j]
 
     def solve(v: np.ndarray) -> np.ndarray:
-        # a (lanes, N) block is solved row by row, each row by the calls a
-        # vector takes, so a row carries the bits of its own solve
-        rows = v.ndim == 2
-        qtv = np.array([Q_t @ row for row in v]) if rows else Q_t @ v
+        qtv = Q.T @ v
         if not np.isfinite(qtv).all():
             raise ValueError("array must not contain infs or NaNs")
-        if rows:
-            beta = np.empty_like(qtv)
-            beta[:, piv] = [_triangular(R_t, row) for row in qtv]
-        else:
-            beta = np.empty(q)
-            beta[piv] = _triangular(R_t, qtv)
-        return beta
+        coef_piv, info = lapack.dtrtrs(R_t, qtv, lower=1, trans=1, overwrite_b=1)
+        if info != 0:  # a zero pivot, which the rank test has ruled out
+            raise np.linalg.LinAlgError(f"dtrtrs failed with info={info}")
+        return coef_piv[unpivot]
 
     return solve
 

@@ -296,9 +296,13 @@ def test_a_lane_whose_loss_rises_raises():
     solve = factor_qr(d.design)
     shift_alternation(d, grid[:3], b0, solve)
 
+    calls = []
+
     def bumped(v):
+        calls.append(v)
         beta = solve(v)
-        beta[1] += 100.0  # the second lane's step overshoots
+        if len(calls) == 2:  # the second lane's first step overshoots
+            beta += 100.0
         return beta
 
     with pytest.raises(InvariantViolated, match="Huber"):

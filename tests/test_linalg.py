@@ -164,19 +164,6 @@ def test_factor_qr_bitwise_equals_scipy_path(rng):
     assert n_rank > 0 and n_full > 100
 
 
-def test_a_block_of_responses_is_solved_row_by_row(rng):
-    for X in _designs(rng):
-        try:
-            solve = factor_qr(X)
-        except RankDeficient:
-            continue
-        V = rng.normal(size=(4, X.shape[0])) * 10.0 ** rng.uniform(-3, 3, size=(4, 1))
-        B = solve(V)
-        assert B.shape == (4, X.shape[1])
-        for v, b in zip(V, B):
-            assert b.tobytes() == solve(v).tobytes()
-
-
 def test_cached_workspace_equals_a_fresh_query(rng):
     shapes = [(3, 3), (5, 2), (40, 3), (120, 4), (200, 7), (1000, 6)]
     for n, q in shapes:
@@ -207,8 +194,6 @@ def test_factor_qr_rejects_non_finite_input(rng, bad):
         factor_qr(X)(y_bad)
     with pytest.raises(ValueError):
         lstsq_qr(X, y_bad)
-    with pytest.raises(ValueError):
-        factor_qr(X)(np.array([y, y_bad, y]))
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
