@@ -164,13 +164,13 @@ def _check_budgets(args, n: int, q: int) -> None:
 
 def _sweep_budget(k_max: int | None, n: int, q: int) -> int:
     """The largest budget the L0 sweep scans: --k-max, or N // 4, within
-    [1, `sweep_cap`] = [1, min(N // 2, N - q)]."""
+    [1, `sweep_cap`] = [1, min(N // 2, N - q - 1)]."""
     cap = sweep_cap(n, q)
     if cap < 1:
         raise DimensionError(f"no outlier budget fits N = {n} rows and q = {q} coefficients")
     k_max = min(max(1, n // 4), cap) if k_max is None else k_max
     if not 1 <= k_max <= cap:
-        raise UsageError(f"--k-max must lie in [1, min(N // 2, N - q)] = [1, {cap}]")
+        raise UsageError(f"--k-max must lie in [1, min(N // 2, N - q - 1)] = [1, {cap}]")
     return k_max
 
 

@@ -17,7 +17,12 @@ as every solve is: one kernel (`_readmit_scores`) readmits one discarded
 row, or a pair, by a Woodbury update in that factor's orthonormal basis,
 then applies leave-out downdates for the dropped kept rows. No Gram is
 formed, whose normal equations would lose digits (Higham 2002, ch. 20).
-The winning support is always refit by pivoted QR before acceptance.
+At order 2 a readmitted pair's table of two-row drops, one entry per
+pair of kept rows, is built only when a lower bound on its best entry,
+from the leverages and residuals the readmission already gives, does
+not exceed a score some candidate already attains; a skipped table could
+neither win nor tie, so the result keeps its bits (`_swap_pass`). The
+winning support is always refit by pivoted QR before acceptance.
 
 Each kept set is solved, and each support swap-searched, once per call.
 The outermost public search call in progress (`fit_iht`,
@@ -56,8 +61,15 @@ IMPROVE_TOL = 1e-12
 # leave-out denominators below this are treated as degenerate candidates
 DOWNDATE_TOL = 1e-10
 # readmitted pairs scored per batch: the scoring arrays then hold a few
-# times PAIR_BLOCK * (N - k) floats however many pairs there are
+# times PAIR_BLOCK * (N - k) floats however many pairs there are; a
+# pair's two-drop table adds a few (N - k)^2 arrays, one pair at a time
 PAIR_BLOCK = 256
+# a readmitted pair's two-drop bound is off where 2 min(1 - h) - 1, the
+# bound's floor on the 2 x 2 leave-out eigenvalues, is at or below this
+PAIR_GAP_FLOOR = 0.25
+# relative margin a pair's bound keeps below the scores it bounds, far
+# above their rounding error (about 1e-13 relative once the gap > 0.25)
+PAIR_BOUND_MARGIN = 1e-9
 # complexity charge per discarded row, as a multiple of log N, when
 # selecting the budget here or psi in `l1` (where rows are flagged). The
 # plain value 1 never stops: trimming one more clean row always cuts the
@@ -287,6 +299,45 @@ def _readmit_scores(kept, X_A, y_A):
     return np.column_stack([base, drops]), e, denom, W.reshape(P, s, -1), CW.reshape(P, s, -1)
 
 
+def _pair_bounds(base, e, denom):
+    """Lower bound on each readmitted pair's best two-drop score, or -inf
+    where the bound is off.
+
+    `base`, `e` and `denom` are `_readmit_scores`' column 0, residuals and
+    denominators 1 - h for P pairs. The hat matrix after a readmission is
+    a projection, so its 2 x 2 block H_SS on any two kept rows has
+    λ_max <= trace = h_i + h_j, and the leave-out matrix I - H_SS has
+    λ_min >= g = 2 min(1 - h) - 1. Dropping two rows then removes at most
+    (e_(1)^2 + e_(2)^2) / g, from the two largest squared residuals; the
+    bound is base minus that, less `PAIR_BOUND_MARGIN` of its terms, which
+    covers the rounding of the scores it bounds. Off (-inf) where g is at
+    or below `PAIR_GAP_FLOOR`, as with a high-leverage kept row, or where
+    the bound is NaN.
+    """
+    g = 2.0 * denom.min(axis=1) - 1.0
+    top2 = np.partition(e * e, e.shape[1] - 2, axis=1)[:, -2:].sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cut = top2 / g
+    bound = base - cut - PAIR_BOUND_MARGIN * (np.abs(base) + cut)
+    return np.where((g > PAIR_GAP_FLOOR) & ~np.isnan(bound), bound, -np.inf)
+
+
+def _best_two_drop(base, e, denom, h12, i1, i2):
+    """(score, index into i1/i2) of the best kept-row pair to drop after
+    one readmission, from its residuals e, denominators 1 - h and the
+    off-diagonal h12 of the kept pairs (i1, i2). A pair whose 2 x 2
+    leave-out matrix is degenerate scores inf."""
+    d1, d2 = denom.take(i1), denom.take(i2)
+    det = d1 * d2 - h12 * h12
+    e1, e2 = e.take(i1), e.take(i2)
+    corr = e1 * e1 * d2 + e2 * e2 * d1 + 2.0 * e1 * e2 * h12
+    ok = (det > DOWNDATE_TOL) & (d1 > DOWNDATE_TOL) & (d2 > DOWNDATE_TOL)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rss2 = np.where(ok, base - corr / det, np.inf)
+    at = int(np.argmin(rss2))
+    return rss2[at], at
+
+
 def _swap_pass(X, y, in_idx, out_idx, l):
     """Best swap candidate by exact leave-out downdating.
 
@@ -298,6 +349,16 @@ def _swap_pass(X, y, in_idx, out_idx, l):
     order singles then pairs, each with no drop, then one, then two.
     Degenerate candidates (singular after removal) score inf but are
     counted; every candidate does if the kept rows fail the rank test.
+
+    A readmitted pair's two-drop table (all m(m - 1)/2 kept-row pairs) is
+    built only if its `_pair_bounds` bound does not exceed v, the smallest
+    score some candidate already attains: the best so far, the block's
+    no-drop and one-drop scores, and the two-drop bests built so far.
+    Pairs are visited in ascending bound, so once one is skipped all the
+    rest are. A skipped pair's scores all lie strictly above v, so they
+    could neither win nor tie: the winner, its score's bits and the tie
+    order are those of the full table, and the count is unchanged. Near
+    a high-leverage kept row the bound is off and every table is built.
     """
     m, ko = in_idx.shape[0], out_idx.shape[0]
     n_cand = count_swap_candidates(m, ko, l)
@@ -312,23 +373,23 @@ def _swap_pass(X, y, in_idx, out_idx, l):
         readmits += np.split(pairs, range(PAIR_BLOCK, pairs.shape[0], PAIR_BLOCK))
         i1, i2 = np.triu_indices(m, 1)  # the kept-row pairs a pair may drop
         flat = i1 * m + i2  # their entries in an m x m matrix
-        H0_12 = (kept[1] @ kept[1].T).take(flat)  # H0 = Q Q'
+        H0_12 = None  # H0 = Q Q', formed once a pair's table is built
     for A in readmits:
         table, e, denom, W, CW = _readmit_scores(kept, X[A], y[A])
         if A.shape[1] == 2:  # also drop two kept rows: each pair's best
             two = np.full(A.shape[0], np.inf)
             two_at = np.zeros(A.shape[0], dtype=np.intp)
-            for p in range(A.shape[0] if m >= 2 else 0):
-                d1, d2 = denom[p].take(i1), denom[p].take(i2)
-                h12 = H0_12 - (W[p].T @ CW[p]).take(flat)
-                det = d1 * d2 - h12 * h12
-                e1, e2 = e[p].take(i1), e[p].take(i2)
-                corr = e1 * e1 * d2 + e2 * e2 * d1 + 2.0 * e1 * e2 * h12
-                ok = (det > DOWNDATE_TOL) & (d1 > DOWNDATE_TOL) & (d2 > DOWNDATE_TOL)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    rss2 = np.where(ok, table[p, 0] - corr / det, np.inf)
-                two_at[p] = np.argmin(rss2)
-                two[p] = rss2[two_at[p]]
+            if m >= 2:
+                bound = _pair_bounds(table[:, 0], e, denom)
+                v = min(best_rss, table.min())
+                for p in np.argsort(bound):
+                    if bound[p] > v:
+                        break
+                    if H0_12 is None:
+                        H0_12 = (kept[1] @ kept[1].T).take(flat)
+                    h12 = H0_12 - (W[p].T @ CW[p]).take(flat)
+                    two[p], two_at[p] = _best_two_drop(table[p, 0], e[p], denom[p], h12, i1, i2)
+                    v = min(v, two[p])
             table = np.column_stack([table, two])
         p, col = divmod(int(np.argmin(table)), table.shape[1])
         if table[p, col] < best_rss:
@@ -400,9 +461,12 @@ def fit_lcs(data: Dataset, k: int, beta0: np.ndarray, l: int) -> SparsitySolutio
 
 
 def sweep_cap(n: int, q: int) -> int:
-    """The largest budget a sweep may scan, min(N // 2, N - q): half the
-    rows and at least q rows stay. Below 1, no budget fits."""
-    return min(n // 2, n - q)
+    """The largest budget a sweep may scan, min(N // 2, N - q - 1): half
+    the rows and at least q + 1 rows stay, so every budget's fit keeps a
+    residual degree of freedom. At N - q rows stay, the fit interpolates,
+    and its RSS, rounding error near 1e-30, would win the BIC selection
+    by log(RSS) alone. Below 1, no budget fits."""
+    return min(n // 2, n - q - 1)
 
 
 @_solves_once_per_call
@@ -418,14 +482,14 @@ def neighborhood_search(
     Per-budget objectives never increase across sweeps. Refits share this
     call's memo, so a refit that lands on a support solved or
     swap-searched before repeats neither.
-    K must lie in [1, `sweep_cap`]: K > N - q raises TooFewInliers, as
-    in `fit_iht`, and any other K outside it ValueError.
+    K must lie in [1, `sweep_cap`]: K >= N - q raises TooFewInliers, and
+    any other K outside it ValueError.
     """
     n, q = data.n_obs, data.n_coef
     if K < 1:
         raise ValueError("K must be >= 1")
-    if K > n - q:
-        raise TooFewInliers(f"K={K} leaves N - K = {n - K} < {q} coefficients")
+    if K >= n - q:
+        raise TooFewInliers(f"K={K} leaves N - K = {n - K} rows, fewer than q + 1 = {q + 1}")
     if K > n // 2:
         raise ValueError(f"K={K} exceeds floor(N/2)={n // 2}")
     sols = [fit_lcs(data, k, beta0, l) for k in range(1, K + 1)]

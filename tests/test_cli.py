@@ -124,7 +124,7 @@ def _regressor_csv(tmp_path, n, d):
     return str(path)
 
 
-# every budget keeps q rows: --k-max lies in [1, min(N // 2, N - q)]
+# every budget keeps q + 1 rows: --k-max lies in [1, min(N // 2, N - q - 1)]
 @pytest.mark.parametrize("n, d, argv, code, needle", [
     (1, 0, ["fit", "--method", "l0", "--auto"], 3, "N = 1 rows and q = 1"),
     (1, 1, ["fit", "--method", "l0", "--auto"], 3, "N = 1 rows and q = 2"),
@@ -133,7 +133,7 @@ def _regressor_csv(tmp_path, n, d):
     (3, 2, ["fit", "--method", "l0", "--auto"], 3, "N = 3 rows and q = 3"),
     (8, 4, ["fit", "--method", "l0", "--auto", "--k-max", "4"], 2, "--k-max"),
     (8, 4, ["tune", "--method", "l0", "--k-max", "4"], 2, "--k-max"),
-    (30, 4, ["forecast", "--method", "l0", "--auto", "--window", "6", "--k-max", "3"], 2,
+    (30, 4, ["forecast", "--method", "l0", "--auto", "--window", "7", "--k-max", "3"], 2,
      "--k-max"),
     # fewer rows than coefficients is a data error for every method and
     # command, found as the CSV is read
@@ -145,6 +145,9 @@ def _regressor_csv(tmp_path, n, d):
     (1, 1, ["fit", "--method", "l0", "--k", "0"], 3, "N = 1 rows and q = 2"),
     (1, 1, ["tune", "--method", "l1"], 3, "N = 1 rows and q = 2"),
     (1, 1, ["forecast", "--method", "ols", "--window", "3"], 3, "N = 1 rows and q = 2"),
+    # a window of q + 1 rows leaves no budget with a residual degree of freedom
+    (30, 4, ["forecast", "--method", "l0", "--auto", "--window", "6"], 3,
+     "no outlier budget fits"),
 ])
 def test_budgets_that_keep_fewer_than_q_rows_are_refused(tmp_path, capsys, n, d, argv,
                                                          code, needle):
@@ -159,9 +162,9 @@ def test_budgets_that_keep_fewer_than_q_rows_are_refused(tmp_path, capsys, n, d,
 
 def test_default_budget_is_clamped_to_keep_q_rows(tmp_path):
     out = str(tmp_path / "report.json")
-    # N = 8, q = 7: N // 4 = 2 is clamped to the cap N - q = 1;
-    # N = 8, q = 5: the cap N - q = 3 is accepted
-    for d, extra, ks in ((6, [], [1]), (4, ["--k-max", "3"], [1, 2, 3])):
+    # N = 8, q = 6: N // 4 = 2 is clamped to the cap N - q - 1 = 1;
+    # N = 8, q = 4: the cap N - q - 1 = 3 is accepted
+    for d, extra, ks in ((5, [], [1]), (3, ["--k-max", "3"], [1, 2, 3])):
         path = _regressor_csv(tmp_path, 8, d)
         assert main(["tune", path, "--method", "l0", *extra, "--out", out]) == 0
         assert [t["k"] for t in load_json(out)["trace"]] == ks

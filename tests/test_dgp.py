@@ -264,7 +264,7 @@ def test_harness_runs_the_time_series_design():
 
 def test_harness_l0_budget_keeps_q_rows():
     # N = 10 rows and q = 6 coefficients: twice the true count (8) and
-    # N // 2 = 5 both exceed N - q = 4, so the sweep is capped at 4
+    # N // 2 = 5 both exceed N - q - 1 = 3, so the sweep is capped at 3
     cfg = DgpConfig(dgp=3, N=10, p=0.45, seed=2, n_test=5)
     estimators = [ESTIMATOR_FACTORIES["l0"](), ESTIMATOR_FACTORIES["lcs2"]()]
     summaries, records = run_monte_carlo_records(cfg, estimators, R=5)
@@ -274,7 +274,7 @@ def test_harness_l0_budget_keeps_q_rows():
 
 
 def test_harness_records_a_sample_no_budget_fits_as_failed():
-    # N = q = 6: no budget keeps q rows, so the l0 fit fails in every
+    # N = q = 6: no budget keeps q + 1 rows, so the l0 fit fails in every
     # replication, and the harness records that instead of raising
     cfg = DgpConfig(dgp=3, N=6, p=0.5, seed=2, n_test=5)
     summaries, records = run_monte_carlo_records(cfg, [ESTIMATOR_FACTORIES["l0"]()], R=2)

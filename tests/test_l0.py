@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from trimreg import l0
+from trimreg import dgp, l0
 from trimreg.classic import fit_ols, initial_beta
 from trimreg.cli import main
 from trimreg.dgp import DgpConfig, generate
@@ -298,6 +298,167 @@ def test_fit_l0_auto_bit_identical_to_reference_loop(monkeypatch, cfg, K):
     assert np.array_equal(got.outliers, want.outliers)
     assert got.k == want.k
     assert got.info["bic_trace"] == want.info["bic_trace"]
+
+
+def _unpruned_swap_pass(X, y, in_idx, out_idx, l):
+    """The batched swap pass that builds every readmitted pair's full
+    two-drop table, with no bound: the pass as it was before pairs were
+    skipped."""
+    m, ko = in_idx.shape[0], out_idx.shape[0]
+    n_cand = count_swap_candidates(m, ko, l)
+    best_rss, best_drop, best_add = np.inf, [], out_idx[:0]
+    try:
+        kept = l0._kept_fit(X[in_idx], y[in_idx])
+    except l0.RankDeficient:
+        return best_rss, in_idx[:0], best_add, n_cand
+    readmits = [out_idx[:, None]]
+    if l == 2 and ko >= 2:
+        pairs = out_idx[np.column_stack(np.triu_indices(ko, 1))]
+        readmits += np.split(pairs, range(l0.PAIR_BLOCK, pairs.shape[0], l0.PAIR_BLOCK))
+        i1, i2 = np.triu_indices(m, 1)
+        flat = i1 * m + i2
+        H0_12 = (kept[1] @ kept[1].T).take(flat)
+    for A in readmits:
+        table, e, denom, W, CW = l0._readmit_scores(kept, X[A], y[A])
+        if A.shape[1] == 2:
+            two = np.full(A.shape[0], np.inf)
+            two_at = np.zeros(A.shape[0], dtype=np.intp)
+            for p in range(A.shape[0] if m >= 2 else 0):
+                d1, d2 = denom[p].take(i1), denom[p].take(i2)
+                h12 = H0_12 - (W[p].T @ CW[p]).take(flat)
+                det = d1 * d2 - h12 * h12
+                e1, e2 = e[p].take(i1), e[p].take(i2)
+                corr = e1 * e1 * d2 + e2 * e2 * d1 + 2.0 * e1 * e2 * h12
+                ok = (det > l0.DOWNDATE_TOL) & (d1 > l0.DOWNDATE_TOL) & (d2 > l0.DOWNDATE_TOL)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    rss2 = np.where(ok, table[p, 0] - corr / det, np.inf)
+                two_at[p] = np.argmin(rss2)
+                two[p] = rss2[two_at[p]]
+            table = np.column_stack([table, two])
+        p, col = divmod(int(np.argmin(table)), table.shape[1])
+        if table[p, col] < best_rss:
+            best_rss, best_add = float(table[p, col]), A[p]
+            if col <= m:
+                best_drop = [col - 1] if col else []
+            else:
+                best_drop = [i1[two_at[p]], i2[two_at[p]]]
+    return best_rss, in_idx[best_drop], best_add, n_cand
+
+
+def _assert_bit_identical_swap(got, want):
+    assert got[0] == want[0]
+    assert np.array_equal(got[1], want[1])
+    assert np.array_equal(got[2], want[2])
+    assert got[3] == want[3]
+
+
+def _swap_starts(cfg, K):
+    """(data, kept rows, discarded rows) at IHT starts and random
+    partitions with budgets 2, K // 4 and K // 2."""
+    d = generate(cfg).train
+    r = np.random.default_rng(cfg.seed)
+    for k in (2, K // 4, K // 2):
+        for out in (fit_iht(d, k, initial_beta(d)).outliers,
+                    np.sort(r.choice(d.n_obs, size=k, replace=False))):
+            yield d, np.setdiff1d(np.arange(d.n_obs), out), out
+
+
+def _counting_pair_tables(monkeypatch):
+    """Count the readmitted pairs whose two-drop table `_swap_pass` builds."""
+    built = []
+    full = l0._best_two_drop
+
+    def counted(*args):
+        built.append(1)
+        return full(*args)
+
+    monkeypatch.setattr(l0, "_best_two_drop", counted)
+    return built
+
+
+@pytest.mark.parametrize("block", [1, 7, l0.PAIR_BLOCK])
+@pytest.mark.parametrize("cfg, K", SWAP_SAMPLES)
+def test_pruned_swap_pass_is_bit_identical_to_the_full_table(monkeypatch, cfg, K, block):
+    monkeypatch.setattr(l0, "PAIR_BLOCK", block)
+    for d, inl, out in _swap_starts(cfg, K):
+        _assert_bit_identical_swap(l0._swap_pass(d.design, d.y, inl, out, 2),
+                                   _unpruned_swap_pass(d.design, d.y, inl, out, 2))
+
+
+@pytest.mark.parametrize("cfg, K", SWAP_SAMPLES)
+def test_pair_bound_is_below_each_pairs_best_two_drop(cfg, K):
+    n_on = n_pairs = 0
+    for d, inl, out in _swap_starts(cfg, K):
+        m = inl.shape[0]
+        kept = l0._kept_fit(d.design[inl], d.y[inl])
+        A = out[np.column_stack(np.triu_indices(out.shape[0], 1))]
+        table, e, denom, W, CW = l0._readmit_scores(kept, d.design[A], d.y[A])
+        bound = l0._pair_bounds(table[:, 0], e, denom)
+        i1, i2 = np.triu_indices(m, 1)
+        flat = i1 * m + i2
+        H0_12 = (kept[1] @ kept[1].T).take(flat)
+        for p in range(A.shape[0]):
+            h12 = H0_12 - (W[p].T @ CW[p]).take(flat)
+            best, _ = l0._best_two_drop(table[p, 0], e[p], denom[p], h12, i1, i2)
+            assert bound[p] <= best
+        n_on += int(np.isfinite(bound).sum())
+        n_pairs += A.shape[0]
+    assert n_on >= 0.8 * n_pairs  # the bound is on for most pairs
+
+
+def test_a_high_leverage_kept_row_turns_the_pair_bound_off(monkeypatch):
+    # row 5's regressors scaled 30 times: its leverage passes 0.375, so the
+    # bound's eigenvalue floor 2 min(1 - h) - 1 drops below 0.25
+    r = np.random.default_rng(11)
+    x = r.normal(size=(40, 2))
+    x[5] *= 30.0
+    y = 0.5 + x @ np.array([1.0, 1.0]) + r.normal(size=40)
+    y[[0, 1, 2, 3]] += 8.0
+    d = Dataset(y=y, x=x)
+    built = _counting_pair_tables(monkeypatch)
+    for out in (np.array([0, 1, 2, 3]), np.array([0, 2, 9, 17, 30])):
+        inl = np.setdiff1d(np.arange(40), out)
+        kept = l0._kept_fit(d.design[inl], d.y[inl])
+        assert 2.0 * kept[5].min() - 1.0 <= l0.PAIR_GAP_FLOOR
+        built.clear()
+        _assert_bit_identical_swap(l0._swap_pass(d.design, d.y, inl, out, 2),
+                                   _unpruned_swap_pass(d.design, d.y, inl, out, 2))
+        assert len(built) == comb(out.shape[0], 2)
+
+
+def test_duplicated_rows_keep_the_tie_winner():
+    # every row twice: readmitting a row or its copy, and dropping a kept
+    # row or its copy, score alike, so the first in tie order must win
+    r = np.random.default_rng(12)
+    x = r.normal(size=(30, 2))
+    y = 0.5 + x @ np.array([1.0, 1.0]) + r.normal(size=30)
+    y[[0, 1, 2]] += 8.0
+    d = Dataset(y=np.concatenate([y, y]), x=np.vstack([x, x]))
+    for out in (np.array([0, 1, 2, 30, 31, 32]), np.array([0, 4, 30, 34]),
+                np.array([1, 5, 9, 31, 35, 39])):
+        inl = np.setdiff1d(np.arange(60), out)
+        _assert_bit_identical_swap(l0._swap_pass(d.design, d.y, inl, out, 2),
+                                   _unpruned_swap_pass(d.design, d.y, inl, out, 2))
+
+
+def test_closing_order_2_pass_skips_most_pairs(monkeypatch):
+    d = generate(SWAP_SAMPLES[1].values[0]).train
+    built = _counting_pair_tables(monkeypatch)
+    full = l0._swap_pass
+    n_pairs, n_built = [], []
+
+    def counted(X, y, in_idx, out_idx, l):
+        start = len(built)
+        got = full(X, y, in_idx, out_idx, l)
+        if l == 2:
+            n_pairs.append(comb(out_idx.shape[0], 2))
+            n_built.append(len(built) - start)
+        return got
+
+    monkeypatch.setattr(l0, "_swap_pass", counted)
+    fit_l0_auto(d, 40)
+    assert sum(n_pairs) >= 30
+    assert sum(n_built) <= 0.1 * sum(n_pairs)
 
 
 def _reference_fit_iht(data, k, beta0):
@@ -725,8 +886,21 @@ def test_neighborhood_budget_cap(rng):
     d = _contaminated(rng, n=20, shift=5.0, k0=2)
     with pytest.raises(ValueError):
         neighborhood_search(d, initial_beta(d), K=11, l=1)
-    # a budget that keeps fewer than q = 3 rows fails as fit_iht fails
+    # a budget that keeps fewer than q + 1 = 4 rows, so that the fit
+    # interpolates the kept rows, is no sweep budget
     small = _contaminated(rng, n=4, shift=5.0, k0=1)
-    assert (sweep_cap(20, 3), sweep_cap(4, 3), sweep_cap(3, 3)) == (10, 1, 0)
-    with pytest.raises(TooFewInliers):
-        neighborhood_search(small, initial_beta(small), K=2, l=1)
+    assert (sweep_cap(20, 3), sweep_cap(4, 3), sweep_cap(3, 3)) == (10, 0, -1)
+    for K in (1, 2):
+        with pytest.raises(TooFewInliers):
+            neighborhood_search(small, initial_beta(small), K=K, l=1)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3])
+def test_harness_l0_sweeps_no_interpolating_budget(seed):
+    # N = 10, q = 6: the budget k = N - q = 4 fits its 6 kept rows exactly,
+    # and its rounding-level RSS (~1e-30) used to win the BIC by log(RSS)
+    sample = generate(DgpConfig(dgp=3, N=10, p=0.45, seed=seed))
+    sol = dgp._l0(sample)
+    assert [t[0] for t in sol.info["bic_trace"]] == [1, 2, 3]
+    assert sol.k <= sweep_cap(10, 6) == 3
+    assert sol.objective > 1e-8
