@@ -55,10 +55,18 @@ def lad_objective(r: np.ndarray) -> float:
     return float(np.sum(np.abs(r)))
 
 
-def _smoothed_abs(r: np.ndarray, eps: float) -> float:
-    # quadratic below eps, |r| above; the exact objective the IRLS step descends
-    a = np.abs(r)
-    return float(np.sum(np.where(a <= eps, r * r / (2.0 * eps) + eps / 2.0, a)))
+def _smoothed_abs(r: np.ndarray, a: np.ndarray) -> float:
+    # quadratic below LAD_EPS, |r| = a above; the exact objective the IRLS
+    # step descends. Only the entries at or below LAD_EPS (none, or about
+    # q near the optimum) are recomputed, each as the elementwise formula
+    # would, so the sum carries its bits.
+    small = a <= LAD_EPS
+    if not small.any():
+        return float(a.sum())
+    s = a.copy()
+    r_small = r[small]
+    s[small] = r_small * r_small / (2.0 * LAD_EPS) + LAD_EPS / 2.0
+    return float(s.sum())
 
 
 def fit_lad(data: Dataset) -> ClassicFit:
@@ -66,23 +74,24 @@ def fit_lad(data: Dataset) -> ClassicFit:
     X, y = data.design, data.y
     beta = lstsq_qr(X, y)
     r = y - X @ beta
-    smoothed = _smoothed_abs(r, LAD_EPS)
+    a = np.abs(r)
+    smoothed = _smoothed_abs(r, a)
     converged = False
     it = 0
     for it in range(1, MAX_ITER + 1):
-        w = 1.0 / np.maximum(np.abs(r), LAD_EPS)
-        sw = np.sqrt(w)
+        sw = np.sqrt(1.0 / np.maximum(a, LAD_EPS))
         beta_new = lstsq_qr(X * sw[:, None], y * sw)
         r = y - X @ beta_new
-        smoothed_new = _smoothed_abs(r, LAD_EPS)
+        a = np.abs(r)
+        smoothed_new = _smoothed_abs(r, a)
         if not smoothed_new <= smoothed + 1e-12 * max(1.0, smoothed):
             raise InvariantViolated("IRLS step increased the smoothed objective")
         smoothed = smoothed_new
-        if np.max(np.abs(beta_new - beta)) < BETA_TOL:
-            beta = beta_new
+        done = all(abs(n - o) < BETA_TOL for n, o in zip(beta_new.tolist(), beta.tolist()))
+        beta = beta_new
+        if done:
             converged = True
             break
-        beta = beta_new
     return ClassicFit(beta=beta, objective=lad_objective(r), iterations=it, converged=converged)
 
 

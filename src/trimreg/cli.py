@@ -199,10 +199,10 @@ def _fit_once(data: Dataset, args) -> dict:
     else:
         param = "psi" if args.method == "l1" else "k"
         if args.method == "l1":
-            sol = select_psi_bic(data) if args.auto else fit_l1(data, args.psi)
+            sol = select_psi_bic(data, initial_beta(data)) if args.auto else fit_l1(data, args.psi)
         elif args.auto:
             K = _sweep_budget(args.k_max, data.n_obs, data.n_coef)
-            sol = fit_l0_auto(data, K=K, l_final=args.l)
+            sol = fit_l0_auto(data, initial_beta(data), K=K, l_final=args.l)
         else:
             sol = fit_lcs(data, args.k, initial_beta(data), args.l)
         alpha = sol.alpha
@@ -253,7 +253,7 @@ def cmd_tune(args) -> int:
         K = _sweep_budget(args.k_max, data.n_obs, data.n_coef)
         sol, param = select_k_bic(data, initial_beta(data), K, args.l), "k"
     else:
-        sol, param = select_psi_bic(data, args.grid_size), "psi"
+        sol, param = select_psi_bic(data, initial_beta(data), args.grid_size), "psi"
     report = {
         "command": "tune",
         "version": __version__,

@@ -49,7 +49,6 @@ from math import comb
 import numpy as np
 from scipy.linalg import lapack
 
-from .classic import initial_beta
 from .errors import DegenerateFit, InvariantViolated, RankDeficient, TooFewInliers
 from .linalg import Dataset, lstsq_qr, pivoted_qr
 
@@ -371,8 +370,6 @@ def _swap_pass(X, y, in_idx, out_idx, l):
     if l == 2 and ko >= 2:
         pairs = out_idx[np.column_stack(np.triu_indices(ko, 1))]
         readmits += np.split(pairs, range(PAIR_BLOCK, pairs.shape[0], PAIR_BLOCK))
-        i1, i2 = np.triu_indices(m, 1)  # the kept-row pairs a pair may drop
-        flat = i1 * m + i2  # their entries in an m x m matrix
         H0_12 = None  # H0 = Q Q', formed once a pair's table is built
     for A in readmits:
         table, e, denom, W, CW = _readmit_scores(kept, X[A], y[A])
@@ -386,6 +383,8 @@ def _swap_pass(X, y, in_idx, out_idx, l):
                     if bound[p] > v:
                         break
                     if H0_12 is None:
+                        i1, i2 = np.triu_indices(m, 1)  # the kept-row pairs a pair may drop
+                        flat = i1 * m + i2  # their entries in an m x m matrix
                         H0_12 = (kept[1] @ kept[1].T).take(flat)
                     h12 = H0_12 - (W[p].T @ CW[p]).take(flat)
                     two[p], two_at[p] = _best_two_drop(table[p, 0], e[p], denom[p], h12, i1, i2)
@@ -559,15 +558,18 @@ def select_k_bic(data: Dataset, beta0: np.ndarray, K: int, l: int) -> SparsitySo
 
 
 @_solves_once_per_call
-def fit_l0_auto(data: Dataset, K: int, l_final: int = 2) -> SparsitySolution:
-    """Full pipeline: order-1 budget sweep from the LAD fit, BIC choice,
+def fit_l0_auto(data: Dataset, beta0: np.ndarray, K: int, l_final: int = 2) -> SparsitySolution:
+    """Full pipeline: order-1 budget sweep from `beta0`, BIC choice,
     order-l_final polish.
 
-    Returns the polished solution at the selected budget (or the selected
-    one, if polishing does not lower the objective); `info` carries the
-    sweep's trace under "bic_trace", as in `select_k_bic`.
+    `beta0` is the sweep's start, as in `select_k_bic`; the paper's
+    pipeline starts from the LAD fit (`classic.initial_beta`), which the
+    caller fits once and may share with other estimators. Returns the
+    polished solution at the selected budget (or the selected one, if
+    polishing does not lower the objective); `info` carries the sweep's
+    trace under "bic_trace", as in `select_k_bic`.
     """
-    selected = select_k_bic(data, initial_beta(data), K, 1)
+    selected = select_k_bic(data, beta0, K, 1)
     final = selected
     if l_final > 1:
         final = fit_lcs(data, selected.k, selected.beta, l_final)

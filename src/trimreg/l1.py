@@ -5,8 +5,9 @@ Minimizes 0.5 ||y - X b - a||^2 + psi ||a||_1 with the shift alternation
 `a` is the residuals soft-thresholded at psi, and b is least squares of
 y - a on X. The profiled objective coincides with the Huber loss at
 cutoff psi, which the fit cross-checks at convergence. `select_psi_bic`
-runs its whole grid through one call, one lane per psi, from one LAD start
-and one factorization; each lane equals `fit_l1` at its psi, bit for bit.
+runs its whole grid through one call, one lane per psi, from the LAD start
+its caller passes and one factorization; each lane equals `fit_l1` at its
+psi, bit for bit.
 """
 
 from __future__ import annotations
@@ -95,22 +96,25 @@ def bic_l1(data: Dataset, sol: L1Solution, mult: float) -> float:
 
 
 def select_psi_bic(
-    data: Dataset, size: int = PSI_GRID_SIZE, penalty_mult: float = BIC_SELECTION_MULT
+    data: Dataset, beta0: np.ndarray, size: int = PSI_GRID_SIZE,
+    penalty_mult: float = BIC_SELECTION_MULT,
 ) -> L1Solution:
     """Fit every psi of the `size`-point default grid, score by BIC, return
     the minimizer; a size below 1 raises ValueError.
 
-    Ties break toward larger psi (fewer flagged rows). Non-convergent grid
-    points are skipped; if none converge, raises AllFitsFailed. All grid
-    points share one LAD starting point, so they stay order-independent,
-    and one factorization of the design.
+    `beta0` is the LAD fit's coefficients (`classic.initial_beta`), which
+    the caller fits once and may share with other estimators: it scales
+    the grid (`default_psi_grid`) and starts every grid point, so the
+    points stay order-independent; they also share one factorization of
+    the design. Ties break toward larger psi (fewer flagged rows).
+    Non-convergent grid points are skipped; if none converge, raises
+    AllFitsFailed.
     `info` carries the selected score under "bic" and, under "bic_trace",
     one (psi, objective, score, rows flagged) tuple per converged point in
     ascending psi.
     """
     if size < 1:
         raise ValueError(f"psi grid size must be at least 1, not {size}")
-    beta0 = fit_lad(data).beta
     grid = default_psi_grid(data, size, beta0).tolist()  # ascending
     fits = _fit_l1(data, grid, beta0, factor_qr(data.design))
     if not fits:

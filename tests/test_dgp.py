@@ -314,3 +314,88 @@ def test_failed_oracle_keeps_the_replications_fits(monkeypatch):
     assert all(lcs1[rep].equal_oracle is not None for rep in (1, 3))
     assert all(lcs1[rep].gap is not None for rep in (1, 3))
     assert summaries["lcs1"].n_reps == 3 and summaries["lcs1"].n_failed == 0
+
+
+# designs of the criterion-4 and criterion-5 studies (README), at small N and R
+LAD_SHARING = [
+    (DgpConfig(dgp=2, N=40, p=0.1, rho=5.0, seed=314159, n_test=20),
+     ["l0", "l1", "lad", "ols"], None),
+    (DgpConfig(dgp=1, N=30, p=0.1, mu_alpha=5, sigma_alpha=5, seed=271828, n_test=10),
+     ["iht", "lcs1", "lcs2"], 0),
+]
+LAD_CONSUMERS = {"l0", "l1", "lad", "iht", "lcs1", "lcs2"}
+
+
+def _count_lad_fits(monkeypatch, fail=False):
+    """Route every LAD fit through a counter; return its per-fit log of
+    (training response bytes, CPU seconds). With `fail`, each fit raises."""
+    from trimreg import classic, l1
+    from trimreg.errors import RankDeficient
+
+    real, log = classic.fit_lad, []
+
+    def counted(data):
+        t0 = time.process_time()
+        try:
+            if fail:
+                raise RankDeficient("synthetic rank failure")
+            return real(data)
+        finally:
+            log.append((data.y.tobytes(), time.process_time() - t0))
+
+    for mod in (classic, dgp, l1):
+        monkeypatch.setattr(mod, "fit_lad", counted)
+    return log
+
+
+@pytest.mark.parametrize("cfg, names, oracle_k", LAD_SHARING, ids=["crit5", "crit4"])
+def test_lad_start_is_fitted_once_per_replication(monkeypatch, cfg, names, oracle_k):
+    R = 3
+    log = _count_lad_fits(monkeypatch)
+    estimators = [ESTIMATOR_FACTORIES[name]() for name in names]
+    _, records = run_monte_carlo_records(cfg, estimators, R, oracle_k=oracle_k)
+    assert len(log) == R and len({y for y, _ in log}) == R
+    assert not any(r.failed for r in records)
+    for rec in records:
+        if rec.estimator in LAD_CONSUMERS:
+            # each consumer pays for the start it read, as a fit from scratch would
+            assert rec.cpu_s >= log[rec.rep - 1][1]
+    log.clear()
+    run_monte_carlo_records(cfg, [ESTIMATOR_FACTORIES["ols"]()], R, oracle_k=oracle_k)
+    assert log == []
+
+
+@pytest.mark.parametrize("cfg, names, oracle_k", LAD_SHARING, ids=["crit5", "crit4"])
+def test_a_failed_lad_start_fails_every_consumer(monkeypatch, cfg, names, oracle_k):
+    log = _count_lad_fits(monkeypatch, fail=True)
+    estimators = [ESTIMATOR_FACTORIES[name]() for name in [*names, "ols"]]
+    summaries, records = run_monte_carlo_records(cfg, estimators, 2, oracle_k=oracle_k)
+    assert len(log) == 2  # the error is shared too, not refitted
+    for rec in records:
+        assert rec.failed == (rec.estimator != "ols")
+    assert summaries["ols"].n_failed == 0
+
+
+def _statistics(records):
+    return {(r.estimator, r.rep): (r.beta1, r.pred_err, r.equal_oracle, r.gap, r.failed)
+            for r in records}
+
+
+@pytest.mark.parametrize("cfg, names, oracle_k", LAD_SHARING, ids=["crit5", "crit4"])
+def test_sharing_the_lad_start_moves_no_statistic(cfg, names, oracle_k):
+    R = 4
+    together = run_monte_carlo_records(
+        cfg, [ESTIMATOR_FACTORIES[name]() for name in names], R, oracle_k=oracle_k)[1]
+    alone = [rec for name in names for rec in run_monte_carlo_records(
+        cfg, [ESTIMATOR_FACTORIES[name]()], R, oracle_k=oracle_k)[1]]
+    assert len(together) == len(alone) == R * len(names)
+    assert _statistics(together) == _statistics(alone)
+
+
+def test_the_shared_lad_start_is_read_only_and_not_fitted_by_generate(monkeypatch):
+    log = _count_lad_fits(monkeypatch)
+    s = generate(DgpConfig(dgp=2, N=40, p=0.1, rho=5.0, seed=9, n_test=10))
+    assert log == [] and s.lad_slot.reads == 0
+    fit = s.lad()
+    assert s.lad() is fit and s.lad_slot.reads == 2 and len(log) == 1
+    assert not fit.beta.flags.writeable

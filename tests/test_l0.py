@@ -290,10 +290,10 @@ def test_fit_l0_auto_bit_identical_to_reference_loop(monkeypatch, cfg, K):
         return got
 
     monkeypatch.setattr(l0, "_swap_pass", checked)
-    got = l0.fit_l0_auto(d, K)
+    got = l0.fit_l0_auto(d, initial_beta(d), K)
     assert passes.count(1) > K and 2 in passes
     monkeypatch.setattr(l0, "_swap_pass", _reference_swap_pass)
-    want = l0.fit_l0_auto(d, K)
+    want = l0.fit_l0_auto(d, initial_beta(d), K)
     assert got.beta.tobytes() == want.beta.tobytes()
     assert np.array_equal(got.outliers, want.outliers)
     assert got.k == want.k
@@ -456,7 +456,7 @@ def test_closing_order_2_pass_skips_most_pairs(monkeypatch):
         return got
 
     monkeypatch.setattr(l0, "_swap_pass", counted)
-    fit_l0_auto(d, 40)
+    fit_l0_auto(d, initial_beta(d), 40)
     assert sum(n_pairs) >= 30
     assert sum(n_built) <= 0.1 * sum(n_pairs)
 
@@ -721,7 +721,7 @@ def test_each_kept_set_is_solved_once_per_call(monkeypatch, cfg, k):
         lambda: neighborhood_search(d, b0, 6, 2),
         lambda: fit_lcs(d, k, b0, 1),
         lambda: fit_lcs(d, k, b0, 2),
-        lambda: fit_l0_auto(d, k, 2),
+        lambda: fit_l0_auto(d, b0, k, 2),
     ]
     for call in calls:
         solved.clear()

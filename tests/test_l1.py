@@ -126,7 +126,7 @@ def test_exhausted_iteration_cap_is_not_converged(monkeypatch):
     with pytest.raises(NotConverged):
         fit_l1(d, 1.0)
     with pytest.raises(AllFitsFailed):
-        select_psi_bic(d)
+        select_psi_bic(d, fit_lad(d).beta)
 
 
 def test_select_psi_bic_factors_the_design_once(monkeypatch):
@@ -139,7 +139,7 @@ def test_select_psi_bic_factors_the_design_once(monkeypatch):
         return real(X)
 
     monkeypatch.setattr(l1, "factor_qr", counted)
-    sol = select_psi_bic(d, penalty_mult=1.0)
+    sol = select_psi_bic(d, fit_lad(d).beta, penalty_mult=1.0)
     assert calls == [d.design.shape]
     b0 = fit_lad(d).beta
     fits = [fit_l1(d, float(psi)) for psi in default_psi_grid(d, l1.PSI_GRID_SIZE, b0)]
@@ -181,7 +181,7 @@ def test_grid_lanes_match_per_psi_fits(dgp, N):
         grid = default_psi_grid(d, l1.PSI_GRID_SIZE, fit_lad(d).beta).tolist()
         fits = _per_psi_fits(d, grid)
         for mult in (1.0, 2.75):
-            _assert_selection_is_the_per_psi_fits(d, select_psi_bic(d, penalty_mult=mult), fits, mult)
+            _assert_selection_is_the_per_psi_fits(d, select_psi_bic(d, fit_lad(d).beta, penalty_mult=mult), fits, mult)
 
 
 def test_capped_lanes_are_skipped(monkeypatch):
@@ -196,7 +196,7 @@ def test_capped_lanes_are_skipped(monkeypatch):
     fits = _per_psi_fits(d, grid)
     assert 0 < len(fits) < len(grid)
     assert [f.psi for f in fits] == [psi for psi, s in zip(grid, steps) if s <= cap]
-    _assert_selection_is_the_per_psi_fits(d, select_psi_bic(d, penalty_mult=1.0), fits, 1.0)
+    _assert_selection_is_the_per_psi_fits(d, select_psi_bic(d, b0, penalty_mult=1.0), fits, 1.0)
 
 
 def test_huber_equivalence_random_instances():
@@ -215,7 +215,7 @@ def test_select_psi_single_point_grid(rng):
     x = rng.normal(size=(20, 1))
     y = rng.normal(size=20)
     d = Dataset(y=y, x=x)
-    sol = select_psi_bic(d, 1)
+    sol = select_psi_bic(d, fit_lad(d).beta, 1)
     assert sol.psi == default_psi_grid(d, 1, fit_lad(d).beta)[0]
     assert [t[0] for t in sol.info["bic_trace"]] == [sol.psi]
 
@@ -224,7 +224,7 @@ def test_select_psi_clean_data_flags_nothing():
     cfg = DgpConfig(dgp=1, N=100, p=0.05, mu_alpha=10, sigma_alpha=10, seed=3,
                     n_test=100)
     clean = generate(cfg).test  # outlier-free split
-    sol = select_psi_bic(clean)
+    sol = select_psi_bic(clean, fit_lad(clean).beta)
     assert sol.n_outliers == 0
 
 
@@ -234,7 +234,7 @@ def test_select_psi_recovers_planted_support():
     y = 0.5 + x @ np.array([1.0, 1.0]) + r.normal(size=100)
     y[:5] += 12.0
     d = Dataset(y=y, x=x)
-    sol = select_psi_bic(d)
+    sol = select_psi_bic(d, fit_lad(d).beta)
     assert sol.n_outliers == 5
     assert np.array_equal(np.flatnonzero(sol.alpha != 0.0), np.arange(5))
 
@@ -243,7 +243,7 @@ def test_grid_validation(rng):
     d = Dataset(y=rng.normal(size=10), x=rng.normal(size=(10, 1)))
     for size in (0, -1):
         with pytest.raises(ValueError):
-            select_psi_bic(d, size)
+            select_psi_bic(d, fit_lad(d).beta, size)
     with pytest.raises(ValueError):
         fit_l1(d, psi=-1.0)
 
