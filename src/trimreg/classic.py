@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvariantViolated
+from .errors import DegenerateFit, InvariantViolated
 from .linalg import Dataset, factor_qr, lstsq_qr
 
 MAX_ITER = 1000
@@ -45,10 +45,16 @@ class ClassicFit:
 
 
 def fit_ols(data: Dataset) -> ClassicFit:
-    """Ordinary least squares; objective is half the residual sum of squares."""
+    """Ordinary least squares; objective is half the residual sum of squares.
+
+    Raises DegenerateFit when that sum overflows."""
     beta = lstsq_qr(data.design, data.y)
-    r = data.y - data.design @ beta
-    return ClassicFit(beta=beta, objective=0.5 * float(r @ r), iterations=0, converged=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = data.y - data.design @ beta
+        rss = float(r @ r)
+    if not np.isfinite(rss):
+        raise DegenerateFit(f"residual sum of squares overflows ({rss})")
+    return ClassicFit(beta=beta, objective=0.5 * rss, iterations=0, converged=True)
 
 
 def lad_objective(r: np.ndarray) -> float:

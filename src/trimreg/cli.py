@@ -15,6 +15,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from dataclasses import MISSING, asdict, fields
 from functools import partial
@@ -120,6 +121,22 @@ def write_csv(path: str, rows: list[dict], fieldnames: list[str] | None = None) 
         writer.writerows(rows)
 
 
+def _report_head(args, header: list[str]) -> dict:
+    """The fields a report on a CSV opens with: the command, the version,
+    the resolved invocation (every parsed flag) and the CSV's columns."""
+    config = {k: v for k, v in vars(args).items() if k != "func"}
+    return {"command": args.command, "version": __version__, "config": config,
+            "columns": {"response": header[0], "regressors": header[1:]}}
+
+
+def _check_outputs(source: str, outputs: list[tuple[str, str | None]]) -> None:
+    """Usage error when an output (flag, path) names the input file `source`,
+    which has been read: a run never writes over what it reads."""
+    for flag, path in outputs:
+        if path and os.path.exists(path) and os.path.samefile(path, source):
+            raise UsageError(f"{flag}: {path} would overwrite the input {source}")
+
+
 # ---------------------------------------------------------------------------
 # fit / tune
 # ---------------------------------------------------------------------------
@@ -217,15 +234,13 @@ def _fit_once(data: Dataset, args) -> dict:
 def cmd_fit(args) -> int:
     _validate_method_flags(args)
     data, header = read_csv_dataset(args.input)
+    _check_outputs(args.input, [("--out", args.out)])
     _check_budgets(args, data.n_obs, data.n_coef)
     res = _fit_once(data, args)
     alpha = np.asarray(res["alpha"])
     flagged = np.flatnonzero(alpha != 0.0)
     report = {
-        "command": "fit",
-        "version": __version__,
-        "config": _resolved_config(args),
-        "columns": {"response": header[0], "regressors": header[1:]},
+        **_report_head(args, header),
         "n_obs": data.n_obs,
         "beta": res["beta"],
         "objective": res["objective"],
@@ -249,16 +264,14 @@ def cmd_tune(args) -> int:
             raise UsageError("--grid-size must be at least 1")
     _resolve_l(args, default=1)
     data, header = read_csv_dataset(args.input)
+    _check_outputs(args.input, [("--out", args.out)])
     if args.method == "l0":
         K = _sweep_budget(args.k_max, data.n_obs, data.n_coef)
         sol, param = select_k_bic(data, initial_beta(data), K, args.l), "k"
     else:
         sol, param = select_psi_bic(data, initial_beta(data), args.grid_size), "psi"
     report = {
-        "command": "tune",
-        "version": __version__,
-        "config": _resolved_config(args),
-        "columns": {"response": header[0], "regressors": header[1:]},
+        **_report_head(args, header),
         "trace": _bic_trace(sol, param),
         "selected": {param: getattr(sol, param), "bic": sol.info["bic"]},
     }
@@ -313,6 +326,8 @@ def cmd_forecast(args) -> int:
     _validate_method_flags(args)
     _check_threads(args.threads)
     data, header = read_csv_dataset(args.input)
+    _check_outputs(args.input, [("--out", args.out), ("--forecasts-csv", args.forecasts_csv),
+                                ("--flags-csv", args.flags_csv)])
     y, x = data.y, data.x
     T = data.n_obs
     d = x.shape[1]
@@ -355,10 +370,7 @@ def cmd_forecast(args) -> int:
         write_csv(args.flags_csv, flag_rows, fieldnames=["target_row", "window_row"])
 
     report = {
-        "command": "forecast",
-        "version": __version__,
-        "config": _resolved_config(args),
-        "columns": {"response": header[0], "regressors": header[1:]},
+        **_report_head(args, header),
         "n_obs": T,
         "window": args.window,
         "n_targets": len(targets),
@@ -451,21 +463,20 @@ def _load_sim_config(
 def cmd_simulate(args) -> int:
     _check_threads(args.threads)
     cfg, run = _load_sim_config(args.config, args.seed, args.threads)
+    prefix = args.out or "simulation"
+    _check_outputs(args.config, [("--out", prefix + suffix)
+                                 for suffix in ("_summary.csv", "_records.csv", ".json")])
     estimators = [ESTIMATOR_FACTORIES[name]() for name in run["estimators"]]
     summaries, records = run_monte_carlo_records(
         cfg, estimators, run["R"], oracle_k=run["oracle_k"], threads=run["threads"],
     )
-    prefix = args.out or "simulation"
     write_csv(prefix + "_summary.csv", summary_rows(cfg, summaries))
     write_csv(prefix + "_records.csv", record_rows(cfg, records))
     report = {
         "command": "simulate",
         "version": __version__,
         "config": {**asdict(cfg), **run},
-        "summaries": {
-            name: {k: v for k, v in asdict(s).items() if k != "estimator"}
-            for name, s in summaries.items()
-        },
+        "summaries": {name: asdict(s) for name, s in summaries.items()},
     }
     write_report(report, prefix + ".json")
     return 0
@@ -474,10 +485,6 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
-
-
-def _resolved_config(args) -> dict:
-    return {k: v for k, v in vars(args).items() if k != "func"}
 
 
 def _add_method_flags(sub) -> None:

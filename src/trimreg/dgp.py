@@ -267,19 +267,15 @@ def _iht(sample: DgpSample):
     return fit_iht(sample.train, len(sample.true_outliers), sample.lad().beta)
 
 
-def _lcs1(sample: DgpSample):
-    return fit_lcs(sample.train, len(sample.true_outliers), sample.lad().beta, 1)
-
-
-def _lcs2(sample: DgpSample):
-    return fit_lcs(sample.train, len(sample.true_outliers), sample.lad().beta, 2)
+def _lcs(sample: DgpSample, l: int):
+    return fit_lcs(sample.train, len(sample.true_outliers), sample.lad().beta, l)
 
 
 # name -> factory of the named Estimator
 ESTIMATOR_FACTORIES = {
     name: partial(Estimator, name, fit)
-    for name, fit in [("ols", _ols), ("lad", _lad), ("l1", _l1), ("l0", _l0),
-                      ("iht", _iht), ("lcs1", _lcs1), ("lcs2", _lcs2)]
+    for name, fit in [("ols", _ols), ("lad", _lad), ("l1", _l1), ("l0", _l0), ("iht", _iht),
+                      ("lcs1", partial(_lcs, l=1)), ("lcs2", partial(_lcs, l=2))]
 }
 
 
@@ -304,7 +300,6 @@ class ReplicationRecord:
 class MetricsSummary:
     """Replication averages for one estimator."""
 
-    estimator: str
     bias: float
     rmse: float
     prediction_error: float
@@ -318,89 +313,76 @@ class MetricsSummary:
 
 def _run_one_rep(cfg: DgpConfig, estimators: list[Estimator], rep: int,
                  oracle_k: int | None) -> list[ReplicationRecord]:
+    """Fit every estimator, then solve the oracle, then record every fit in order."""
     sample = generate(replace(cfg, seed=cfg.seed ^ rep))
-    test_design = sample.test.design
-    y_test = sample.test.y
-    records = []
-    results: dict[str, Any] = {}
     slot = sample.lad_slot
+    fits = []  # (name, solution or None when the fit failed, cpu_s)
     for est in estimators:
         reads = slot.reads
         t0 = time.process_time()
         try:
             res = est.fit(sample)
-            failed = False
         except (TrimregError, np.linalg.LinAlgError):
-            failed = True
+            res = None
         cpu = time.process_time() - t0
         if 0 < reads < slot.reads:  # read the LAD fit an earlier estimator made
             cpu += slot.cpu_s
-        if failed:
-            records.append(ReplicationRecord(
-                estimator=est.name, rep=rep, beta1=np.nan, pred_err=np.nan,
-                equal_oracle=None, gap=None, cpu_s=cpu, failed=True,
-            ))
-        else:
-            results[est.name] = (res, cpu)
+        fits.append((est.name, res, cpu))
 
     oracle = None
     if oracle_k is not None:
-        k = oracle_k if oracle_k > 0 else len(sample.true_outliers)
-        warm = None
-        for res, _ in results.values():
-            if isinstance(res, SparsitySolution) and res.k == k:
-                if warm is None or res.objective < warm.objective:
-                    warm = res
+        k = oracle_k or len(sample.true_outliers)
+        # the lowest objective at budget k starts the solver; the first wins a tie
+        warm = min((res for _, res, _ in fits
+                    if isinstance(res, SparsitySolution) and res.k == k),
+                   key=lambda sol: sol.objective, default=None)
         try:
             oracle = best_subset_exact(sample.train, k, warm_start=warm)
         except TrimregError:
             pass  # the replication keeps its fits, without oracle comparisons
 
-    for est in estimators:
-        if est.name not in results:
-            continue
-        res, cpu = results[est.name]
-        beta = np.asarray(res.beta, dtype=np.float64)
-        pred = test_design @ beta
-        pred_err = float(np.mean((y_test - pred) ** 2))
-        equal = None
-        gap = None
+    records = []
+    for name, res, cpu in fits:
+        beta1 = pred_err = np.nan
+        if res is not None:
+            beta = np.asarray(res.beta, dtype=np.float64)
+            beta1 = float(beta[1])
+            pred_err = float(np.mean((sample.test.y - sample.test.design @ beta) ** 2))
+        equal = gap = None
         if oracle is not None and isinstance(res, SparsitySolution) and res.k == oracle.solution.k:
             equal = equal_solution(res, oracle.solution)
             dual = max(oracle.dual, 1e-12)
             gap = (res.objective - dual) / dual
         records.append(ReplicationRecord(
-            estimator=est.name, rep=rep, beta1=float(beta[1]),
-            pred_err=pred_err, equal_oracle=equal, gap=gap, cpu_s=cpu,
+            estimator=name, rep=rep, beta1=beta1, pred_err=pred_err, equal_oracle=equal,
+            gap=gap, cpu_s=cpu, failed=res is None,
         ))
     return records
 
 
+def _mean(values, empty=np.nan):
+    return float(np.mean(values)) if len(values) else empty
+
+
 def summarize(records: list[ReplicationRecord], R: int) -> dict[str, MetricsSummary]:
+    """Each estimator's averages over its successful records, in record order."""
     true_beta1 = 1.0  # the first slope coefficient is 1 in all three designs
-    out: dict[str, MetricsSummary] = {}
-    names = []
+    by_name: dict[str, list[ReplicationRecord]] = {}
     for rec in records:
-        if rec.estimator not in names:
-            names.append(rec.estimator)
-    for name in names:
-        recs = [r for r in records if r.estimator == name]
+        by_name.setdefault(rec.estimator, []).append(rec)
+    out: dict[str, MetricsSummary] = {}
+    for name, recs in by_name.items():
         ok = [r for r in recs if not r.failed]
-        n_failed = len(recs) - len(ok)
         errs = np.array([r.beta1 - true_beta1 for r in ok])
-        bias = float(np.mean(errs)) if ok else np.nan
-        rmse = float(np.sqrt(np.mean(errs**2))) if ok else np.nan
-        pred = float(np.mean([r.pred_err for r in ok])) if ok else np.nan
-        eq = [r.equal_oracle for r in ok if r.equal_oracle is not None]
-        gaps = [r.gap for r in ok if r.gap is not None]
+        n_failed = len(recs) - len(ok)
         out[name] = MetricsSummary(
-            estimator=name,
-            bias=bias,
-            rmse=rmse,
-            prediction_error=pred,
-            equal_oracle_freq=float(np.mean(eq)) if eq else None,
-            mean_gap=float(np.mean(gaps)) if gaps else None,
-            mean_cpu_seconds=float(np.mean([r.cpu_s for r in ok])) if ok else np.nan,
+            bias=_mean(errs),
+            rmse=float(np.sqrt(_mean(errs**2))),
+            prediction_error=_mean([r.pred_err for r in ok]),
+            equal_oracle_freq=_mean(
+                [r.equal_oracle for r in ok if r.equal_oracle is not None], None),
+            mean_gap=_mean([r.gap for r in ok if r.gap is not None], None),
+            mean_cpu_seconds=_mean([r.cpu_s for r in ok]),
             n_reps=R,
             n_failed=n_failed,
             high_failure=n_failed > 0.05 * R,

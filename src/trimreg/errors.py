@@ -26,7 +26,7 @@ class AllFitsFailed(TrimregError):
 
 
 class DegenerateFit(TrimregError):
-    """Residual sum of squares too small for a log-based criterion."""
+    """Residual sum of squares too small for a log-based criterion, or overflowing."""
 
 
 class InvariantViolated(TrimregError):

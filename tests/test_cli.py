@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -587,3 +588,59 @@ def test_tune_l1_trace(outlier_csv, tmp_path):
     report = load_json(out)
     assert len(report["trace"]) >= 10
     assert report["selected"]["psi"] is not None
+
+
+# each output flag of fit, tune and forecast pointed at the input CSV;
+# {same} names it by another path
+@pytest.mark.parametrize("argv", [
+    ["fit", "{input}", "--method", "ols", "--out", "{input}"],
+    ["fit", "{input}", "--method", "l0", "--k", "2", "--out", "{same}"],
+    ["tune", "{input}", "--method", "l1", "--out", "{input}"],
+    ["forecast", "{input}", "--method", "ols", "--window", "20", "--out", "{input}"],
+    ["forecast", "{input}", "--method", "ols", "--window", "20", "--forecasts-csv", "{same}"],
+    ["forecast", "{input}", "--method", "ols", "--window", "20", "--flags-csv", "{input}"],
+], ids=["fit", "fit-other-spelling", "tune", "forecast-out", "forecast-forecasts-csv",
+        "forecast-flags-csv"])
+def test_an_output_over_the_input_is_refused(two_regressor_csv, tmp_path, capsys, argv):
+    before = Path(two_regressor_csv).read_bytes()
+    same = str(tmp_path / ".." / tmp_path.name / Path(two_regressor_csv).name)
+    argv = [a.format(input=two_regressor_csv, same=same) for a in argv]
+    assert exit_code(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "overwrite the input" in err[0]
+    assert Path(two_regressor_csv).read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [Path(two_regressor_csv).name]
+
+
+@pytest.mark.parametrize("out", ["run", None])
+def test_simulate_refuses_an_output_over_its_config(tmp_path, monkeypatch, capsys, out):
+    # `--out run` writes run.json; without --out the prefix is "simulation"
+    name = "simulation.json" if out is None else "run.json"
+    cfg_path = tmp_path / name
+    cfg_path.write_text(json.dumps({"dgp": 1, "N": 30, "p": 0.1, "R": 1,
+                                    "estimators": ["ols"]}))
+    before = cfg_path.read_bytes()
+    monkeypatch.chdir(tmp_path)
+    argv = ["simulate", "--config", name] + ([] if out is None else ["--out", out])
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: --out: ")
+    assert cfg_path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [name]
+    assert main(argv[:3] + ["--out", "other"]) == 0  # the config still reads
+
+
+def test_fit_ols_with_an_overflowing_rss_is_a_numerical_failure(tmp_path, capsys):
+    # residuals near 1e300 square past the float range, as lad's do
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(40, 2))
+    y = (1.0 + x.sum(axis=1) + rng.normal(size=40)) * 1e300
+    path = tmp_path / "huge.csv"
+    write_csv(path, ["y", "x1", "x2"], np.column_stack([y, x]).tolist())
+    for method in ("ols", "lad"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["fit", str(path), "--method", method]) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith("numerical failure: ")
