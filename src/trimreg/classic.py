@@ -140,7 +140,8 @@ def shift_alternation(data: Dataset, psis, beta: np.ndarray, solve) -> list[tupl
 
     `solve` is the least-squares solver of the design (`factor_qr`). A lane
     stops once its coefficient change falls below BETA_TOL in max-norm, or
-    after SHIFT_MAX_ITER steps. Returns, per psi in order, (beta, r, alpha,
+    after SHIFT_MAX_ITER steps. Raises DegenerateFit when the Huber loss at
+    `beta` overflows at any psi. Returns, per psi in order, (beta, r, alpha,
     loss, iterations, converged): r = y - X beta at the lane's beta, alpha
     its shifts and loss its Huber loss. The shifts are taken before the
     loss, so a psi outside (0, inf) raises before it can warn. Shifts, losses
@@ -157,6 +158,8 @@ def shift_alternation(data: Dataset, psis, beta: np.ndarray, solve) -> list[tupl
     r = y - X @ beta
     alpha = soft_threshold_alpha(r, psi)
     loss = huber_rho(r, psi).sum(axis=1)
+    if not np.isfinite(loss).all():  # descent keeps every later loss finite
+        raise DegenerateFit("Huber loss overflows")
     b = np.tile(beta, (psi.shape[0], 1))
     b_new, xb = np.empty_like(b), np.empty_like(alpha)
     run = np.arange(psi.shape[0])  # the lane of each row

@@ -43,7 +43,21 @@ from .l0 import fit_l0_auto, fit_lcs, select_k_bic, sweep_cap
 from .l1 import PSI_GRID_SIZE, fit_l1, select_psi_bic, soft_threshold_alpha
 from .linalg import Dataset
 
-METHODS = ("l0", "l1", "lad", "ols", "huber")
+# The method spec: the flags each (--method, mode) reads, with their defaults;
+# the mode is "fixed", "auto" (--auto) or "tune". A flag a run does not read
+# is a usage error, and a --k-max left None is worked out from N.
+REQUIRED = "required"
+METHOD_SPEC = {
+    ("l0", "fixed"): {"k": REQUIRED, "l": 2},
+    ("l0", "auto"): {"l": 2, "k_max": None},
+    ("l0", "tune"): {"l": 1, "k_max": None},
+    ("l1", "fixed"): {"psi": REQUIRED},
+    ("l1", "auto"): {},
+    ("l1", "tune"): {"grid_size": PSI_GRID_SIZE},
+    ("lad", "fixed"): {},
+    ("ols", "fixed"): {},
+    ("huber", "fixed"): {"psi": REQUIRED},
+}
 
 
 class UsageError(Exception):
@@ -129,12 +143,24 @@ def _report_head(args, header: list[str]) -> dict:
             "columns": {"response": header[0], "regressors": header[1:]}}
 
 
+def _same_file(a: str, b: str) -> bool:
+    """Whether paths `a` and `b` name one file, under any spelling or link."""
+    if os.path.exists(a) and os.path.exists(b):
+        return os.path.samefile(a, b)
+    return os.path.realpath(a) == os.path.realpath(b)
+
+
 def _check_outputs(source: str, outputs: list[tuple[str, str | None]]) -> None:
-    """Usage error when an output (flag, path) names the input file `source`,
-    which has been read: a run never writes over what it reads."""
-    for flag, path in outputs:
-        if path and os.path.exists(path) and os.path.samefile(path, source):
+    """Usage error when two of a run's files name one: an output (flag, path)
+    and the input `source`, which has been read, or two outputs. A run never
+    writes over what it reads, nor two outputs into one file."""
+    given = [(flag, path) for flag, path in outputs if path]
+    for i, (flag, path) in enumerate(given):
+        if _same_file(path, source):
             raise UsageError(f"{flag}: {path} would overwrite the input {source}")
+        for other_flag, other in given[:i]:
+            if _same_file(path, other):
+                raise UsageError(f"{flag}: {path} names the same file as {other_flag}")
 
 
 # ---------------------------------------------------------------------------
@@ -142,40 +168,39 @@ def _check_outputs(source: str, outputs: list[tuple[str, str | None]]) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _resolve_l(args, default: int) -> None:
-    """`--l` is the l0 swap order: a usage error with any other method,
-    `default` with l0 when not given."""
-    if args.method != "l0" and args.l is not None:
-        raise UsageError("--l is only valid with --method l0")
-    if args.method == "l0" and args.l is None:
-        args.l = default
-
-
-def _validate_method_flags(args) -> None:
-    if args.method != "l0" and args.k is not None:
-        raise UsageError("--k is only valid with --method l0")
-    if args.method not in ("l1", "huber") and args.psi is not None:
-        raise UsageError("--psi is only valid with --method l1 or huber")
-    if args.method in ("lad", "ols", "huber") and args.auto:
-        raise UsageError("--auto is only valid with --method l0 or l1")
-    if args.method == "l0" and (args.k is None) == (not args.auto):
-        raise UsageError("--method l0 needs exactly one of --k or --auto")
-    if args.method == "l1" and (args.psi is None) == (not args.auto):
-        raise UsageError("--method l1 needs exactly one of --psi or --auto")
-    if args.method == "huber" and args.psi is None:
-        raise UsageError("--method huber requires --psi")
-    if args.k_max is not None and not (args.method == "l0" and args.auto):
-        raise UsageError("--k-max is only valid with --method l0 --auto")
-    if args.psi is not None and not 0 < args.psi < math.inf:
+def _check_method_flags(args) -> str:
+    """Check the method flags of `args` against METHOD_SPEC, fill in the defaults
+    of those the run reads and was not given, and return the run's mode."""
+    mode = "tune" if args.command == "tune" else "auto" if args.auto else "fixed"
+    run = f"{args.command} --method {args.method}"
+    if (args.method, mode) not in METHOD_SPEC:
+        raise UsageError(f"--auto is not read by {run}")
+    reads = METHOD_SPEC[(args.method, mode)]
+    run += " --auto" if mode == "auto" else ""
+    for name in ("k", "psi", "l", "k_max", "grid_size"):
+        # None where the command has no such flag: no spec row reads it there
+        flag, value = "--" + name.replace("_", "-"), vars(args).get(name)
+        if name not in reads:
+            if value is not None:
+                raise UsageError(f"{flag} is not read by {run}")
+        elif value is None:
+            if reads[name] is REQUIRED:
+                auto = " or --auto" if (args.method, "auto") in METHOD_SPEC else ""
+                raise UsageError(f"{run} requires {flag}{auto}")
+            setattr(args, name, reads[name])
+    if vars(args).get("psi") is not None and not 0 < args.psi < math.inf:
         raise UsageError(f"--psi must lie in (0, inf), not {args.psi}")
-    _resolve_l(args, default=2)
+    if vars(args).get("grid_size") is not None and args.grid_size < 1:
+        raise UsageError("--grid-size must be at least 1")
+    return mode
 
 
-def _check_budgets(args, n: int, q: int) -> None:
-    """Range checks of --k and, with --auto, --k-max for N rows and q coefficients."""
-    if args.k is not None and not 0 <= args.k <= n - q:
+def _check_budgets(args, mode: str, n: int, q: int) -> None:
+    """Range checks of the --k and --k-max a run reads, for N rows and q coefficients."""
+    reads = METHOD_SPEC[(args.method, mode)]
+    if "k" in reads and not 0 <= args.k <= n - q:
         raise UsageError(f"--k must lie in [0, N - q] = [0, {n - q}]")
-    if args.method == "l0" and args.auto:
+    if "k_max" in reads:
         _sweep_budget(args.k_max, n, q)
 
 
@@ -196,56 +221,59 @@ def _check_threads(threads: int | None) -> None:
         raise UsageError("--threads must be at least 1")
 
 
-def _bic_trace(sol, param: str) -> list[dict]:
+def _bic_trace(sol, tuning: dict) -> list[dict]:
     """The report entries {k|psi, objective, bic, n_outliers} of the BIC
-    selection that chose `sol`, one per scored budget or psi."""
+    selection that chose `sol` and `tuning`, one per scored budget or psi."""
+    [param] = tuning
     return [{param: v, "objective": obj, "bic": b, "n_outliers": m}
             for v, obj, b, m in sol.info["bic_trace"]]
 
 
-def _fit_once(data: Dataset, args) -> dict:
-    """Run the requested method; return beta/alpha/objective and tuning info."""
-    tuning = None
-    if args.method in ("ols", "lad"):
-        sol = (fit_ols if args.method == "ols" else fit_lad)(data)
-        alpha = np.zeros(data.n_obs)
-    elif args.method == "huber":
-        sol = fit_huber(data, args.psi)
-        alpha = soft_threshold_alpha(data.y - data.design @ sol.beta, args.psi)
-        tuning = {"psi": args.psi}
-    else:
-        param = "psi" if args.method == "l1" else "k"
-        if args.method == "l1":
-            sol = select_psi_bic(data, initial_beta(data)) if args.auto else fit_l1(data, args.psi)
-        elif args.auto:
-            K = _sweep_budget(args.k_max, data.n_obs, data.n_coef)
-            sol = fit_l0_auto(data, initial_beta(data), K=K, l_final=args.l)
-        else:
+def _solve(data: Dataset, args, mode: str) -> tuple:
+    """Fit `args.method` to `data` in `mode`: the solution, its shifts and its
+    tuning {k|psi: value}, None for ols and lad. Each fit is looked up in this
+    module's globals when called. Overflow raises DegenerateFit, not a warning."""
+    method = args.method
+    with np.errstate(over="ignore"):
+        if method in ("ols", "lad"):
+            sol = (fit_ols if method == "ols" else fit_lad)(data)
+            return sol, np.zeros(data.n_obs), None
+        if method == "huber":
+            sol = fit_huber(data, args.psi)
+            alpha = soft_threshold_alpha(data.y - data.design @ sol.beta, args.psi)
+            return sol, alpha, {"psi": args.psi}
+        if method == "l1" and mode == "fixed":
+            sol = fit_l1(data, args.psi)
+        elif method == "l1":  # fit and forecast take no --grid-size
+            size = getattr(args, "grid_size", PSI_GRID_SIZE)
+            sol = select_psi_bic(data, initial_beta(data), size)
+        elif mode == "fixed":
             sol = fit_lcs(data, args.k, initial_beta(data), args.l)
-        alpha = sol.alpha
-        tuning = {param: getattr(sol, param)}
-        if args.auto:
-            tuning.update(selected_by="bic", bic_trace=_bic_trace(sol, param))
-    # the classic fits report convergence; the L0 and L1 fits raise instead
-    return {"beta": sol.beta, "alpha": alpha, "objective": sol.objective,
-            "tuning": tuning, "converged": getattr(sol, "converged", True)}
+        else:
+            K = _sweep_budget(args.k_max, data.n_obs, data.n_coef)
+            search = fit_l0_auto if mode == "auto" else select_k_bic
+            sol = search(data, initial_beta(data), K, args.l)
+        param = "psi" if method == "l1" else "k"
+        return sol, sol.alpha, {param: getattr(sol, param)}
 
 
 def cmd_fit(args) -> int:
-    _validate_method_flags(args)
+    mode = _check_method_flags(args)
     data, header = read_csv_dataset(args.input)
     _check_outputs(args.input, [("--out", args.out)])
-    _check_budgets(args, data.n_obs, data.n_coef)
-    res = _fit_once(data, args)
-    alpha = np.asarray(res["alpha"])
+    _check_budgets(args, mode, data.n_obs, data.n_coef)
+    sol, alpha, tuning = _solve(data, args, mode)
+    if mode == "auto":
+        tuning.update(selected_by="bic", bic_trace=_bic_trace(sol, tuning))
     flagged = np.flatnonzero(alpha != 0.0)
     report = {
         **_report_head(args, header),
         "n_obs": data.n_obs,
-        "beta": res["beta"],
-        "objective": res["objective"],
-        "converged": res["converged"],
-        "tuning": res["tuning"],
+        "beta": sol.beta,
+        "objective": sol.objective,
+        # the classic fits report convergence; the L0 and L1 fits raise instead
+        "converged": getattr(sol, "converged", True),
+        "tuning": tuning,
         "outlier_rows": (flagged + 1).tolist(),
         "alpha": [{"row": int(i) + 1, "value": float(alpha[i])} for i in flagged],
     }
@@ -254,26 +282,15 @@ def cmd_fit(args) -> int:
 
 
 def cmd_tune(args) -> int:
-    if args.method == "l0" and args.grid_size is not None:
-        raise UsageError("--grid-size is only valid with --method l1")
-    if args.method == "l1":
-        if args.k_max is not None:
-            raise UsageError("--k-max is only valid with --method l0")
-        args.grid_size = PSI_GRID_SIZE if args.grid_size is None else args.grid_size
-        if args.grid_size < 1:
-            raise UsageError("--grid-size must be at least 1")
-    _resolve_l(args, default=1)
+    mode = _check_method_flags(args)
     data, header = read_csv_dataset(args.input)
     _check_outputs(args.input, [("--out", args.out)])
-    if args.method == "l0":
-        K = _sweep_budget(args.k_max, data.n_obs, data.n_coef)
-        sol, param = select_k_bic(data, initial_beta(data), K, args.l), "k"
-    else:
-        sol, param = select_psi_bic(data, initial_beta(data), args.grid_size), "psi"
+    _check_budgets(args, mode, data.n_obs, data.n_coef)
+    sol, _, selected = _solve(data, args, mode)
     report = {
         **_report_head(args, header),
-        "trace": _bic_trace(sol, param),
-        "selected": {param: getattr(sol, param), "bic": sol.info["bic"]},
+        "trace": _bic_trace(sol, selected),
+        "selected": {**selected, "bic": sol.info["bic"]},
     }
     write_report(report, args.out)
     return 0
@@ -284,19 +301,18 @@ def cmd_tune(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _forecast_one(y: np.ndarray, x: np.ndarray, args, t: int):
+def _forecast_one(y: np.ndarray, x: np.ndarray, args, mode: str, t: int):
     """Fit the method in `args` on rows [t-window, t-1] (0-based), predict row t."""
     window = args.window
     data = Dataset(y=y[t - window:t], x=x[t - window:t])
     try:
-        res = _fit_once(data, args)
+        sol, alpha, _ = _solve(data, args, mode)
     except (TrimregError, np.linalg.LinAlgError) as exc:
         return {"target": t, "skipped": True, "reason": str(exc),
                 "forecast": np.nan, "sq_error": np.nan, "flagged": []}
-    beta = np.asarray(res["beta"])
     xt = np.concatenate([[1.0], x[t]])
-    fc = float(xt @ beta)
-    flagged = (np.flatnonzero(np.asarray(res["alpha"]) != 0.0) + (t - window)).tolist()
+    fc = float(xt @ sol.beta)
+    flagged = (np.flatnonzero(alpha != 0.0) + (t - window)).tolist()
     return {
         "target": t, "skipped": False, "reason": "",
         "forecast": fc, "sq_error": (y[t] - fc) ** 2, "flagged": flagged,
@@ -323,7 +339,7 @@ def _parse_subperiods(text: str, t_min: int, t_max: int) -> list[tuple[int, int]
 
 
 def cmd_forecast(args) -> int:
-    _validate_method_flags(args)
+    mode = _check_method_flags(args)
     _check_threads(args.threads)
     data, header = read_csv_dataset(args.input)
     _check_outputs(args.input, [("--out", args.out), ("--forecasts-csv", args.forecasts_csv),
@@ -335,9 +351,9 @@ def cmd_forecast(args) -> int:
         raise UsageError(f"--window must be at least d+2 = {d + 2}")
     if args.window >= T:
         raise WindowTooLarge(f"window {args.window} leaves no targets in {T} rows")
-    _check_budgets(args, args.window, d + 1)
+    _check_budgets(args, mode, args.window, d + 1)
     targets = list(range(args.window, T))  # 0-based target rows
-    results = process_map(partial(_forecast_one, y, x, args), targets, args.threads)
+    results = process_map(partial(_forecast_one, y, x, args, mode), targets, args.threads)
 
     ok = [r for r in results if not r["skipped"]]
     mpse = float(np.mean([r["sq_error"] for r in ok])) if ok else np.nan
@@ -488,7 +504,8 @@ def cmd_simulate(args) -> int:
 
 
 def _add_method_flags(sub) -> None:
-    sub.add_argument("--method", choices=METHODS, required=True)
+    sub.add_argument("--method", choices=[m for m, mode in METHOD_SPEC if mode == "fixed"],
+                     required=True)
     sub.add_argument("--k", type=int, default=None, help="outlier budget (l0)")
     sub.add_argument("--psi", type=float, default=None, help="threshold (l1/huber)")
     sub.add_argument("--auto", action="store_true", help="tune k or psi by BIC")
@@ -515,7 +532,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_tune = subs.add_parser("tune", help="trace the BIC over a tuning grid")
     p_tune.add_argument("input")
-    p_tune.add_argument("--method", choices=("l0", "l1"), required=True)
+    p_tune.add_argument("--method", choices=[m for m, mode in METHOD_SPEC if mode == "tune"],
+                        required=True)
     p_tune.add_argument("--k-max", dest="k_max", type=int, default=None)
     p_tune.add_argument("--l", type=int, choices=(1, 2), default=None,
                         help="swap order of the l0 sweep (default 1)")

@@ -44,7 +44,7 @@ from __future__ import annotations
 import functools
 from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
-from math import comb
+from math import comb, isfinite
 
 import numpy as np
 from scipy.linalg import lapack
@@ -152,9 +152,10 @@ def _call_memo(data: Dataset) -> dict | None:
 def _trimmed_solution(data: Dataset, drop_rows: np.ndarray, k: int) -> SparsitySolution:
     """Restricted least squares with the given rows fully absorbed.
 
-    The arrays of the solution are read-only. Inside a public search call
-    a repeated (k, drop_rows) is answered from that call's memo, with a
-    fresh `info` dict.
+    Raises DegenerateFit when the kept rows' residual sum of squares
+    overflows. The arrays of the solution are read-only. Inside a public
+    search call a repeated (k, drop_rows) is answered from that call's
+    memo, with a fresh `info` dict.
     """
     memo = _call_memo(data)
     if memo is not None:
@@ -177,6 +178,8 @@ def _trimmed_solution(data: Dataset, drop_rows: np.ndarray, k: int) -> SparsityS
     outliers = np.flatnonzero(alpha != 0.0)
     inliers = np.flatnonzero(alpha == 0.0)
     objective = 0.5 * float(r[inliers] @ r[inliers])
+    if not isfinite(objective):
+        raise DegenerateFit(f"residual sum of squares overflows ({objective})")
     for arr in (beta, alpha, inliers, outliers):
         arr.setflags(write=False)
     sol = SparsitySolution(

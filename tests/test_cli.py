@@ -209,8 +209,31 @@ def test_fit_auto_reports_the_trace_tune_reports(outlier_csv, tmp_path, method):
     assert fit_trace == tune_trace
 
 
+# the fits each (command, --method, mode) calls through trimreg.cli's globals, in
+# order, once per fit; the mode is "fixed", "auto" (with --auto) or "tune"
+CLI_FITS = {
+    ("fit", "ols", "fixed"): ["fit_ols"],
+    ("fit", "lad", "fixed"): ["fit_lad"],
+    ("fit", "huber", "fixed"): ["fit_huber"],
+    ("fit", "l1", "fixed"): ["fit_l1"],
+    ("fit", "l1", "auto"): ["initial_beta", "select_psi_bic"],
+    ("fit", "l0", "fixed"): ["initial_beta", "fit_lcs"],
+    ("fit", "l0", "auto"): ["initial_beta", "fit_l0_auto"],
+    ("tune", "l0", "tune"): ["initial_beta", "select_k_bic"],
+    ("tune", "l1", "tune"): ["initial_beta", "select_psi_bic"],
+}
+CLI_FITS.update({("forecast", m, mode): fits
+                 for (command, m, mode), fits in list(CLI_FITS.items()) if command == "fit"})
+# the value each method flag takes below when it is given
+FLAG_VALUES = {"--k": "2", "--psi": "1", "--l": "1", "--k-max": "3", "--grid-size": "5"}
+REQUIRED_FLAGS = {("l0", "fixed"): ["--k"], ("l1", "fixed"): ["--psi"],
+                  ("huber", "fixed"): ["--psi"]}
+
+
 def test_forecast_fits_through_the_cli_module_global(tmp_path, monkeypatch):
-    # a timing hook replaces trimreg.cli.fit_l0_auto and expects one call per window
+    # a timing hook replaces trimreg.cli.fit_l0_auto and expects one call per
+    # window, and the span tracer wraps the fits where cli binds them: every
+    # command, method and mode fits through those globals, looked up per call
     from trimreg import cli
     from trimreg.dgp import DgpConfig, generate
 
@@ -219,19 +242,156 @@ def test_forecast_fits_through_the_cli_module_global(tmp_path, monkeypatch):
     path = tmp_path / "series.csv"
     write_csv(path, ["y"] + [f"x{j}" for j in range(1, 6)],
               np.column_stack([train.y, train.x]).tolist())
-    real, calls = cli.fit_l0_auto, []
+    calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(args[0].n_obs)
-        return real(*args, **kwargs)
+    def counted(name, real):
+        def call(*args, **kwargs):
+            calls.append((name, args[0].n_obs))
+            return real(*args, **kwargs)
+        return call
 
-    monkeypatch.setattr(cli, "fit_l0_auto", counted)
-    out = str(tmp_path / "fc.json")
-    assert main(["forecast", str(path), "--method", "l0", "--auto",
-                 "--window", str(window), "--out", out]) == 0
+    for name in {f for fits in CLI_FITS.values() for f in fits}:
+        monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+    out = str(tmp_path / "report.json")
+    for (command, method, mode), fits in CLI_FITS.items():
+        argv = [command, str(path), "--method", method, "--out", out]
+        argv += ["--auto"] if mode == "auto" else []
+        argv += [a for f in REQUIRED_FLAGS.get((method, mode), []) for a in (f, FLAG_VALUES[f])]
+        argv += ["--window", str(window)] if command == "forecast" else []
+        calls.clear()
+        assert main(argv) == 0, argv
+        if command == "forecast":
+            report = load_json(out)
+            assert report["n_targets"] == windows and report["n_skipped"] == 0
+            assert calls == [(f, window) for f in fits] * windows, argv
+        else:
+            assert calls == [(f, window + windows) for f in fits], argv
+
+
+@pytest.mark.parametrize("command", ["fit", "forecast", "tune"])
+def test_each_method_flag_is_read_or_refused_and_its_default_shown(two_regressor_csv,
+                                                                   tmp_path, capsys, command):
+    # which method flags each (method, mode) reads, and the value its
+    # report's config shows: the default of a flag read but not given, or
+    # FLAG_VALUES' value of a required one; a flag not read is a usage
+    # error that names it, as is a required flag left out
+    reads = {
+        ("l0", "fixed"): {"--k": 2, "--l": 2},
+        ("l0", "auto"): {"--l": 2, "--k-max": None},
+        ("l0", "tune"): {"--l": 1, "--k-max": None},
+        ("l1", "fixed"): {"--psi": 1.0},
+        ("l1", "auto"): {},
+        ("l1", "tune"): {"--grid-size": 30},
+        ("lad", "fixed"): {},
+        ("ols", "fixed"): {},
+        ("huber", "fixed"): {"--psi": 1.0},
+    }
+    flags = (["--k-max", "--l", "--grid-size"] if command == "tune"
+             else ["--k", "--psi", "--l", "--k-max"])
+    modes = ["tune"] if command == "tune" else ["fixed", "auto"]
+    methods = ["l0", "l1"] if command == "tune" else ["l0", "l1", "lad", "ols", "huber"]
+    out = tmp_path / "report.json"
+    for method in methods:
+        for mode in modes:
+            base = [command, two_regressor_csv, "--method", method, "--out", str(out)]
+            base += ["--auto"] if mode == "auto" else []
+            base += ["--window", "36"] if command == "forecast" else []
+            if (method, mode) not in reads:
+                assert exit_code(base) == 2
+                assert "--auto" in capsys.readouterr().err
+                continue
+            required = REQUIRED_FLAGS.get((method, mode), [])
+            for flag in required:
+                assert exit_code(base) == 2, (base, flag)
+                assert flag in capsys.readouterr().err
+            base += [a for f in required for a in (f, FLAG_VALUES[f])]
+            for flag in flags:
+                if flag not in reads[(method, mode)]:
+                    assert exit_code(base + [flag, FLAG_VALUES[flag]]) == 2, (base, flag)
+                    assert flag in capsys.readouterr().err
+            assert not out.exists()
+            assert main(base) == 0
+            config = load_json(out)["config"]
+            for flag in flags:
+                want = reads[(method, mode)].get(flag)
+                assert config[flag[2:].replace("-", "_")] == want, (base, flag)
+            out.unlink()
+
+
+def test_huber_fit_and_forecast_report_the_huber_fit(outlier_csv, tmp_path):
+    from trimreg.classic import fit_huber
+    from trimreg.linalg import Dataset
+
+    data, _ = read_csv_dataset(outlier_csv)
+    beta = fit_huber(data, 1.0).beta
+    flagged = np.flatnonzero(np.abs(data.y - data.design @ beta) > 1.0)
+    out = str(tmp_path / "fit.json")
+    assert main(["fit", outlier_csv, "--method", "huber", "--psi", "1", "--out", out]) == 0
     report = load_json(out)
-    assert report["n_targets"] == windows and report["n_skipped"] == 0
-    assert calls == [window] * windows
+    assert report["beta"] == beta.tolist()
+    assert report["tuning"] == {"psi": 1.0}
+    assert report["outlier_rows"] == (flagged + 1).tolist() and 12 in report["outlier_rows"]
+    window, flags = 20, str(tmp_path / "flags.csv")
+    assert main(["forecast", outlier_csv, "--method", "huber", "--psi", "1",
+                 "--window", str(window), "--flags-csv", flags, "--out", out]) == 0
+    report = load_json(out)
+    with open(flags) as fh:
+        hits = [(int(r["target_row"]), int(r["window_row"])) for r in csv.DictReader(fh)]
+    want_hits = []
+    for fc in report["forecasts"]:
+        t = fc["target_row"] - 1  # 0-based
+        rows = slice(t - window, t)
+        beta = fit_huber(Dataset(y=data.y[rows], x=data.x[rows]), 1.0).beta
+        assert fc["forecast"] == float(data.design[t] @ beta)
+        r = data.y[rows] - data.design[rows] @ beta
+        want_hits += [(t + 1, t - window + i + 1) for i in np.flatnonzero(np.abs(r) > 1.0)]
+        assert fc["n_flagged"] == int(np.sum(np.abs(r) > 1.0))
+    assert hits == want_hits and hits
+
+
+def test_forecast_skips_a_window_whose_fit_fails(tmp_path, monkeypatch):
+    # the first window's regressor is constant, so its design is singular
+    from trimreg import cli
+
+    rng = np.random.default_rng(8)
+    x = np.concatenate([[0.5] * 6, rng.normal(size=10)])
+    y = 1.0 + x + 0.1 * rng.normal(size=16)
+    path = tmp_path / "series.csv"
+    write_csv(path, ["y", "x"], np.column_stack([y, x]).tolist())
+    results = []
+
+    def kept(fn, items, threads):
+        results.extend(real(fn, items, threads))
+        return results
+
+    real = cli.process_map
+    monkeypatch.setattr(cli, "process_map", kept)
+    out, fc = str(tmp_path / "fc.json"), str(tmp_path / "fc.csv")
+    assert main(["forecast", str(path), "--method", "ols", "--window", "6",
+                 "--forecasts-csv", fc, "--out", out]) == 0
+    report = load_json(out)
+    assert report["n_targets"] == 10 and report["n_skipped"] == 1
+    first, *rest = report["forecasts"]
+    assert first == {"target_row": 7, "actual": y[6], "forecast": None, "sq_error": None,
+                     "skipped": True, "n_flagged": 0}
+    assert not any(r["skipped"] for r in rest)
+    assert report["mpse"] == np.mean([r["sq_error"] for r in rest])
+    assert results[0]["skipped"] and "pivot" in results[0]["reason"]
+    assert all(r["reason"] == "" for r in results[1:])
+    with open(fc) as fh:
+        assert [r["skipped"] for r in csv.DictReader(fh)] == ["True"] + ["False"] * 9
+
+
+@pytest.mark.parametrize("spans", ["7", "a:b", "1:2:3", "30:40,", "50:45", "25:30",
+                                   "26:71", "0:3"])
+def test_bad_subperiods_are_usage_errors(level_shift_csv, tmp_path, capsys, spans):
+    # 70 rows and a 25-row window: targets 26..70
+    out = tmp_path / "fc.json"
+    assert exit_code(["forecast", level_shift_csv, "--method", "ols", "--window", "25",
+                      "--subperiods", spans, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: subperiods: ")
+    assert not out.exists()
 
 
 def test_report_is_strict_json(tmp_path):
@@ -644,3 +804,56 @@ def test_fit_ols_with_an_overflowing_rss_is_a_numerical_failure(tmp_path, capsys
         out, err = capsys.readouterr()
         assert out == "" and len(err.splitlines()) == 1
         assert err.startswith("numerical failure: ")
+
+
+# two outputs of one forecast named as one file; {same} names it by another path
+@pytest.mark.parametrize("outputs", [
+    ["--forecasts-csv", "{path}", "--flags-csv", "{path}"],
+    ["--forecasts-csv", "{path}", "--flags-csv", "{same}"],
+    ["--out", "{path}", "--forecasts-csv", "{same}"],
+    ["--flags-csv", "{path}", "--out", "{path}"],
+], ids=["csvs", "csvs-other-spelling", "out-forecasts-csv", "out-flags-csv"])
+def test_two_outputs_naming_one_file_are_refused(two_regressor_csv, tmp_path, capsys,
+                                                 outputs):
+    path = str(tmp_path / "same.csv")
+    same = str(tmp_path / ".." / tmp_path.name / "same.csv")
+    argv = ["forecast", two_regressor_csv, "--method", "ols", "--window", "30",
+            *(a.format(path=path, same=same) for a in outputs)]
+    assert exit_code(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "same file" in err[0]
+    assert [p.name for p in tmp_path.iterdir()] == [Path(two_regressor_csv).name]
+
+
+def test_responses_at_the_float_edge_are_numerical_failures(tmp_path, capsys):
+    # residuals near 1e297 square past the float range; near 1e307 the
+    # Huber loss sums past it
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=40)
+    y = (1.0 + x + 0.001 * rng.normal(size=40)) * 1e300
+    e300 = tmp_path / "e300.csv"
+    write_csv(e300, ["y", "x"], np.column_stack([y, x]).tolist())
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(40, 2))
+    y = (1.0 + x.sum(axis=1) + rng.normal(size=40)) * 1e307
+    e307 = tmp_path / "e307.csv"
+    write_csv(e307, ["y", "x1", "x2"], np.column_stack([y, x]).tolist())
+    out = tmp_path / "report.json"
+    for argv in (["fit", e300, "--method", "l0", "--auto"],
+                 ["tune", e300, "--method", "l0"],
+                 ["fit", e300, "--method", "l0", "--k", "2"],
+                 ["fit", e307, "--method", "huber", "--psi", "1"]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([argv[0], str(argv[1]), *argv[2:], "--out", str(out)]) == 4, argv
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and len(err.splitlines()) == 1, err
+        assert err.startswith("numerical failure: ")
+        assert not out.exists()
+    # a forecast window that fails so is skipped, with no warning either
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["forecast", str(e300), "--method", "l0", "--k", "2", "--window", "38",
+                     "--out", str(out)]) == 0
+    report = load_json(out)
+    assert report["n_targets"] == report["n_skipped"] == 2 and report["mpse"] is None
