@@ -103,35 +103,35 @@ def fit_lad(data: Dataset) -> ClassicFit:
 
 def _shifts_and_rho(r: np.ndarray, psi) -> tuple[np.ndarray, np.ndarray]:
     """Shifts r - c and elementwise Huber loss from one clip c = clip(r, -psi, psi):
-    with h = 0.5 c^2, the loss is h where the shift is zero, else psi |r| - h."""
+    with h = 0.5 c^2, the loss is h where the shift is zero, else psi |r| - h.
+    A column of checked psi (`_checked_psi`) gives one row of each per psi."""
     c = np.minimum(np.maximum(r, -psi), psi)  # clip(r, -psi, psi)
     alpha = r - c
     h = (0.5 * c) * c
     return alpha, np.where(alpha == 0, h, psi * np.abs(r) - h)
 
 
+def _checked_psi(psi) -> np.ndarray:
+    """`psi` as floats. This is the one check of the threshold for Huber and
+    L1: every psi must satisfy 0 < psi < inf, else ValueError."""
+    psi = np.asarray(psi, dtype=np.float64)
+    if not ((0 < psi) & (psi < np.inf)).all():
+        raise ValueError(f"psi must lie in (0, inf), not {psi}")
+    return psi
+
+
 def huber_rho(r: np.ndarray, psi: float) -> np.ndarray:
     """Elementwise Huber loss: quadratic inside [-psi, psi], linear outside."""
-    return _shifts_and_rho(np.asarray(r, dtype=np.float64), psi)[1]
-
-
-def huber_objective(r: np.ndarray, psi: float) -> float:
-    return float(np.sum(huber_rho(r, psi)))
+    return _shifts_and_rho(np.asarray(r, dtype=np.float64), _checked_psi(psi))[1]
 
 
 def soft_threshold_alpha(r: np.ndarray, psi) -> np.ndarray:
     """Closed-form shift update: shrink residuals toward zero by psi.
 
     Entries with |r| <= psi map to exactly zero: r less r clipped to
-    [-psi, psi]. This is the one check of the threshold for Huber and L1:
-    every psi (a column of them gives one row of shifts per psi) must
-    satisfy 0 < psi < inf.
+    [-psi, psi]. A column of psi gives one row of shifts per psi.
     """
-    psi = np.asarray(psi, dtype=np.float64)
-    if not ((0 < psi) & (psi < np.inf)).all():
-        raise ValueError(f"psi must lie in (0, inf), not {psi}")
-    r = np.asarray(r, dtype=np.float64)
-    return r - np.clip(r, -psi, psi)
+    return _shifts_and_rho(np.asarray(r, dtype=np.float64), _checked_psi(psi))[0]
 
 
 def shift_alternation(data: Dataset, psis, beta: np.ndarray, solve) -> list[tuple]:
@@ -141,23 +141,24 @@ def shift_alternation(data: Dataset, psis, beta: np.ndarray, solve) -> list[tupl
     `solve` is the least-squares solver of the design (`factor_qr`). A lane
     stops once its coefficient change falls below BETA_TOL in max-norm, or
     after SHIFT_MAX_ITER steps. Raises DegenerateFit when the Huber loss at
-    `beta` overflows at any psi. Returns, per psi in order, (beta, r, alpha,
+    `beta` overflows at any psi, and ValueError before any arithmetic when
+    a psi lies outside (0, inf). Returns, per psi in order, (beta, r, alpha,
     loss, iterations, converged): r = y - X beta at the lane's beta, alpha
-    its shifts and loss its Huber loss. The shifts are taken before the
-    loss, so a psi outside (0, inf) raises before it can warn. Shifts, losses
-    and stopping tests run on (lanes, N) arrays row by row, and every
-    BLAS/LAPACK call takes one lane's vector, so each lane carries the bits
-    of a one-psi call. A lane leaves the arrays once it stops.
+    its shifts and loss its Huber loss. Shifts, losses and stopping tests
+    run on (lanes, N) arrays row by row, and every BLAS/LAPACK call takes
+    one lane's vector, so each lane carries the bits of a one-psi call. A
+    lane leaves the arrays once it stops.
     """
-    psi = np.asarray(psis, dtype=np.float64).reshape(-1, 1)
+    psi = _checked_psi(psis).reshape(-1, 1)
     step = max(1, LANE_BLOCK // data.n_obs)
     if psi.shape[0] > step:  # one block of `step` lanes at a time
         return [lane for i in range(0, psi.shape[0], step)
                 for lane in shift_alternation(data, psi[i:i + step], beta, solve)]
     X, y = data.design, data.y
     r = y - X @ beta
-    alpha = soft_threshold_alpha(r, psi)
-    loss = huber_rho(r, psi).sum(axis=1)
+    with np.errstate(invalid="ignore"):  # inf - inf: the check below reports it
+        alpha, rho = _shifts_and_rho(r, psi)
+    loss = rho.sum(axis=1)
     if not np.isfinite(loss).all():  # descent keeps every later loss finite
         raise DegenerateFit("Huber loss overflows")
     b = np.tile(beta, (psi.shape[0], 1))
@@ -206,7 +207,6 @@ __all__ = [
     "fit_lad",
     "fit_huber",
     "huber_rho",
-    "huber_objective",
     "lad_objective",
     "initial_beta",
     "shift_alternation",

@@ -301,22 +301,23 @@ def cmd_tune(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _forecast_one(y: np.ndarray, x: np.ndarray, args, mode: str, t: int):
-    """Fit the method in `args` on rows [t-window, t-1] (0-based), predict row t."""
+def _forecast_one(y: np.ndarray, x: np.ndarray, args, mode: str, t: int) -> tuple[dict, list]:
+    """Fit the method in `args` on rows [t-window, t-1] (0-based) and predict
+    row t: the target's forecasts row, and the input rows (1-based) the fit
+    flagged. A window whose fit fails is skipped, and its row says why."""
     window = args.window
     data = Dataset(y=y[t - window:t], x=x[t - window:t])
+    row = {"target_row": t + 1, "actual": y[t], "forecast": np.nan, "sq_error": np.nan,
+           "skipped": True, "n_flagged": 0, "reason": ""}
     try:
         sol, alpha, _ = _solve(data, args, mode)
     except (TrimregError, np.linalg.LinAlgError) as exc:
-        return {"target": t, "skipped": True, "reason": str(exc),
-                "forecast": np.nan, "sq_error": np.nan, "flagged": []}
+        return {**row, "reason": str(exc)}, []
     xt = np.concatenate([[1.0], x[t]])
     fc = float(xt @ sol.beta)
-    flagged = (np.flatnonzero(alpha != 0.0) + (t - window)).tolist()
-    return {
-        "target": t, "skipped": False, "reason": "",
-        "forecast": fc, "sq_error": (y[t] - fc) ** 2, "flagged": flagged,
-    }
+    flagged = (np.flatnonzero(alpha != 0.0) + (t - window + 1)).tolist()
+    row.update(forecast=fc, sq_error=(y[t] - fc) ** 2, skipped=False, n_flagged=len(flagged))
+    return row, flagged
 
 
 def _parse_subperiods(text: str, t_min: int, t_max: int) -> list[tuple[int, int]]:
@@ -338,62 +339,51 @@ def _parse_subperiods(text: str, t_min: int, t_max: int) -> list[tuple[int, int]
     return spans
 
 
+def _mpse(rows: list[dict]) -> tuple[float, int]:
+    """The mean squared prediction error over the fitted forecasts rows of
+    `rows` (NaN if none), and how many there are."""
+    sq = [r["sq_error"] for r in rows if not r["skipped"]]
+    return (float(np.mean(sq)) if sq else np.nan), len(sq)
+
+
 def cmd_forecast(args) -> int:
     mode = _check_method_flags(args)
     _check_threads(args.threads)
     data, header = read_csv_dataset(args.input)
     _check_outputs(args.input, [("--out", args.out), ("--forecasts-csv", args.forecasts_csv),
                                 ("--flags-csv", args.flags_csv)])
-    y, x = data.y, data.x
     T = data.n_obs
-    d = x.shape[1]
+    d = data.x.shape[1]
     if args.window < d + 2:
         raise UsageError(f"--window must be at least d+2 = {d + 2}")
     if args.window >= T:
         raise WindowTooLarge(f"window {args.window} leaves no targets in {T} rows")
     _check_budgets(args, mode, args.window, d + 1)
-    targets = list(range(args.window, T))  # 0-based target rows
-    results = process_map(partial(_forecast_one, y, x, args, mode), targets, args.threads)
-
-    ok = [r for r in results if not r["skipped"]]
-    mpse = float(np.mean([r["sq_error"] for r in ok])) if ok else np.nan
-    t_min, t_max = args.window + 1, T  # 1-based target range
-    subperiods = []
-    if args.subperiods:
-        for lo, hi in _parse_subperiods(args.subperiods, t_min, t_max):
-            inside = [r for r in ok if lo <= r["target"] + 1 <= hi]
-            subperiods.append({
-                "start": lo, "end": hi,
-                "mpse": float(np.mean([r["sq_error"] for r in inside])) if inside else np.nan,
-                "n_targets": len(inside),
-            })
-
-    forecast_rows = [{
-        "target_row": r["target"] + 1,
-        "actual": y[r["target"]],
-        "forecast": r["forecast"],
-        "sq_error": r["sq_error"],
-        "skipped": r["skipped"],
-        "n_flagged": len(r["flagged"]),
-    } for r in results]
+    # targets are rows window+1..T, 1-based
+    spans = _parse_subperiods(args.subperiods, args.window + 1, T) if args.subperiods else []
+    windows = process_map(partial(_forecast_one, data.y, data.x, args, mode),
+                          range(args.window, T), args.threads)
+    rows = [row for row, _ in windows]
     if args.forecasts_csv:
-        write_csv(args.forecasts_csv, forecast_rows)
+        write_csv(args.forecasts_csv, rows)
     if args.flags_csv:
-        flag_rows = [
-            {"target_row": r["target"] + 1, "window_row": f + 1}
-            for r in results for f in r["flagged"]
-        ]
+        flag_rows = [{"target_row": row["target_row"], "window_row": f}
+                     for row, flagged in windows for f in flagged]
         write_csv(args.flags_csv, flag_rows, fieldnames=["target_row", "window_row"])
-
+    mpse, n_fitted = _mpse(rows)
+    subperiods = []
+    for lo, hi in spans:
+        sub_mpse, n = _mpse([r for r in rows if lo <= r["target_row"] <= hi])
+        subperiods.append({"start": lo, "end": hi, "mpse": sub_mpse, "n_targets": n})
     report = {
         **_report_head(args, header),
         "n_obs": T,
         "window": args.window,
-        "n_targets": len(targets),
-        "n_skipped": len(results) - len(ok),
+        "n_targets": len(rows),
+        "n_skipped": len(rows) - n_fitted,
         "mpse": mpse,
         "subperiods": subperiods,
-        "forecasts": forecast_rows,
+        "forecasts": rows,
     }
     write_report(report, args.out)
     return 0

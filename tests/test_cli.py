@@ -349,23 +349,21 @@ def test_huber_fit_and_forecast_report_the_huber_fit(outlier_csv, tmp_path):
     assert hits == want_hits and hits
 
 
-def test_forecast_skips_a_window_whose_fit_fails(tmp_path, monkeypatch):
+def test_forecast_skips_a_window_whose_fit_fails(tmp_path):
     # the first window's regressor is constant, so its design is singular
-    from trimreg import cli
+    from trimreg.classic import fit_ols
+    from trimreg.errors import TrimregError
+    from trimreg.linalg import Dataset
 
     rng = np.random.default_rng(8)
     x = np.concatenate([[0.5] * 6, rng.normal(size=10)])
     y = 1.0 + x + 0.1 * rng.normal(size=16)
     path = tmp_path / "series.csv"
     write_csv(path, ["y", "x"], np.column_stack([y, x]).tolist())
-    results = []
-
-    def kept(fn, items, threads):
-        results.extend(real(fn, items, threads))
-        return results
-
-    real = cli.process_map
-    monkeypatch.setattr(cli, "process_map", kept)
+    with pytest.raises(TrimregError) as failure:
+        fit_ols(Dataset(y=y[:6], x=x[:6, None]))
+    reason = str(failure.value)
+    assert "pivot" in reason
     out, fc = str(tmp_path / "fc.json"), str(tmp_path / "fc.csv")
     assert main(["forecast", str(path), "--method", "ols", "--window", "6",
                  "--forecasts-csv", fc, "--out", out]) == 0
@@ -373,13 +371,43 @@ def test_forecast_skips_a_window_whose_fit_fails(tmp_path, monkeypatch):
     assert report["n_targets"] == 10 and report["n_skipped"] == 1
     first, *rest = report["forecasts"]
     assert first == {"target_row": 7, "actual": y[6], "forecast": None, "sq_error": None,
-                     "skipped": True, "n_flagged": 0}
-    assert not any(r["skipped"] for r in rest)
+                     "skipped": True, "n_flagged": 0, "reason": reason}
+    assert not any(r["skipped"] or r["reason"] for r in rest)
     assert report["mpse"] == np.mean([r["sq_error"] for r in rest])
-    assert results[0]["skipped"] and "pivot" in results[0]["reason"]
-    assert all(r["reason"] == "" for r in results[1:])
     with open(fc) as fh:
-        assert [r["skipped"] for r in csv.DictReader(fh)] == ["True"] + ["False"] * 9
+        rows = list(csv.DictReader(fh))
+    assert list(rows[0]) == ["target_row", "actual", "forecast", "sq_error", "skipped",
+                             "n_flagged", "reason"]
+    assert [(r["skipped"], r["reason"]) for r in rows] == [("True", reason)] + [("False", "")] * 9
+
+
+def test_bad_subperiods_are_refused_before_any_window_is_fitted(tmp_path, monkeypatch,
+                                                                capsys):
+    from trimreg import cli
+    from trimreg.dgp import DgpConfig, generate
+
+    sample = generate(DgpConfig(dgp=3, N=40, p=0.1, seed=2))
+    path = tmp_path / "series.csv"
+    write_csv(path, ["y"] + [f"x{j}" for j in range(1, sample.train.x.shape[1] + 1)],
+              np.column_stack([sample.train.y, sample.train.x]).tolist())
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    solve = cli._solve
+    monkeypatch.setattr(cli, "_solve", counted)
+    argv = ["forecast", str(path), "--method", "l0", "--auto", "--window", "30",
+            "--forecasts-csv", str(tmp_path / "fc.csv"), "--flags-csv",
+            str(tmp_path / "flags.csv"), "--out", str(tmp_path / "fc.json")]
+    assert main(argv + ["--subperiods", "bad"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: subperiods: ")
+    assert len(calls) == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["series.csv"]
+    assert main(argv + ["--subperiods", "31:40"]) == 0
+    assert len(calls) == 10
 
 
 @pytest.mark.parametrize("spans", ["7", "a:b", "1:2:3", "30:40,", "50:45", "25:30",
@@ -427,6 +455,16 @@ def test_fit_l0_auto_flags_planted_row(outlier_csv, tmp_path):
     assert any(t["k"] == report["tuning"]["k"] for t in report["tuning"]["bic_trace"])
     flagged = {a["row"] for a in report["alpha"]}
     assert flagged == set(report["outlier_rows"])
+
+
+@pytest.mark.parametrize("l", ["1", "2"])
+def test_fit_l0_at_budget_zero_reports_the_ols_fit(outlier_csv, tmp_path, l):
+    ols, l0 = str(tmp_path / "ols.json"), str(tmp_path / "l0.json")
+    assert main(["fit", outlier_csv, "--method", "ols", "--out", ols]) == 0
+    assert main(["fit", outlier_csv, "--method", "l0", "--k", "0", "--l", l, "--out", l0]) == 0
+    ols, l0 = load_json(ols), load_json(l0)
+    assert l0["beta"] == ols["beta"] and l0["objective"] == ols["objective"]
+    assert l0["outlier_rows"] == [] and l0["alpha"] == []
 
 
 def test_fit_runs_under_python_optimize(outlier_csv, tmp_path):
@@ -489,6 +527,22 @@ def test_read_csv_requires_header_and_rows(tmp_path):
     path.write_text("y,x\n")
     with pytest.raises(ParseError):
         read_csv_dataset(str(path))
+
+
+@pytest.mark.parametrize("text, needle", [
+    ("\n1.0,2.0\n", "header row has no columns"),
+    ("y,x\n1.0,2.0\n3.0,4.0,5.0\n", "row 3 has 3 columns, expected 2"),
+    ("y,x\n1.0,2.0\nnan,4.0\n", "row 3, column 1: non-finite value"),
+    ("y,x\n1.0,inf\n3.0,4.0\n", "row 2, column 2: non-finite value"),
+    ("y,x\n1.0,2.0\n3.0,-inf\n", "row 3, column 2: non-finite value"),
+], ids=["blank-header", "ragged", "nan", "inf", "minus-inf"])
+def test_csv_data_errors_name_their_row_and_column(tmp_path, capsys, text, needle):
+    path = tmp_path / "data.csv"
+    path.write_text(text)
+    assert main(["fit", str(path), "--method", "ols", "--out", str(tmp_path / "r.json")]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0] == f"data error: {path}: {needle}"
+    assert [p.name for p in tmp_path.iterdir()] == ["data.csv"]
 
 
 def test_forecast_constant_series(tmp_path):
@@ -636,6 +690,9 @@ def test_simulate_invalid_p(tmp_path, capsys):
     assert "p:" in capsys.readouterr().err
 
 
+MISSING = object()  # a config field left out
+
+
 @pytest.mark.parametrize("field, value", [
     ("seed", "abc"),
     ("mu_alpha", "x"),
@@ -651,9 +708,14 @@ def test_simulate_invalid_p(tmp_path, capsys):
     ("rho", float("nan")),
     ("mu_alpha", float("inf")),
     ("sigma_alpha", float("-inf")),
+    ("extra", 1),
+    ("R", 0),
+    ("estimators", []),
+    ("N", MISSING),
 ])
 def test_simulate_config_type_and_range_errors(tmp_path, capsys, field, value):
     cfg = {"dgp": 1, "N": 30, "p": 0.1, "R": 1, "estimators": ["ols"], field: value}
+    cfg = {k: v for k, v in cfg.items() if v is not MISSING}
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     prefix = str(tmp_path / "run")
@@ -661,6 +723,33 @@ def test_simulate_config_type_and_range_errors(tmp_path, capsys, field, value):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {field}:")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_simulate_seed_flag_overrides_the_config(tmp_path):
+    base = {"dgp": 1, "N": 30, "p": 0.1, "R": 2, "n_test": 20, "estimators": ["ols"]}
+    records = {}
+    for name, seed, flags in [("flag", 5, ["--seed", "9"]), ("file", 9, []), ("other", 5, [])]:
+        cfg_path, prefix = tmp_path / f"{name}.cfg", str(tmp_path / name)
+        cfg_path.write_text(json.dumps({**base, "seed": seed}))
+        assert main(["simulate", "--config", str(cfg_path), "--out", prefix, *flags]) == 0
+        assert load_json(prefix + ".json")["config"]["seed"] == (int(flags[1]) if flags else seed)
+        records[name] = _csv_rows_without_cpu(prefix + "_records.csv")
+    assert records["flag"] == records["file"] != records["other"]
+
+
+@pytest.mark.parametrize("text, code, prefix", [
+    (None, 3, "data error: "),
+    ('{"dgp": 1,', 3, "data error: "),
+    ("[1, 2]", 2, "error: config root must be a JSON object"),
+], ids=["missing-file", "invalid-json", "non-object-root"])
+def test_unreadable_simulate_configs_are_refused(tmp_path, capsys, text, code, prefix):
+    cfg_path = tmp_path / "cfg.json"
+    if text is not None:
+        cfg_path.write_text(text)
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(prefix)
+    assert [p.name for p in tmp_path.iterdir()] == ([] if text is None else ["cfg.json"])
 
 
 def test_simulate_threads_flag_is_checked_and_overrides_the_config(tmp_path, capsys):
@@ -842,6 +931,8 @@ def test_responses_at_the_float_edge_are_numerical_failures(tmp_path, capsys):
     for argv in (["fit", e300, "--method", "l0", "--auto"],
                  ["tune", e300, "--method", "l0"],
                  ["fit", e300, "--method", "l0", "--k", "2"],
+                 ["fit", e300, "--method", "l1", "--auto"],
+                 ["tune", e300, "--method", "l1"],
                  ["fit", e307, "--method", "huber", "--psi", "1"]):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

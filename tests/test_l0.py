@@ -633,6 +633,17 @@ def test_lcs_dominates_iht_and_order_two_dominates_one(rng):
         assert lcs2.objective <= lcs1.objective + 1e-12 * max(1, lcs1.objective)
 
 
+@pytest.mark.parametrize("l", [1, 2])
+def test_lcs_at_budget_zero_is_the_ols_fit(rng, l):
+    d = _contaminated(rng, n=30, shift=5.0, k0=3)
+    sol = fit_lcs(d, 0, initial_beta(d), l)
+    ols = fit_ols(d)
+    assert sol.beta.tobytes() == ols.beta.tobytes()
+    assert sol.objective == ols.objective
+    assert sol.outliers.size == 0 and not sol.alpha.any()
+    assert sol.info["swap_candidates"] == 0
+
+
 def test_lcs_inescapability_certificate(rng):
     d = _contaminated(rng, n=30, shift=5.0, k0=3)
     sol = fit_lcs(d, 3, initial_beta(d), 2)

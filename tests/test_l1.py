@@ -256,3 +256,13 @@ def test_default_grid_spans_residual_scale(rng):
     assert len(grid) == 30
     assert grid[0] < 1.0 < grid[-1]
     assert np.all(np.diff(grid) > 0)
+
+
+def test_default_grid_falls_back_to_the_largest_residual_when_the_mad_is_zero():
+    # most rows lie on the line exactly, so the residuals' MAD is 0
+    x = np.arange(10.0)
+    y = 1.0 + 2.0 * x
+    y[[2, 5, 7]] += [5.0, -20.0, 10.0]
+    d = Dataset(y=y, x=x[:, None])
+    grid = default_psi_grid(d, 5, np.array([1.0, 2.0]))
+    assert grid.tolist() == np.geomspace(0.1 * 20.0, 10.0 * 20.0, 5).tolist()
