@@ -71,6 +71,8 @@ def read_csv_dataset(path: str) -> tuple[Dataset, list[str]]:
             rows = list(csv.reader(fh))
     except OSError as exc:
         raise ParseError(f"{path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text") from exc
     if not rows:
         raise ParseError(f"{path}: file is empty (header row required)")
     header = [h.strip() for h in rows[0]]
@@ -151,11 +153,16 @@ def _same_file(a: str, b: str) -> bool:
 
 
 def _check_outputs(source: str, outputs: list[tuple[str, str | None]]) -> None:
-    """Usage error when two of a run's files name one: an output (flag, path)
-    and the input `source`, which has been read, or two outputs. A run never
-    writes over what it reads, nor two outputs into one file."""
+    """Usage error, raised before any fit, when an output (flag, path) is a
+    directory or lies in none, or when two of a run's files name one: an
+    output and the input `source`, which has been read, or two outputs. A
+    run never writes over what it reads, nor two outputs into one file."""
     given = [(flag, path) for flag, path in outputs if path]
     for i, (flag, path) in enumerate(given):
+        if os.path.isdir(path):
+            raise UsageError(f"{flag}: {path} is a directory")
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise UsageError(f"{flag}: {path}: no such directory")
         if _same_file(path, source):
             raise UsageError(f"{flag}: {path} would overwrite the input {source}")
         for other_flag, other in given[:i]:
@@ -221,12 +228,12 @@ def _check_threads(threads: int | None) -> None:
         raise UsageError("--threads must be at least 1")
 
 
-def _bic_trace(sol, tuning: dict) -> list[dict]:
+def _bic_trace(sol) -> list[dict]:
     """The report entries {k|psi, objective, bic, n_outliers} of the BIC
-    selection that chose `sol` and `tuning`, one per scored budget or psi."""
-    [param] = tuning
+    selection that chose `sol`, one per scored budget or psi."""
+    param = sol.selection.param
     return [{param: v, "objective": obj, "bic": b, "n_outliers": m}
-            for v, obj, b, m in sol.info["bic_trace"]]
+            for v, obj, b, m in sol.selection.trace]
 
 
 def _solve(data: Dataset, args, mode: str) -> tuple:
@@ -242,18 +249,20 @@ def _solve(data: Dataset, args, mode: str) -> tuple:
             sol = fit_huber(data, args.psi)
             alpha = soft_threshold_alpha(data.y - data.design @ sol.beta, args.psi)
             return sol, alpha, {"psi": args.psi}
-        if method == "l1" and mode == "fixed":
-            sol = fit_l1(data, args.psi)
-        elif method == "l1":  # fit and forecast take no --grid-size
+        if mode == "fixed":
+            if method == "l1":
+                sol, param = fit_l1(data, args.psi), "psi"
+            else:
+                sol, param = fit_lcs(data, args.k, initial_beta(data), args.l), "k"
+            return sol, sol.alpha, {param: getattr(sol, param)}
+        if method == "l1":  # fit and forecast take no --grid-size
             size = getattr(args, "grid_size", PSI_GRID_SIZE)
             sol = select_psi_bic(data, initial_beta(data), size)
-        elif mode == "fixed":
-            sol = fit_lcs(data, args.k, initial_beta(data), args.l)
         else:
             K = _sweep_budget(args.k_max, data.n_obs, data.n_coef)
             search = fit_l0_auto if mode == "auto" else select_k_bic
             sol = search(data, initial_beta(data), K, args.l)
-        param = "psi" if method == "l1" else "k"
+        param = sol.selection.param
         return sol, sol.alpha, {param: getattr(sol, param)}
 
 
@@ -264,7 +273,7 @@ def cmd_fit(args) -> int:
     _check_budgets(args, mode, data.n_obs, data.n_coef)
     sol, alpha, tuning = _solve(data, args, mode)
     if mode == "auto":
-        tuning.update(selected_by="bic", bic_trace=_bic_trace(sol, tuning))
+        tuning.update(selected_by="bic", bic_trace=_bic_trace(sol))
     flagged = np.flatnonzero(alpha != 0.0)
     report = {
         **_report_head(args, header),
@@ -289,8 +298,8 @@ def cmd_tune(args) -> int:
     sol, _, selected = _solve(data, args, mode)
     report = {
         **_report_head(args, header),
-        "trace": _bic_trace(sol, selected),
-        "selected": {**selected, "bic": sol.info["bic"]},
+        "trace": _bic_trace(sol),
+        "selected": {**selected, "bic": sol.selection.score},
     }
     write_report(report, args.out)
     return 0
@@ -425,6 +434,8 @@ def _load_sim_config(
             raw = json.load(fh)
     except OSError as exc:
         raise ParseError(f"{path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):

@@ -79,6 +79,16 @@ BIC_SELECTION_MULT = 2.75
 
 
 @dataclass(frozen=True)
+class Selection:
+    """BIC selection of `param`, "k" or "psi": the selected `score`, and one
+    (value, objective, score, rows flagged) `trace` entry per candidate."""
+
+    param: str
+    score: float
+    trace: tuple
+
+
+@dataclass(frozen=True)
 class SparsitySolution:
     """Solution at budget k: coefficients, shifts, and the row partition.
 
@@ -86,7 +96,8 @@ class SparsitySolution:
     residual, so they contribute nothing to the objective. The arrays are
     read-only, as a search may hand the same ones to several solutions.
     `info` carries search diagnostics (candidate counts, certificates),
-    belongs to this solution alone and never takes part in comparisons.
+    belongs to this solution alone and never takes part in comparisons;
+    nor does `selection`, set on the solution a BIC selection returns.
     """
 
     beta: np.ndarray
@@ -96,6 +107,7 @@ class SparsitySolution:
     outliers: np.ndarray
     objective: float
     info: dict = field(default_factory=dict, compare=False, repr=False)
+    selection: Selection | None = field(default=None, compare=False, repr=False)
 
 
 def hard_threshold(c: np.ndarray, k: int) -> np.ndarray:
@@ -524,40 +536,34 @@ def bic_score(data: Dataset, sol: SparsitySolution) -> float:
     return n * np.log(rss / n) + sol.k * np.log(n)
 
 
-def select_by_score(candidates, score, prefer_last: bool = False):
-    """Score every candidate; return (selected, its score, trace).
+def select_by_score(candidates: list, param: str, score, prefer_last: bool = False):
+    """Score every candidate solution; return the selected one as a new
+    solution whose `selection` traces the candidates' `param`, "k" or "psi".
 
-    `trace` lists (candidate, score) pairs in input order. The minimum
-    score wins; among equal scores the earliest candidate wins, or the
-    latest when `prefer_last` is set. Raises ValueError if no candidate
-    is selected (every score is NaN, or infinite without `prefer_last`).
+    The minimum score wins; among equal scores the earliest candidate
+    wins, or the latest when `prefer_last` is set. Raises ValueError if
+    no candidate is selected (every score is NaN, or infinite without
+    `prefer_last`).
     """
-    trace = [(c, score(c)) for c in candidates]
+    trace = tuple((getattr(c, param), c.objective, score(c), int(np.count_nonzero(c.alpha)))
+                  for c in candidates)
     selected, best = None, np.inf
-    for c, s in trace:
+    for c, (_, _, s, _) in zip(candidates, trace):
         if s < best or (prefer_last and s == best):
             selected, best = c, s
     if selected is None:
         raise ValueError("no candidate scores below infinity")
-    return selected, best, trace
+    return replace(selected, selection=Selection(param, best, trace))
 
 
 def select_k_bic(data: Dataset, beta0: np.ndarray, K: int, l: int) -> SparsitySolution:
     """Budget sweep followed by BIC selection, the complexity term scaled
-    by `BIC_SELECTION_MULT`; ties go to the smaller k.
-
-    `info` carries the selected score under "bic" and, under "bic_trace",
-    one (k, objective, score, rows discarded) tuple per budget in
-    ascending k.
-    """
-    best, score, trace = select_by_score(
-        neighborhood_search(data, beta0, K, l),
+    by `BIC_SELECTION_MULT`; ties go to the smaller k. The `selection`
+    traces every budget in ascending k."""
+    return select_by_score(
+        neighborhood_search(data, beta0, K, l), "k",
         lambda sol: bic_score(data, sol) + (BIC_SELECTION_MULT - 1.0) * sol.k * np.log(data.n_obs),
     )
-    best.info["bic"] = score
-    best.info["bic_trace"] = [(sol.k, sol.objective, s, int(sol.outliers.shape[0]))
-                              for sol, s in trace]
-    return best
 
 
 @_solves_once_per_call
@@ -569,20 +575,18 @@ def fit_l0_auto(data: Dataset, beta0: np.ndarray, K: int, l_final: int = 2) -> S
     pipeline starts from the LAD fit (`classic.initial_beta`), which the
     caller fits once and may share with other estimators. Returns the
     polished solution at the selected budget (or the selected one, if
-    polishing does not lower the objective); `info` carries the sweep's
-    trace under "bic_trace", as in `select_k_bic`.
+    polishing does not lower the objective), with the sweep's `selection`.
     """
     selected = select_k_bic(data, beta0, K, 1)
-    final = selected
     if l_final > 1:
         final = fit_lcs(data, selected.k, selected.beta, l_final)
-        if final.objective > selected.objective:
-            final = selected
-    final.info["bic_trace"] = selected.info["bic_trace"]
-    return final
+        if final.objective <= selected.objective:
+            return replace(final, selection=selected.selection)
+    return selected
 
 
 __all__ = [
+    "Selection",
     "SparsitySolution",
     "hard_threshold",
     "fit_iht",

@@ -18,7 +18,7 @@ import numpy as np
 
 from .classic import SHIFT_MAX_ITER, fit_lad, shift_alternation, soft_threshold_alpha
 from .errors import AllFitsFailed, InvariantViolated, NotConverged
-from .l0 import BIC_SELECTION_MULT, select_by_score
+from .l0 import BIC_SELECTION_MULT, Selection, select_by_score
 from .linalg import Dataset, factor_qr
 
 PSI_GRID_SIZE = 30
@@ -30,8 +30,8 @@ MAD_SCALE = 1.4826
 class L1Solution:
     """Fit of the penalized problem at a fixed threshold psi.
 
-    `info` carries selection diagnostics and never takes part in
-    comparisons.
+    `selection`, set on the solution `select_psi_bic` returns, never takes
+    part in comparisons.
     """
 
     beta: np.ndarray
@@ -39,7 +39,7 @@ class L1Solution:
     psi: float
     objective: float
     n_outliers: int
-    info: dict = field(default_factory=dict, compare=False, repr=False)
+    selection: Selection | None = field(default=None, compare=False, repr=False)
 
 
 def _penalized_objective(r_adj: np.ndarray, alpha: np.ndarray, psi: float) -> float:
@@ -108,9 +108,7 @@ def select_psi_bic(
     points stay order-independent; they also share one factorization of
     the design. Ties break toward larger psi (fewer flagged rows).
     Non-convergent grid points are skipped; if none converge, raises
-    AllFitsFailed.
-    `info` carries the selected score under "bic" and, under "bic_trace",
-    one (psi, objective, score, rows flagged) tuple per converged point in
+    AllFitsFailed. The `selection` traces every converged point in
     ascending psi.
     """
     if size < 1:
@@ -119,12 +117,8 @@ def select_psi_bic(
     fits = _fit_l1(data, grid, beta0, factor_qr(data.design))
     if not fits:
         raise AllFitsFailed("no psi on the grid produced a converged fit")
-    best, score, trace = select_by_score(
-        fits, lambda sol: bic_l1(data, sol, penalty_mult), prefer_last=True
-    )
-    best.info["bic"] = score
-    best.info["bic_trace"] = [(sol.psi, sol.objective, s, sol.n_outliers) for sol, s in trace]
-    return best
+    return select_by_score(fits, "psi", lambda sol: bic_l1(data, sol, penalty_mult),
+                           prefer_last=True)
 
 
 __all__ = [

@@ -94,7 +94,8 @@ def pivoted_qr(X: np.ndarray):
     least as many rows as columns; return Q, R' and piv.
 
     Raises RankDeficient when a pivot falls below RANK_TOL times the
-    leading pivot.
+    leading pivot; its message names the column of X, a design column
+    (0 = intercept), at the smallest pivot.
     """
     q = X.shape[1]
     # one Fortran-ordered copy, factored and then overwritten by Q in place
@@ -102,8 +103,10 @@ def pivoted_qr(X: np.ndarray):
     qr, jpvt, tau = _lapack(lapack.dgeqp3, qr, overwrite_a=1)
     diag = np.abs(qr.diagonal()).tolist()
     if diag[0] == 0.0 or min(diag) < RANK_TOL * diag[0]:
+        col = jpvt[diag.index(min(diag))] - 1
         raise RankDeficient(
-            f"pivot ratio {min(diag) / max(diag[0], 1e-300):.2e} below {RANK_TOL:.0e}"
+            f"the design is rank deficient: column {col} (0 = intercept) has pivot ratio "
+            f"{min(diag) / max(diag[0], 1e-300):.2e} below {RANK_TOL:.0e}"
         )
     # R' in Fortran order, the layout `solve_triangular` hands dtrtrs for
     # a C-ordered R. Its strictly upper part keeps Householder entries,

@@ -516,7 +516,10 @@ def test_fit_numerical_failure_exit_code(tmp_path, capsys):
               np.column_stack([rng.normal(size=10), x, x]).tolist())
     rc = main(["fit", str(path), "--method", "ols"])
     assert rc == 4
-    assert "numerical" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "numerical" in err
+    # the message names the problem and the duplicate column, at the smallest pivot
+    assert "rank deficient: column 2 (0 = intercept) has pivot ratio" in err
 
 
 def test_read_csv_requires_header_and_rows(tmp_path):
@@ -535,10 +538,11 @@ def test_read_csv_requires_header_and_rows(tmp_path):
     ("y,x\n1.0,2.0\nnan,4.0\n", "row 3, column 1: non-finite value"),
     ("y,x\n1.0,inf\n3.0,4.0\n", "row 2, column 2: non-finite value"),
     ("y,x\n1.0,2.0\n3.0,-inf\n", "row 3, column 2: non-finite value"),
-], ids=["blank-header", "ragged", "nan", "inf", "minus-inf"])
+    ("y,x\n1.0,2.0\n\xff,4.0\n", "not UTF-8 text"),
+], ids=["blank-header", "ragged", "nan", "inf", "minus-inf", "not-utf8"])
 def test_csv_data_errors_name_their_row_and_column(tmp_path, capsys, text, needle):
     path = tmp_path / "data.csv"
-    path.write_text(text)
+    path.write_text(text, encoding="latin-1")  # "\xff" is the byte 0xff
     assert main(["fit", str(path), "--method", "ols", "--out", str(tmp_path / "r.json")]) == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0] == f"data error: {path}: {needle}"
@@ -741,11 +745,12 @@ def test_simulate_seed_flag_overrides_the_config(tmp_path):
     (None, 3, "data error: "),
     ('{"dgp": 1,', 3, "data error: "),
     ("[1, 2]", 2, "error: config root must be a JSON object"),
-], ids=["missing-file", "invalid-json", "non-object-root"])
+    ('{"dgp": 1, "N": "\xff"}', 3, "data error: "),
+], ids=["missing-file", "invalid-json", "non-object-root", "not-utf8"])
 def test_unreadable_simulate_configs_are_refused(tmp_path, capsys, text, code, prefix):
     cfg_path = tmp_path / "cfg.json"
     if text is not None:
-        cfg_path.write_text(text)
+        cfg_path.write_text(text, encoding="latin-1")  # "\xff" is the byte 0xff
     assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == code
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(prefix)
@@ -859,6 +864,35 @@ def test_an_output_over_the_input_is_refused(two_regressor_csv, tmp_path, capsys
     assert len(err) == 1 and err[0].startswith("error: ") and "overwrite the input" in err[0]
     assert Path(two_regressor_csv).read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == [Path(two_regressor_csv).name]
+
+
+# each command with an output it cannot open: a directory, or a path in a
+# directory that does not exist
+@pytest.mark.parametrize("argv", [
+    ["fit", "{input}", "--method", "ols", "--out", "{dir}"],
+    ["fit", "{input}", "--method", "ols", "--out", "{dir}/nodir/r.json"],
+    ["tune", "{input}", "--method", "l0", "--out", "{dir}/nodir/r.json"],
+    ["forecast", "{input}", "--method", "ols", "--window", "20", "--flags-csv", "{dir}"],
+    ["forecast", "{input}", "--method", "ols", "--window", "20",
+     "--forecasts-csv", "{dir}/nodir/f.csv"],
+    ["simulate", "--config", "{config}", "--out", "{dir}/nodir/run"],
+], ids=["fit-directory", "fit-no-directory", "tune-no-directory", "forecast-directory",
+        "forecast-no-directory", "simulate-no-directory"])
+def test_an_unwritable_output_is_refused_before_any_fit(two_regressor_csv, tmp_path,
+                                                        monkeypatch, capsys, argv):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"dgp": 1, "N": 30, "p": 0.1, "R": 1, "estimators": ["ols"]}))
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a fit ran before its outputs were checked")
+
+    monkeypatch.setattr("trimreg.cli._solve", no_fit)
+    monkeypatch.setattr("trimreg.cli.run_monte_carlo_records", no_fit)
+    argv = [a.format(input=two_regressor_csv, dir=tmp_path, config=config) for a in argv]
+    assert exit_code(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: --")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", Path(two_regressor_csv).name]
 
 
 @pytest.mark.parametrize("out", ["run", None])

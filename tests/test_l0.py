@@ -1,16 +1,22 @@
+import ast
 import itertools
+from dataclasses import replace
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import trimreg
 from trimreg import dgp, l0
 from trimreg.classic import fit_ols, initial_beta
 from trimreg.cli import main
 from trimreg.dgp import DgpConfig, generate
 from trimreg.errors import DegenerateFit, InvariantViolated, TooFewInliers
 from trimreg.l0 import (
+    Selection,
+    SparsitySolution,
     bic_score,
     count_swap_candidates,
     fit_iht,
@@ -297,7 +303,7 @@ def test_fit_l0_auto_bit_identical_to_reference_loop(monkeypatch, cfg, K):
     assert got.beta.tobytes() == want.beta.tobytes()
     assert np.array_equal(got.outliers, want.outliers)
     assert got.k == want.k
-    assert got.info["bic_trace"] == want.info["bic_trace"]
+    assert got.selection.trace == want.selection.trace
 
 
 def _unpruned_swap_pass(X, y, in_idx, out_idx, l):
@@ -845,11 +851,27 @@ def test_bic_degenerate_on_perfect_fit():
 
 
 def test_select_by_score_tie_rules():
-    scores = {"a": 2.0, "b": 1.0, "c": 1.0, "d": 3.0}
-    first, score, trace = select_by_score("abcd", scores.get)
-    last, _, _ = select_by_score("abcd", scores.get, prefer_last=True)
-    assert (first, last, score) == ("b", "c", 1.0)
-    assert trace == [("a", 2.0), ("b", 1.0), ("c", 1.0), ("d", 3.0)]
+    scores = {1: 2.0, 2: 1.0, 3: 1.0, 4: 3.0}
+    base = SparsitySolution(beta=np.zeros(1), alpha=np.array([0.0, 5.0]), k=1,
+                            inliers=np.array([0]), outliers=np.array([1]), objective=0.0)
+    cands = [replace(base, k=k, objective=10.0 - k) for k in scores]
+    first = select_by_score(cands, "k", lambda sol: scores[sol.k])
+    last = select_by_score(cands, "k", lambda sol: scores[sol.k], prefer_last=True)
+    assert (first.k, last.k, first.selection.score) == (2, 3, 1.0)
+    assert first.selection == last.selection == Selection("k", 1.0, (
+        (1, 9.0, 2.0, 1), (2, 8.0, 1.0, 1), (3, 7.0, 1.0, 1), (4, 6.0, 3.0, 1)))
+    # the selected solution is a new one: no candidate carries a selection
+    assert all(c.selection is None for c in cands)
+
+
+@pytest.mark.parametrize("dgp_id", [1, 2, 3])
+def test_fit_l0_auto_keeps_the_score_of_its_budget(dgp_id):
+    # the polished solution carries the sweep's selection, score included
+    d = generate(DgpConfig(dgp=dgp_id, N=120, p=0.1, seed=0, n_test=1)).train
+    sol = fit_l0_auto(d, initial_beta(d), 10)
+    sel = sol.selection
+    assert sel.param == "k" and [t[0] for t in sel.trace] == list(range(1, 11))
+    assert [score for k, _, score, _ in sel.trace if k == sol.k] == [sel.score]
 
 
 def test_select_k_single_budget(rng):
@@ -912,6 +934,34 @@ def test_harness_l0_sweeps_no_interpolating_budget(seed):
     # and its rounding-level RSS (~1e-30) used to win the BIC by log(RSS)
     sample = generate(DgpConfig(dgp=3, N=10, p=0.45, seed=seed))
     sol = dgp._l0(sample)
-    assert [t[0] for t in sol.info["bic_trace"]] == [1, 2, 3]
+    assert [t[0] for t in sol.selection.trace] == [1, 2, 3]
     assert sol.k <= sweep_cap(10, 6) == 3
     assert sol.objective > 1e-8
+
+
+# the only functions that write search diagnostics into a solution's `info`
+INFO_WRITERS = {("l0.py", "fit_iht"), ("l0.py", "local_swap_search")}
+
+
+def _info_writes(tree):
+    """(top-level name, line) of each assignment into `<expr>.info[...]`."""
+    for top in tree.body:
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Attribute) and node.value.attr == "info"):
+                yield getattr(top, "name", None), node.lineno
+
+
+def test_only_the_searches_write_into_info():
+    # a selection hands back its result as a `Selection`, so the `info`
+    # side channel holds only the searches' own counters
+    seen = ("def fit_iht(d):\n    sol.info['iterations'] = 1\n"
+            "def select(d):\n    best.info['bic'] = 2.0\n    best.info['n'] += 1\n"
+            "    a, best.info['t'] = 1, 2\n    x = best.info['bic']\n")
+    assert list(_info_writes(ast.parse(seen))) == [
+        ("fit_iht", 2), ("select", 4), ("select", 5), ("select", 6)]
+    found = set()
+    for path in sorted(Path(trimreg.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found |= {(path.name, name) for name, _ in _info_writes(tree)}
+    assert found == INFO_WRITERS

@@ -144,7 +144,7 @@ def test_select_psi_bic_factors_the_design_once(monkeypatch):
     b0 = fit_lad(d).beta
     fits = [fit_l1(d, float(psi)) for psi in default_psi_grid(d, l1.PSI_GRID_SIZE, b0)]
     assert len(calls) == 1 + len(fits)
-    assert sol.info["bic_trace"] == [
+    assert list(sol.selection.trace) == [
         (f.psi, f.objective, bic_l1(d, f, 1.0), f.n_outliers) for f in fits
     ]
     want = next(f for f in fits if f.psi == sol.psi)
@@ -164,7 +164,7 @@ def _per_psi_fits(d, grid):
 
 
 def _assert_selection_is_the_per_psi_fits(d, sol, fits, mult):
-    assert sol.info["bic_trace"] == [
+    assert list(sol.selection.trace) == [
         (f.psi, f.objective, bic_l1(d, f, mult), f.n_outliers) for f in fits
     ]
     want = next(f for f in fits if f.psi == sol.psi)
@@ -217,7 +217,7 @@ def test_select_psi_single_point_grid(rng):
     d = Dataset(y=y, x=x)
     sol = select_psi_bic(d, fit_lad(d).beta, 1)
     assert sol.psi == default_psi_grid(d, 1, fit_lad(d).beta)[0]
-    assert [t[0] for t in sol.info["bic_trace"]] == [sol.psi]
+    assert [t[0] for t in sol.selection.trace] == [sol.psi]
 
 
 def test_select_psi_clean_data_flags_nothing():
