@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .classic import ClassicFit, fit_huber, fit_lad, fit_ols, initial_beta
+from .classic import ClassicFit, fit_lad, fit_ols, initial_beta
 from .dgp import (
     DgpConfig,
     DgpSample,
@@ -36,6 +36,6 @@ from .l0 import (
     neighborhood_search,
     select_k_bic,
 )
-from .l1 import L1Solution, fit_l1, select_psi_bic, soft_threshold_alpha
+from .l1 import L1Solution, fit_huber, fit_l1, select_psi_bic, soft_threshold_alpha
 from .linalg import Dataset
 from .oracle import OracleResult, best_subset_exact, equal_solution

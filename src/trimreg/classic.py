@@ -1,4 +1,4 @@
-"""OLS, LAD, and fixed-cutoff Huber baselines, and the shift alternation.
+"""OLS and LAD baselines (`ClassicFit`), and the shift alternation.
 
 LAD runs iteratively reweighted least squares with weight 1/max(|r|, eps);
 that is an exact majorize-minimize scheme for the eps-smoothed absolute
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateFit, InvariantViolated
-from .linalg import Dataset, factor_qr, lstsq_qr
+from .linalg import Dataset, lstsq_qr
 
 MAX_ITER = 1000
 # cap of the shift alternation shared by Huber and L1
@@ -189,13 +189,6 @@ def shift_alternation(data: Dataset, psis, beta: np.ndarray, solve) -> list[tupl
     return lanes
 
 
-def fit_huber(data: Dataset, psi: float) -> ClassicFit:
-    """Huber regression with fixed cutoff psi: the shift alternation from OLS."""
-    solve = factor_qr(data.design)
-    [(beta, _, _, loss, it, converged)] = shift_alternation(data, [psi], solve(data.y), solve)
-    return ClassicFit(beta=beta, objective=loss, iterations=it, converged=converged)
-
-
 def initial_beta(data: Dataset) -> np.ndarray:
     """Robust starting point for the sparse-outlier estimators (LAD fit)."""
     return fit_lad(data).beta
@@ -205,7 +198,6 @@ __all__ = [
     "ClassicFit",
     "fit_ols",
     "fit_lad",
-    "fit_huber",
     "huber_rho",
     "lad_objective",
     "initial_beta",

@@ -24,7 +24,7 @@ from typing import get_type_hints
 import numpy as np
 
 from . import __version__
-from .classic import fit_huber, fit_lad, fit_ols, initial_beta
+from .classic import fit_lad, fit_ols, initial_beta
 from .dgp import (
     ESTIMATOR_FACTORIES,
     DgpConfig,
@@ -40,8 +40,9 @@ from .errors import (
     WindowTooLarge,
 )
 from .l0 import fit_l0_auto, fit_lcs, select_k_bic, sweep_cap
-from .l1 import PSI_GRID_SIZE, fit_l1, select_psi_bic, soft_threshold_alpha
+from .l1 import PSI_GRID_SIZE, fit_huber, fit_l1, select_psi_bic
 from .linalg import Dataset
+from .oracle import N_LIMIT
 
 # The method spec: the flags each (--method, mode) reads, with their defaults;
 # the mode is "fixed", "auto" (--auto) or "tune". A flag a run does not read
@@ -67,7 +68,7 @@ class UsageError(Exception):
 def read_csv_dataset(path: str) -> tuple[Dataset, list[str]]:
     """Parse a CSV with header into a Dataset; errors carry row/column."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:  # a BOM is dropped
             rows = list(csv.reader(fh))
     except OSError as exc:
         raise ParseError(f"{path}: {exc}") from exc
@@ -245,16 +246,12 @@ def _solve(data: Dataset, args, mode: str) -> tuple:
         if method in ("ols", "lad"):
             sol = (fit_ols if method == "ols" else fit_lad)(data)
             return sol, np.zeros(data.n_obs), None
-        if method == "huber":
-            sol = fit_huber(data, args.psi)
-            alpha = soft_threshold_alpha(data.y - data.design @ sol.beta, args.psi)
-            return sol, alpha, {"psi": args.psi}
         if mode == "fixed":
-            if method == "l1":
-                sol, param = fit_l1(data, args.psi), "psi"
-            else:
-                sol, param = fit_lcs(data, args.k, initial_beta(data), args.l), "k"
-            return sol, sol.alpha, {param: getattr(sol, param)}
+            if method == "l0":
+                sol = fit_lcs(data, args.k, initial_beta(data), args.l)
+                return sol, sol.alpha, {"k": sol.k}
+            sol = (fit_huber if method == "huber" else fit_l1)(data, args.psi)
+            return sol, sol.alpha, {"psi": sol.psi}
         if method == "l1":  # fit and forecast take no --grid-size
             size = getattr(args, "grid_size", PSI_GRID_SIZE)
             sol = select_psi_bic(data, initial_beta(data), size)
@@ -280,7 +277,7 @@ def cmd_fit(args) -> int:
         "n_obs": data.n_obs,
         "beta": sol.beta,
         "objective": sol.objective,
-        # the classic fits report convergence; the L0 and L1 fits raise instead
+        # ols, lad and huber report convergence; the L0 and L1 fits raise instead
         "converged": getattr(sol, "converged", True),
         "tuning": tuning,
         "outlier_rows": (flagged + 1).tolist(),
@@ -430,7 +427,7 @@ def _load_sim_config(
     fields `R`, `estimators`, `oracle_k` and `threads` with defaults
     filled in; `seed` and `threads`, if given, replace the file's."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:  # a BOM is dropped
             raw = json.load(fh)
     except OSError as exc:
         raise ParseError(f"{path}: {exc}") from exc
@@ -458,6 +455,8 @@ def _load_sim_config(
         raise UsageError("R: must be an integer >= 1")
     if raw.get("oracle_k") is not None and raw["oracle_k"] < 0:
         raise UsageError("oracle_k: must be an integer >= 0 or null")
+    if raw.get("oracle_k") is not None and cfg.N > N_LIMIT:
+        raise UsageError(f"oracle_k: the exact solver takes N <= {N_LIMIT} rows, not N = {cfg.N}")
     if raw.get("threads", 1) < 1:
         raise UsageError("threads: must be an integer >= 1")
     est = raw.get("estimators", ["l0", "l1", "lad", "ols"])

@@ -526,14 +526,20 @@ def neighborhood_search(
     return sols
 
 
-def bic_score(data: Dataset, sol: SparsitySolution) -> float:
-    """N log(RSS/N) + k log N with the shifts subtracted from the residual."""
+def bic(data: Dataset, beta: np.ndarray, alpha: np.ndarray, complexity: float) -> float:
+    """N log(RSS/N) + complexity log N with the shifts subtracted from the
+    residual, for both families; DegenerateFit where RSS underflows the log."""
     n = data.n_obs
-    r = data.y - data.design @ sol.beta - sol.alpha
+    r = data.y - data.design @ beta - alpha
     rss = float(r @ r)
     if rss < 1e-300:
         raise DegenerateFit("residual sum of squares underflows the log")
-    return n * np.log(rss / n) + sol.k * np.log(n)
+    return n * np.log(rss / n) + complexity * np.log(n)
+
+
+def bic_score(data: Dataset, sol: SparsitySolution) -> float:
+    """N log(RSS/N) + k log N (`bic` with complexity k)."""
+    return bic(data, sol.beta, sol.alpha, sol.k)
 
 
 def select_by_score(candidates: list, param: str, score, prefer_last: bool = False):
@@ -594,6 +600,7 @@ __all__ = [
     "fit_lcs",
     "neighborhood_search",
     "sweep_cap",
+    "bic",
     "bic_score",
     "select_by_score",
     "select_k_bic",

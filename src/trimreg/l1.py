@@ -1,13 +1,13 @@
 """Soft-threshold robust regression with an L1 penalty on per-row shifts.
 
 Minimizes 0.5 ||y - X b - a||^2 + psi ||a||_1 with the shift alternation
-`classic.shift_alternation`, the same loop Huber runs: the shift vector
-`a` is the residuals soft-thresholded at psi, and b is least squares of
-y - a on X. The profiled objective coincides with the Huber loss at
-cutoff psi, which the fit cross-checks at convergence. `select_psi_bic`
-runs its whole grid through one call, one lane per psi, from the LAD start
-its caller passes and one factorization; each lane equals `fit_l1` at its
-psi, bit for bit.
+`classic.shift_alternation`: the shift vector `a` is the residuals
+soft-thresholded at psi, and b is least squares of y - a on X. The
+profiled objective is the Huber loss at cutoff psi, which each fit
+cross-checks, so Huber regression (`fit_huber`, from OLS) is this fit from
+another start than `fit_l1`'s LAD. `select_psi_bic` runs its whole grid
+through one call, one lane per psi, from the LAD start its caller passes
+and one factorization; each lane equals `fit_l1` at its psi, bit for bit.
 """
 
 from __future__ import annotations
@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classic import SHIFT_MAX_ITER, fit_lad, shift_alternation, soft_threshold_alpha
+from .classic import fit_lad, shift_alternation, soft_threshold_alpha
 from .errors import AllFitsFailed, InvariantViolated, NotConverged
-from .l0 import BIC_SELECTION_MULT, Selection, select_by_score
+from .l0 import BIC_SELECTION_MULT, Selection, bic, select_by_score
 from .linalg import Dataset, factor_qr
 
 PSI_GRID_SIZE = 30
@@ -28,7 +28,7 @@ MAD_SCALE = 1.4826
 
 @dataclass(frozen=True)
 class L1Solution:
-    """Fit of the penalized problem at a fixed threshold psi.
+    """Fit of the penalized problem at a fixed psi, with the alternation's steps and convergence.
 
     `selection`, set on the solution `select_psi_bic` returns, never takes
     part in comparisons.
@@ -38,12 +38,9 @@ class L1Solution:
     alpha: np.ndarray
     psi: float
     objective: float
-    n_outliers: int
+    iterations: int
+    converged: bool
     selection: Selection | None = field(default=None, compare=False, repr=False)
-
-
-def _penalized_objective(r_adj: np.ndarray, alpha: np.ndarray, psi: float) -> float:
-    return 0.5 * float(r_adj @ r_adj) + psi * float(np.sum(np.abs(alpha)))
 
 
 def fit_l1(data: Dataset, psi: float) -> L1Solution:
@@ -52,28 +49,34 @@ def fit_l1(data: Dataset, psi: float) -> L1Solution:
     Raises NotConverged if it has not converged after SHIFT_MAX_ITER steps,
     and ValueError unless 0 < psi < inf.
     """
-    fits = _fit_l1(data, [psi], fit_lad(data).beta, factor_qr(data.design))
-    if not fits:
-        raise NotConverged(f"fit_l1 did not converge in {SHIFT_MAX_ITER} iterations")
-    return fits[0]
+    [sol] = _fit_l1(data, [psi], fit_lad(data).beta, factor_qr(data.design))
+    if not sol.converged:
+        raise NotConverged(f"fit_l1 did not converge in {sol.iterations} iterations")
+    return sol
+
+
+def fit_huber(data: Dataset, psi: float) -> L1Solution:
+    """Huber regression with fixed cutoff psi: the shift alternation from OLS.
+    A fit that has not converged is returned, with `converged` false."""
+    solve = factor_qr(data.design)
+    [sol] = _fit_l1(data, [psi], solve(data.y), solve)
+    return sol
 
 
 def _fit_l1(data: Dataset, psis, beta0: np.ndarray, solve) -> list[L1Solution]:
-    """`fit_l1` at every psi of `psis` in lockstep from `beta0`, with `solve`
-    the least-squares solver of the design; one solution per converged
-    psi, in order."""
+    """`fit_l1` at every psi of `psis` in lockstep from `beta0`, `solve` the design's
+    least-squares solver: one solution per psi, in order, converged or not."""
     fits = []
-    for psi, lane in zip(psis, shift_alternation(data, psis, beta0, solve)):
-        beta, r, alpha, profile, _, converged = lane
-        if not converged:
-            continue
-        obj = _penalized_objective(r - alpha, alpha, psi)
+    lanes = shift_alternation(data, psis, beta0, solve)
+    for psi, (beta, r, alpha, profile, it, converged) in zip(psis, lanes):
+        r_adj = r - alpha
+        obj = 0.5 * float(r_adj @ r_adj) + psi * float(np.sum(np.abs(alpha)))
         # profile identity: the penalized objective at the alpha-argmin equals
         # the Huber loss `profile` of the residuals at cutoff psi
         if not abs(obj - profile) <= 1e-8 * (1.0 + abs(profile)):
             raise InvariantViolated("penalized objective disagrees with its profiled form")
         fits.append(L1Solution(beta=beta, alpha=alpha, psi=psi, objective=obj,
-                               n_outliers=int(np.count_nonzero(alpha))))
+                               iterations=it, converged=converged))
     return fits
 
 
@@ -88,11 +91,9 @@ def default_psi_grid(data: Dataset, size: int, lad_beta: np.ndarray) -> np.ndarr
 
 
 def bic_l1(data: Dataset, sol: L1Solution, mult: float) -> float:
-    """BIC score with the detected-outlier count as the complexity term."""
-    n = data.n_obs
-    r = data.y - data.design @ sol.beta - sol.alpha
-    rss = max(float(r @ r), 1e-300)
-    return n * np.log(rss / n) + mult * sol.n_outliers * np.log(n)
+    """BIC score with `mult` times the flagged-row count as the complexity
+    term; raises DegenerateFit where the RSS underflows the log (`l0.bic`)."""
+    return bic(data, sol.beta, sol.alpha, mult * np.count_nonzero(sol.alpha))
 
 
 def select_psi_bic(
@@ -114,7 +115,7 @@ def select_psi_bic(
     if size < 1:
         raise ValueError(f"psi grid size must be at least 1, not {size}")
     grid = default_psi_grid(data, size, beta0).tolist()  # ascending
-    fits = _fit_l1(data, grid, beta0, factor_qr(data.design))
+    fits = [f for f in _fit_l1(data, grid, beta0, factor_qr(data.design)) if f.converged]
     if not fits:
         raise AllFitsFailed("no psi on the grid produced a converged fit")
     return select_by_score(fits, "psi", lambda sol: bic_l1(data, sol, penalty_mult),
@@ -125,6 +126,7 @@ __all__ = [
     "L1Solution",
     "soft_threshold_alpha",
     "fit_l1",
+    "fit_huber",
     "default_psi_grid",
     "bic_l1",
     "select_psi_bic",

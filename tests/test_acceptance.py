@@ -13,10 +13,10 @@ import itertools
 import numpy as np
 import pytest
 
-from trimreg.classic import fit_huber, initial_beta
+from trimreg.classic import initial_beta
 from trimreg.dgp import ESTIMATOR_FACTORIES, DgpConfig, generate, run_monte_carlo_records
 from trimreg.l0 import fit_iht, fit_lcs, hard_threshold, local_swap_search, select_k_bic
-from trimreg.l1 import fit_l1, soft_threshold_alpha
+from trimreg.l1 import fit_huber, fit_l1, soft_threshold_alpha
 from trimreg.linalg import Dataset
 
 

@@ -10,7 +10,6 @@ from trimreg.classic import (
     BETA_TOL,
     MAX_ITER,
     SHIFT_MAX_ITER,
-    fit_huber,
     fit_lad,
     fit_ols,
     huber_rho,
@@ -20,7 +19,7 @@ from trimreg.classic import (
 )
 from trimreg.dgp import DgpConfig, generate
 from trimreg.errors import InvariantViolated
-from trimreg.l1 import default_psi_grid, fit_l1
+from trimreg.l1 import default_psi_grid, fit_huber, fit_l1
 from trimreg.linalg import Dataset, factor_qr, lstsq_qr
 
 

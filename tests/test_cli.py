@@ -1,3 +1,4 @@
+import ast
 import csv
 import json
 import os
@@ -319,11 +320,12 @@ def test_each_method_flag_is_read_or_refused_and_its_default_shown(two_regressor
 
 
 def test_huber_fit_and_forecast_report_the_huber_fit(outlier_csv, tmp_path):
-    from trimreg.classic import fit_huber
+    from trimreg.l1 import fit_huber
     from trimreg.linalg import Dataset
 
     data, _ = read_csv_dataset(outlier_csv)
-    beta = fit_huber(data, 1.0).beta
+    hub = fit_huber(data, 1.0)
+    beta = hub.beta
     flagged = np.flatnonzero(np.abs(data.y - data.design @ beta) > 1.0)
     out = str(tmp_path / "fit.json")
     assert main(["fit", outlier_csv, "--method", "huber", "--psi", "1", "--out", out]) == 0
@@ -331,6 +333,10 @@ def test_huber_fit_and_forecast_report_the_huber_fit(outlier_csv, tmp_path):
     assert report["beta"] == beta.tolist()
     assert report["tuning"] == {"psi": 1.0}
     assert report["outlier_rows"] == (flagged + 1).tolist() and 12 in report["outlier_rows"]
+    # the report's shifts are the fit's own, bit for bit
+    values = np.array([a["value"] for a in report["alpha"]])
+    assert values.tobytes() == hub.alpha[flagged].tobytes()
+    assert np.count_nonzero(hub.alpha) == len(flagged)
     window, flags = 20, str(tmp_path / "flags.csv")
     assert main(["forecast", outlier_csv, "--method", "huber", "--psi", "1",
                  "--window", str(window), "--flags-csv", flags, "--out", out]) == 0
@@ -347,6 +353,43 @@ def test_huber_fit_and_forecast_report_the_huber_fit(outlier_csv, tmp_path):
         want_hits += [(t + 1, t - window + i + 1) for i in np.flatnonzero(np.abs(r) > 1.0)]
         assert fc["n_flagged"] == int(np.sum(np.abs(r) > 1.0))
     assert hits == want_hits and hits
+
+
+def test_huber_reports_an_unconverged_fit_where_l1_fails(outlier_csv, tmp_path, monkeypatch,
+                                                        capsys):
+    # the two convergence policies of the one shift alternation, at its cap
+    from trimreg import classic
+
+    monkeypatch.setattr(classic, "SHIFT_MAX_ITER", 2)
+    out = tmp_path / "fit.json"
+    assert main(["fit", outlier_csv, "--method", "huber", "--psi", "1", "--out", str(out)]) == 0
+    assert load_json(out)["converged"] is False
+    out.unlink()
+    assert main(["fit", outlier_csv, "--method", "l1", "--psi", "1", "--out", str(out)]) == 4
+    stdout, err = capsys.readouterr()
+    assert err.splitlines() == ["numerical failure: fit_l1 did not converge in 2 iterations"]
+    assert not out.exists()
+
+
+# the names that compute shifts or Huber losses; the fits build their own shifts
+SHIFT_NAMES = {"soft_threshold_alpha", "huber_rho", "_shifts_and_rho"}
+
+
+def _shift_names(tree):
+    """(name, line) of each use of a SHIFT_NAMES name: imported, read or bound."""
+    for node in ast.walk(tree):
+        for field in ("id", "attr", "name"):  # of a Name, an Attribute, an import or a def
+            if getattr(node, field, None) in SHIFT_NAMES:
+                yield getattr(node, field), node.lineno
+
+
+def test_the_cli_computes_no_shifts():
+    seen = ("from .classic import huber_rho, soft_threshold_alpha as st\n"
+            "def f(sol, r):\n    a = classic._shifts_and_rho(r, 1.0)\n    return sol.alpha\n")
+    assert sorted(_shift_names(ast.parse(seen))) == [
+        ("_shifts_and_rho", 3), ("huber_rho", 1), ("soft_threshold_alpha", 1)]
+    path = Path(trimreg.__file__).parent / "cli.py"
+    assert list(_shift_names(ast.parse(path.read_text(encoding="utf-8")))) == []
 
 
 def test_forecast_skips_a_window_whose_fit_fails(tmp_path):
@@ -549,6 +592,45 @@ def test_csv_data_errors_name_their_row_and_column(tmp_path, capsys, text, needl
     assert [p.name for p in tmp_path.iterdir()] == ["data.csv"]
 
 
+def test_a_byte_order_mark_is_read_like_the_plain_file(two_regressor_csv, tmp_path):
+    bom = b"\xef\xbb\xbf"
+    reports = []
+    for name, head in (("plain", b""), ("bom", bom)):
+        path, out = tmp_path / f"{name}.csv", str(tmp_path / f"{name}.json")
+        path.write_bytes(head + Path(two_regressor_csv).read_bytes())
+        assert main(["fit", str(path), "--method", "ols", "--out", out]) == 0
+        report = load_json(out)
+        del report["config"]["input"], report["config"]["out"]
+        reports.append(report)
+    assert reports[0] == reports[1]
+    assert reports[1]["columns"] == {"response": "y", "regressors": ["x1", "x2"]}
+    records = []
+    cfg = {"dgp": 1, "N": 30, "p": 0.1, "R": 2, "n_test": 20, "estimators": ["ols", "l1"]}
+    for name, head in (("plain", b""), ("bom", bom)):
+        cfg_path, prefix = tmp_path / f"{name}.cfg", str(tmp_path / f"run-{name}")
+        cfg_path.write_bytes(head + json.dumps(cfg).encode())
+        assert main(["simulate", "--config", str(cfg_path), "--out", prefix]) == 0
+        assert load_json(prefix + ".json")["config"]["R"] == 2
+        records.append(_csv_rows_without_cpu(prefix + "_records.csv"))
+    assert records[0] == records[1]
+
+
+def test_a_constant_response_fails_both_bic_selections_alike(tmp_path, capsys):
+    # on y = 0 every fit is exact in floating point, RSS = 0, so the BIC's
+    # log(RSS) has no value in either family
+    path = tmp_path / "const.csv"
+    write_csv(path, ["y", "x"], [[0.0, float(i % 7)] for i in range(60)])
+    out = tmp_path / "report.json"
+    for argv in (["fit", "--method", "l0", "--auto"], ["tune", "--method", "l0"],
+                 ["fit", "--method", "l1", "--auto"], ["tune", "--method", "l1"]):
+        assert main([argv[0], str(path), *argv[1:], "--out", str(out)]) == 4, argv
+        stdout, err = capsys.readouterr()
+        assert stdout == "", argv
+        assert err.splitlines() == [
+            "numerical failure: residual sum of squares underflows the log"], argv
+        assert not out.exists()
+
+
 def test_forecast_constant_series(tmp_path):
     path = tmp_path / "const.csv"
     write_csv(path, ["y", "x"], [[5.0, float(i % 3)] for i in range(20)])
@@ -652,9 +734,27 @@ def test_simulate_smoke_and_determinism(tmp_path):
             assert a[name][key] == b[name][key]
 
 
-def test_simulate_survives_an_oracle_beyond_its_size_limit(tmp_path):
-    cfg = {"dgp": 1, "N": 250, "p": 0.1, "R": 2, "estimators": ["ols", "lad"],
-           "oracle_k": 0}
+@pytest.mark.parametrize("N, oracle_k, code", [
+    (201, 0, 2), (250, 3, 2), (250, None, 0),
+])
+def test_simulate_refuses_an_oracle_beyond_its_size_limit(tmp_path, capsys, N, oracle_k, code):
+    # no replication could run the exact solver, so the comparison is refused
+    cfg = {"dgp": 1, "N": N, "p": 0.1, "R": 1, "n_test": 10, "estimators": ["ols"],
+           "oracle_k": oracle_k}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == code
+    err = capsys.readouterr().err.splitlines()
+    if code == 2:
+        assert err == [f"error: oracle_k: the exact solver takes N <= 200 rows, not N = {N}"]
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def test_simulate_survives_an_oracle_that_fails_in_every_replication(tmp_path):
+    # N - oracle_k = 1 row cannot fit q = 2 coefficients: each exact solve
+    # raises TooFewInliers, and each replication keeps its fits
+    cfg = {"dgp": 1, "N": 30, "p": 0.1, "R": 2, "estimators": ["ols", "lad"],
+           "oracle_k": 29}
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     prefix = str(tmp_path / "run")

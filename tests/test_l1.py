@@ -3,12 +3,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from trimreg import classic, l1
-from trimreg.classic import BETA_TOL, SHIFT_MAX_ITER, fit_huber, fit_lad, fit_ols
+from trimreg.classic import BETA_TOL, SHIFT_MAX_ITER, fit_lad, fit_ols
 from trimreg.dgp import DgpConfig, generate
 from trimreg.errors import AllFitsFailed, NotConverged
 from trimreg.l1 import (
     bic_l1,
     default_psi_grid,
+    fit_huber,
     fit_l1,
     select_psi_bic,
     soft_threshold_alpha,
@@ -57,7 +58,7 @@ def test_fit_l1_no_thresholding_for_large_psi(rng):
     ols = fit_ols(d)
     psi = float(np.max(np.abs(y - d.design @ ols.beta))) * 1.05
     sol = fit_l1(d, psi)
-    assert sol.n_outliers == 0
+    assert np.count_nonzero(sol.alpha) == 0
     assert np.array_equal(sol.alpha, np.zeros(25))
     assert np.max(np.abs(sol.beta - ols.beta)) <= 1e-8
 
@@ -108,14 +109,17 @@ def test_fit_l1_matches_per_iteration_refit():
 
 
 def test_fit_l1_from_ols_is_huber():
-    # one shift alternation: from the same start, the same bits
+    # one shift alternation: fit_huber is its lane from the OLS start, bit for bit
     d = generate(DgpConfig(dgp=2, N=200, p=0.1, rho=5.0, seed=3, n_test=10)).train
     b0 = fit_ols(d).beta
     for psi in (0.3, 1.0, 4.0):
-        [sol] = l1._fit_l1(d, [psi], b0, factor_qr(d.design))
+        [(beta, _, alpha, _, it, converged)] = classic.shift_alternation(
+            d, [psi], b0, factor_qr(d.design))
         hub = fit_huber(d, psi)
-        assert hub.converged
-        assert sol.beta.tobytes() == hub.beta.tobytes()
+        assert converged and hub.converged
+        assert hub.beta.tobytes() == beta.tobytes()
+        assert hub.alpha.tobytes() == alpha.tobytes()
+        assert hub.iterations == it and hub.psi == psi
 
 
 def test_exhausted_iteration_cap_is_not_converged(monkeypatch):
@@ -123,7 +127,7 @@ def test_exhausted_iteration_cap_is_not_converged(monkeypatch):
     monkeypatch.setattr(classic, "SHIFT_MAX_ITER", 2)
     hub = fit_huber(d, 1.0)
     assert not hub.converged and hub.iterations == 2
-    with pytest.raises(NotConverged):
+    with pytest.raises(NotConverged, match="did not converge in 2 iterations"):
         fit_l1(d, 1.0)
     with pytest.raises(AllFitsFailed):
         select_psi_bic(d, fit_lad(d).beta)
@@ -145,7 +149,7 @@ def test_select_psi_bic_factors_the_design_once(monkeypatch):
     fits = [fit_l1(d, float(psi)) for psi in default_psi_grid(d, l1.PSI_GRID_SIZE, b0)]
     assert len(calls) == 1 + len(fits)
     assert list(sol.selection.trace) == [
-        (f.psi, f.objective, bic_l1(d, f, 1.0), f.n_outliers) for f in fits
+        (f.psi, f.objective, bic_l1(d, f, 1.0), np.count_nonzero(f.alpha)) for f in fits
     ]
     want = next(f for f in fits if f.psi == sol.psi)
     assert sol.beta.tobytes() == want.beta.tobytes()
@@ -165,12 +169,12 @@ def _per_psi_fits(d, grid):
 
 def _assert_selection_is_the_per_psi_fits(d, sol, fits, mult):
     assert list(sol.selection.trace) == [
-        (f.psi, f.objective, bic_l1(d, f, mult), f.n_outliers) for f in fits
+        (f.psi, f.objective, bic_l1(d, f, mult), np.count_nonzero(f.alpha)) for f in fits
     ]
     want = next(f for f in fits if f.psi == sol.psi)
     assert sol.beta.tobytes() == want.beta.tobytes()
     assert sol.alpha.tobytes() == want.alpha.tobytes()
-    assert (sol.objective, sol.n_outliers) == (want.objective, want.n_outliers)
+    assert sol.objective == want.objective
 
 
 @pytest.mark.parametrize("dgp, N", [(1, 100), (2, 200), (3, 120)])
@@ -225,7 +229,7 @@ def test_select_psi_clean_data_flags_nothing():
                     n_test=100)
     clean = generate(cfg).test  # outlier-free split
     sol = select_psi_bic(clean, fit_lad(clean).beta)
-    assert sol.n_outliers == 0
+    assert np.count_nonzero(sol.alpha) == 0
 
 
 def test_select_psi_recovers_planted_support():
@@ -235,7 +239,7 @@ def test_select_psi_recovers_planted_support():
     y[:5] += 12.0
     d = Dataset(y=y, x=x)
     sol = select_psi_bic(d, fit_lad(d).beta)
-    assert sol.n_outliers == 5
+    assert np.count_nonzero(sol.alpha) == 5
     assert np.array_equal(np.flatnonzero(sol.alpha != 0.0), np.arange(5))
 
 
