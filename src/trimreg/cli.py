@@ -453,10 +453,18 @@ def _load_sim_config(
         raise UsageError(str(exc)) from exc
     if raw["R"] < 1:
         raise UsageError("R: must be an integer >= 1")
-    if raw.get("oracle_k") is not None and raw["oracle_k"] < 0:
-        raise UsageError("oracle_k: must be an integer >= 0 or null")
-    if raw.get("oracle_k") is not None and cfg.N > N_LIMIT:
-        raise UsageError(f"oracle_k: the exact solver takes N <= {N_LIMIT} rows, not N = {cfg.N}")
+    oracle_k = raw.get("oracle_k")
+    if oracle_k is not None:
+        if oracle_k < 0:
+            raise UsageError("oracle_k: must be an integer >= 0 or null")
+        if cfg.N > N_LIMIT:
+            raise UsageError(f"oracle_k: the exact solver takes N <= {N_LIMIT} rows, not N = {cfg.N}")
+        budget = oracle_k or cfg.k0  # 0: each replication's true count, at most floor(p*N)
+        if cfg.N - budget < cfg.n_coef:
+            raise UsageError(
+                f"oracle_k: a budget of {budget} keeps {cfg.N - budget} of N = {cfg.N} rows, "
+                f"fewer than the design's {cfg.n_coef} coefficients"
+            )
     if raw.get("threads", 1) < 1:
         raise UsageError("threads: must be an integer >= 1")
     est = raw.get("estimators", ["l0", "l1", "lad", "ols"])
@@ -471,7 +479,7 @@ def _load_sim_config(
     if len(set(est)) < len(est):
         raise UsageError("estimators: each name may appear once")
     return cfg, {
-        "R": raw["R"], "estimators": est, "oracle_k": raw.get("oracle_k"),
+        "R": raw["R"], "estimators": est, "oracle_k": oracle_k,
         "threads": raw.get("threads", 1) if threads is None else threads,
     }
 

@@ -67,6 +67,12 @@ class DgpConfig:
         return int(np.floor(self.p * self.N))
 
     @property
+    def n_coef(self) -> int:
+        """Coefficients of the design's regression, the intercept included
+        (the length of `generate`'s `true_beta`)."""
+        return 6 if self.dgp == 3 else 3
+
+    @property
     def param_label(self) -> str:
         if self.dgp == 1:
             return f"({self.mu_alpha:g},{self.sigma_alpha:g})"

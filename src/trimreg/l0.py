@@ -528,12 +528,17 @@ def neighborhood_search(
 
 def bic(data: Dataset, beta: np.ndarray, alpha: np.ndarray, complexity: float) -> float:
     """N log(RSS/N) + complexity log N with the shifts subtracted from the
-    residual, for both families; DegenerateFit where RSS underflows the log."""
+    residual, for both families. DegenerateFit where RSS <= (N eps |y|)^2,
+    the rounding level of residuals of y, whose log would rank rounding
+    noise, or where RSS underflows the smallest normal float."""
     n = data.n_obs
     r = data.y - data.design @ beta - alpha
     rss = float(r @ r)
-    if rss < 1e-300:
-        raise DegenerateFit("residual sum of squares underflows the log")
+    # the rounding level is tested on the norms, which do not overflow
+    if rss < np.finfo(float).tiny or (
+        np.linalg.norm(r) <= n * np.finfo(float).eps * np.linalg.norm(data.y)
+    ):
+        raise DegenerateFit("residual sum of squares is zero up to rounding")
     return n * np.log(rss / n) + complexity * np.log(n)
 
 

@@ -92,7 +92,7 @@ def default_psi_grid(data: Dataset, size: int, lad_beta: np.ndarray) -> np.ndarr
 
 def bic_l1(data: Dataset, sol: L1Solution, mult: float) -> float:
     """BIC score with `mult` times the flagged-row count as the complexity
-    term; raises DegenerateFit where the RSS underflows the log (`l0.bic`)."""
+    term; raises DegenerateFit where the RSS is zero up to rounding (`l0.bic`)."""
     return bic(data, sol.beta, sol.alpha, mult * np.count_nonzero(sol.alpha))
 
 

@@ -12,15 +12,20 @@ node's bound is half the least-squares RSS over the fixed-in rows. Each
 node carries those rows' triangular factor, so a child costs one Givens
 row update rather than a least-squares solve. Branching follows one
 order per incumbent: rows by decreasing residual under the incumbent fit.
-One pivoted QR of the full design gives the greedy incumbent and screens
-each closed node, whose discarded rows are all determined, by the
-leave-out identity; only a node that could beat the incumbent within a
+One pivoted QR of the full design gives the greedy incumbent and the
+leave-out identity, by which a node with at most `SUBTREE_LIMIT`
+completions (ways to spend its remaining budget) is scored whole in one
+vectorized screen and closed, as exact least-trimmed-squares search
+screens candidate subsets (Hofmann, Gatu & Kontoghiorghes 2010, *JCGS*
+19). Only a completion that could beat the incumbent within a
 rounding-error bound is solved by pivoted QR, so every incumbent still
 comes from that solve.
 
 `proven_optimal` means the incumbent's objective is within `GAP_TOL`
 (1e-8) relative of the dual bound, the tolerance at which
-`equal_solution` calls two objectives equal.
+`equal_solution` calls two objectives equal. The certificate has no
+absolute floor: y times 2^s gives the same search, discard rows and
+certificate, with objectives times 2^(2s).
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ import itertools
 import time
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from math import hypot, inf, sqrt
+from math import comb, hypot, inf, sqrt
 
 import numpy as np
 
@@ -43,6 +48,11 @@ ENUM_LIMIT = 0
 # relative tolerance of both the optimality certificate and `equal_solution`
 GAP_TOL = 1e-8
 TIME_LIMIT = 300.0
+# most completions a popped node may have for one screen to score them
+# all: larger subtrees cost fewer screens but more completions scored
+SUBTREE_LIMIT = 5000
+# Schur-block entries a screen works on at once, 64 KiB of float64
+BLOCK_ENTRIES = 8192
 ENUM_CHUNK = 200_000
 
 
@@ -54,8 +64,9 @@ class OracleResult:
     primal: float
     dual: float
     proven_optimal: bool
-    # heap entries popped by branch and bound, closed nodes the screen
-    # settles included; with `method="enumerate"`, the discard sets scored
+    # heap entries popped by branch and bound, each node a subtree screen
+    # scores and closes counted as its completions (so mostly completions
+    # scored); with `method="enumerate"`, the discard sets scored
     nodes_explored: int
     wall_time: float
 
@@ -126,9 +137,8 @@ def _greedy_incumbent(data: Dataset, k: int, Q: np.ndarray) -> SparsitySolution:
 
 def _prune_level(primal: float) -> float:
     """Bound at or above which a node cannot improve an incumbent of
-    objective `primal`; inf with no incumbent (primal = inf), where the
-    relative margin would make it inf - inf = nan and prune every child."""
-    return primal - 1e-12 * max(1.0, primal) if primal < inf else inf
+    objective `primal`: 1e-12 relative below it, inf with no incumbent."""
+    return primal * (1.0 - 1e-12)
 
 
 def _rounding_level(X: np.ndarray) -> list:
@@ -170,19 +180,71 @@ def _add_row(factor: tuple, z: list, tiny: list) -> tuple[tuple, float]:
     return tuple(slots), z[0] * z[0]
 
 
-def _leave_out_screen(X: np.ndarray, y: np.ndarray, full: tuple):
-    """From `full`, the full design's `pivoted_qr` (Q, R', piv), a screen
-    for closed nodes: return `screen(drop) -> (value, err)`.
+def _combinations(f: int, b: int) -> np.ndarray:
+    """Every b-subset of range(f), one per column in lexicographic order:
+    shape (b, C(f, b)). Built in b - 1 vectorized steps, where
+    `itertools.combinations` would take a Python step per subset."""
+    if b == 0:
+        return np.zeros((0, 1), dtype=np.intp)
+    cols = [np.arange(f - b + 1)]
+    for j in range(1, b):
+        # extend each subset by every value from its last + 1 to f - b + j
+        low = cols[-1] + 1
+        counts = f - b + j + 1 - low
+        ends = np.cumsum(counts)
+        parent = np.repeat(np.arange(counts.shape[0]), counts)
+        start = np.repeat(ends - counts - low, counts)
+        cols = [c[parent] for c in cols] + [np.arange(ends[-1]) - start]
+    return np.array(cols)
 
-    When the rows `drop`, a set A of a rows, go, the leave-out identity
+
+def _cholesky_steps(M: np.ndarray, w: np.ndarray, steps: int):
+    """Eliminate the first `steps` pivots of the symmetric matrix M
+    (s, s, ...), or of each in a batch along its trailing axes, and of its
+    right-hand side w (s, ...), in place, by outer-product Cholesky steps.
+    Return |z|^2, z the first `steps` entries of L^-1 w for M's Cholesky
+    factor L, or None if a pivot is not positive. The trailing blocks of
+    M and w then hold the Schur complement and its reduced right-hand
+    side."""
+    quad = np.zeros(M.shape[2:])
+    for j in range(steps):
+        pivot = M[j, j]
+        if not (pivot > 0.0).all():
+            return None
+        d = np.sqrt(pivot)
+        col = M[j + 1:, j] / d
+        z = w[j] / d
+        quad += z * z
+        M[j + 1:, j + 1:] -= col[:, None] * col[None, :]
+        w[j + 1:] -= col * z
+    return quad
+
+
+def _leave_out_screen(X: np.ndarray, y: np.ndarray, full: tuple):
+    """From `full`, the full design's `pivoted_qr` (Q, R', piv), the
+    screen of a node's completions: return
+    `screen(out, free, budget) -> (drops, value, err)` or None.
+
+    The node fixes the rows `out` out and leaves the rows `free` free,
+    with `budget` more rows to discard. Its completions drop `out` and
+    one `budget`-subset S of `free`, one per row of `drops` (its rows of
+    `free`). When the rows of a drop set A go, the leave-out identity
     (Cook 1977, *Technometrics* 19) gives the kept rows' RSS as
     s = RSS_full - quad, quad = r_A' M^-1 r_A, M = I - H_AA, where r is the
-    full residual and H = Q Q' the hat matrix. `screen` bounds M's
-    smallest eigenvalue from below by Gershgorin's theorem, lam, and
-    refuses, returning None, once lam <= `floor` (below). Otherwise it
-    takes quad = |L^-1 r_A|^2 from M's Cholesky factor L and returns
-    value = s/2 and err = E/2. The objective t/2 that `_trimmed_solution`
-    computes for the same rows is then at least value - err.
+    full residual and H = Q Q' the hat matrix. Gershgorin's theorem
+    bounds the smallest eigenvalue of every completion's M from below by
+    lam, 1 less the largest absolute row sum of H that any completion's
+    drop set reaches, found row by row without listing the completions.
+    `screen` refuses the node, returning None, if lam <= `floor` (below),
+    before factoring anything, or if a Cholesky pivot is not positive.
+    Otherwise quad = |L^-1 r_A|^2 for M's Cholesky factor L, in the order
+    `out` then S: the block over `out` is factored once, and S's block is
+    its Schur complement I + C_SS, C = -(H_FF + Lam' Lam),
+    Lam = L_out^-1 (-H_out,F) over the free rows F, with right-hand side
+    r_F - Lam' L_out^-1 r_out. Each completion gets value = s/2 and
+    err = E/2, elementwise over all of them. The objective t/2 that
+    `_trimmed_solution` computes for the same rows is then at least
+    value - err.
 
     E bounds s_hat - t_hat, the computed s less the computed t, to first
     order in machine epsilon eps. Let gamma = 8 N q eps, which takes in
@@ -218,44 +280,50 @@ def _leave_out_screen(X: np.ndarray, y: np.ndarray, full: tuple):
     sigma = np.linalg.svd(np.triu(R_t.T) / norms[piv], compute_uv=False)[-1]
     floor = max(sqrt(eps), (2 * RANK_TOL * norms.max() / (sigma * norms.min())) ** 2)
     yy = float(y @ y)
-    resid = y - Q @ (Q.T @ y)
-    rss = float(resid @ resid)
-    r = resid.tolist()
-    hat = (Q @ Q.T).tolist()
+    r = y - Q @ (Q.T @ y)
+    rss = float(r @ r)
+    hat = Q @ Q.T
 
-    def screen(drop: list):
-        lam = 1.0
-        L: list = []
-        z: list = []
-        quad = 0.0
-        for i, row in enumerate(drop):
-            h = hat[row]
-            m = [h[b] for b in drop]  # row i of M is -m, plus 1 at m[i]
-            # Gershgorin, with the diagonal 1 - m[i] and m[i] >= 0
-            lam = min(lam, 1.0 - sum(map(abs, m)))
-            if lam <= floor:
+    def screen(out, free, budget: int):
+        a = len(out)
+        rows = np.array(list(out) + (list(free) if budget else []), dtype=np.intp)
+        size = rows.shape[0]
+        # Gershgorin: the largest sum a row reaches is, for a row of `out`,
+        # with the `budget` largest entries of its free columns, and for a
+        # free row, with its own entry and the budget - 1 largest others
+        H = hat[rows[:, None], rows]
+        G = np.abs(H)
+        fixed = G[:, :a].sum(1)
+        own = G.diagonal()[a:].copy()
+        others = G[:, a:]
+        np.fill_diagonal(others[a:], -1.0)  # a free row's own entry sorts last
+        desc = -np.sort(-others, axis=1)
+        reach = np.concatenate([fixed[:a] + desc[:a, :budget].sum(1),
+                                fixed[a:] + own + desc[a:, :budget - 1].sum(1)])
+        lam = 1.0 - reach.max(initial=0.0)
+        if lam <= floor:
+            return None
+        M = -H
+        M.flat[::size + 1] += 1.0
+        w = r[rows]
+        quad_out = _cholesky_steps(M, w, a)
+        if quad_out is None:
+            return None
+        S = _combinations(size - a, budget) + a  # positions in `rows`
+        quad = np.empty(S.shape[1])
+        # in blocks whose temporaries the allocator reuses: fresh pages from
+        # the system cost more than the arithmetic on them
+        step = BLOCK_ENTRIES // max(1, budget * budget)
+        for lo in range(0, S.shape[1], step):
+            part = S[:, lo:lo + step]
+            # each completion's Schur block and right-hand side, by flat position
+            part_quad = _cholesky_steps(np.take(M, part[:, None] * size + part[None]),
+                                        w[part], budget)
+            if part_quad is None:
                 return None
-            # row i of M's Cholesky factor L, and z_i of z = L^-1 r_A
-            li = []
-            pivot = 1.0 - m[i]
-            for j in range(i):
-                lj = L[j]
-                v = -m[j]
-                for t in range(j):
-                    v -= li[t] * lj[t]
-                v /= lj[j]
-                li.append(v)
-                pivot -= v * v
-            li.append(sqrt(pivot))
-            L.append(li)
-            v = r[row]
-            for t in range(i):
-                v -= li[t] * z[t]
-            v /= li[i]
-            z.append(v)
-            quad += v * v
+            quad[lo:lo + step] = quad_out + part_quad
         err = gamma * (yy * (6 + 4 * sqrt(q) / (sigma * sqrt(lam))) + 2 * quad / lam)
-        return 0.5 * (rss - quad), 0.5 * err
+        return rows[S].T, 0.5 * (rss - quad), 0.5 * err
 
     return screen
 
@@ -276,22 +344,31 @@ def _branch_and_bound(
     update (`_add_row`), O(q^2). Branching takes the first unused row in
     one order per incumbent, by decreasing residual under the incumbent
     fit (ties to the lower index); the order is recomputed whenever a
-    closed node improves the incumbent. A closed node, one whose kept and
-    discarded rows are both determined, goes first to the screen of
-    `_leave_out_screen`, and is solved by `_trimmed_solution` unless its
-    screened objective less the screen's error bound exceeds the primal,
-    which proves the solve could not improve the incumbent. The screen
-    and the greedy incumbent read one `pivoted_qr` of the full design; if
-    that fails the rank test there is neither, yet kept sets may pass (a
-    row of large leverage can sink the full design alone). The screen
-    refuses a node whose I - H_AA is near singular, so those nodes are
-    all solved. A closed node or greedy incumbent whose kept rows fail
-    the rank test is skipped. With no incumbent, rows branch by
-    decreasing |y|, which needs no fit; the search raises
-    `RankDeficient` if no closed node is feasible. The search stops once
-    the gap is within `GAP_TOL` relative or the heap is empty, which
-    makes the dual the primal, or else at `TIME_LIMIT`, checked after the
-    gap test: so `timed_out` is set exactly when the gap exceeds `GAP_TOL`.
+    solve improves the incumbent.
+
+    A popped node with at most `SUBTREE_LIMIT` completions, C(free rows,
+    budget left), is scored whole by `_leave_out_screen` and closed: its
+    completions are solved by `_trimmed_solution` lowest value - err
+    first, and only while value - err does not exceed the primal, which
+    proves a solve could not improve the incumbent. A closed node, whose
+    kept and discarded rows are both determined, is the subtree of one
+    completion. The screen and the greedy incumbent read one `pivoted_qr`
+    of the full design; if that fails the rank test there is neither, yet
+    kept sets may pass (a row of large leverage can sink the full design
+    alone). The screen refuses a node if any completion's I - H_AA is
+    near singular; such a node is branched as any other, and a refused
+    closed node is solved. A completion or greedy incumbent whose kept
+    rows fail the rank test is skipped. With no incumbent, rows branch by
+    decreasing |y|, which needs no fit; the search raises `RankDeficient`
+    if no completion is feasible. The search stops once the gap is within
+    `GAP_TOL` relative or the heap is empty, which makes the dual the
+    primal, or else at `TIME_LIMIT`, checked after the gap test: so
+    `timed_out` is set exactly when the gap exceeds `GAP_TOL`. Every test
+    is relative, so scaling y by a power of two scales the objectives by
+    its square and changes nothing else.
+
+    The count returned is the heap entries popped, each node the screen
+    closes counted as its completions.
     """
     X, y = data.design, data.y
     n, q = X.shape
@@ -317,7 +394,16 @@ def _branch_and_bound(
     else:
         primal = best.objective
         order = branching_order(y - X @ best.beta)
-    prune = _prune_level(primal)
+
+    def solve(drop: list) -> None:
+        nonlocal best, primal, order
+        try:
+            cand = _trimmed_solution(data, np.array(drop, dtype=np.intp), k)
+        except RankDeficient:
+            return  # infeasible: the kept rows fail the rank test
+        if cand.objective < primal:
+            best, primal = cand, cand.objective
+            order = branching_order(y - X @ best.beta)
 
     # heap entries: (bound, tiebreak, fixed_out, fixed_in, factor, rss)
     heap: list = []
@@ -332,9 +418,9 @@ def _branch_and_bound(
         if not bound >= dual - 1e-9:
             raise InvariantViolated("dual bound regressed")
         dual = max(dual, bound)
-        if (primal - dual) <= GAP_TOL * max(dual, 1e-12):
+        if primal - dual <= GAP_TOL * dual:
             break
-        if bound >= prune:
+        if bound >= _prune_level(primal):
             continue
         if time.perf_counter() - start > TIME_LIMIT:
             timed_out = True
@@ -342,25 +428,24 @@ def _branch_and_bound(
 
         used = set(fixed_out)
         used.update(fixed_in)
+        free = [i for i in range(n) if i not in used]
         budget = k - len(fixed_out)
-        if budget == 0 or n - len(used) <= budget:
-            # closed node: either every free row stays, or all may go; at
-            # most k rows go either way
-            drop = list(fixed_out)
-            if budget > 0:
-                drop += [i for i in range(n) if i not in used]
-            if screen is not None:
-                hit = screen(drop)
-                if hit is not None and hit[0] - hit[1] > primal:
-                    continue
-            try:
-                cand = _trimmed_solution(data, np.array(drop, dtype=np.intp), k)
-            except RankDeficient:
-                continue  # infeasible: the kept rows fail the rank test
-            if cand.objective < primal:
-                best, primal = cand, cand.objective
-                prune = _prune_level(primal)
-                order = branching_order(y - X @ best.beta)
+        scored = None
+        if screen is not None and comb(len(free), budget) <= SUBTREE_LIMIT:
+            scored = screen(fixed_out, free, budget)
+        if scored is not None:
+            drops, value, err = scored
+            nodes += value.shape[0] - 1
+            low = value - err
+            hits = np.flatnonzero(low <= primal)
+            for j in hits[np.argsort(low[hits], kind="stable")]:
+                if low[j] > primal:
+                    break
+                solve(list(fixed_out) + drops[j].tolist())
+            continue
+        if budget == 0 or len(free) == budget:
+            # closed node left unscreened: every free row stays, or all go
+            solve(list(fixed_out) + (free if budget else []))
             continue
 
         row = next(i for i in order if i not in used)
@@ -368,7 +453,7 @@ def _branch_and_bound(
         factor_in, added = _add_row(factor, rows[row], tiny)
         rss_in = rss + added
         in_bound = 0.5 * rss_in
-        if in_bound < prune:
+        if in_bound < _prune_level(primal):
             heappush(heap, (in_bound, next(counter), fixed_out, fixed_in + (row,),
                             factor_in, rss_in))
 

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 import trimreg
+from trimreg import dgp
 from trimreg.cli import main, read_csv_dataset, write_report
-from trimreg.errors import ParseError
+from trimreg.errors import ParseError, TooFewInliers
 
 
 def write_csv(path, header, rows):
@@ -616,19 +617,22 @@ def test_a_byte_order_mark_is_read_like_the_plain_file(two_regressor_csv, tmp_pa
 
 
 def test_a_constant_response_fails_both_bic_selections_alike(tmp_path, capsys):
-    # on y = 0 every fit is exact in floating point, RSS = 0, so the BIC's
-    # log(RSS) has no value in either family
-    path = tmp_path / "const.csv"
-    write_csv(path, ["y", "x"], [[0.0, float(i % 7)] for i in range(60)])
+    # every fit of a constant response is exact up to rounding: RSS = 0 on
+    # y = 0, and on y = 1 either 0 (L0) or rounding noise near 1e-29 (L1),
+    # so the BIC's log(RSS) has no value in either family
+    zero, one = tmp_path / "zero.csv", tmp_path / "one.csv"
+    write_csv(zero, ["y", "x"], [[0.0, float(i % 7)] for i in range(60)])
+    write_csv(one, ["y"], [[1.0] for _ in range(60)])  # no regressor column
     out = tmp_path / "report.json"
-    for argv in (["fit", "--method", "l0", "--auto"], ["tune", "--method", "l0"],
-                 ["fit", "--method", "l1", "--auto"], ["tune", "--method", "l1"]):
-        assert main([argv[0], str(path), *argv[1:], "--out", str(out)]) == 4, argv
-        stdout, err = capsys.readouterr()
-        assert stdout == "", argv
-        assert err.splitlines() == [
-            "numerical failure: residual sum of squares underflows the log"], argv
-        assert not out.exists()
+    for path in (zero, one):
+        for argv in (["fit", "--method", "l0", "--auto"], ["tune", "--method", "l0"],
+                     ["fit", "--method", "l1", "--auto"], ["tune", "--method", "l1"]):
+            assert main([argv[0], str(path), *argv[1:], "--out", str(out)]) == 4, (path, argv)
+            stdout, err = capsys.readouterr()
+            assert stdout == "", argv
+            assert err.splitlines() == [
+                "numerical failure: residual sum of squares is zero up to rounding"], argv
+            assert not out.exists()
 
 
 def test_forecast_constant_series(tmp_path):
@@ -735,26 +739,34 @@ def test_simulate_smoke_and_determinism(tmp_path):
 
 
 @pytest.mark.parametrize("N, oracle_k, code", [
-    (201, 0, 2), (250, 3, 2), (250, None, 0),
+    (201, 0, 2), (250, 3, 2), (250, None, 0), (30, 29, 2), (30, 27, 0),
 ])
 def test_simulate_refuses_an_oracle_beyond_its_size_limit(tmp_path, capsys, N, oracle_k, code):
-    # no replication could run the exact solver, so the comparison is refused
+    # no replication could run the exact solver, so the comparison is refused:
+    # past N_LIMIT, or with fewer kept rows than design 1's q = 3 coefficients
     cfg = {"dgp": 1, "N": N, "p": 0.1, "R": 1, "n_test": 10, "estimators": ["ols"],
            "oracle_k": oracle_k}
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == code
     err = capsys.readouterr().err.splitlines()
-    if code == 2:
+    if code == 2 and N > 200:
         assert err == [f"error: oracle_k: the exact solver takes N <= 200 rows, not N = {N}"]
+    elif code == 2:
+        assert err == [f"error: oracle_k: a budget of {oracle_k} keeps {N - oracle_k} of "
+                       f"N = {N} rows, fewer than the design's 3 coefficients"]
+    if code == 2:
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
-def test_simulate_survives_an_oracle_that_fails_in_every_replication(tmp_path):
-    # N - oracle_k = 1 row cannot fit q = 2 coefficients: each exact solve
-    # raises TooFewInliers, and each replication keeps its fits
+def test_simulate_survives_an_oracle_that_fails_in_every_replication(tmp_path, monkeypatch):
+    # each exact solve raises, and each replication keeps its fits
+    def fails(data, k, warm_start=None):
+        raise TooFewInliers("solver refused this replication")
+
+    monkeypatch.setattr(dgp, "best_subset_exact", fails)
     cfg = {"dgp": 1, "N": 30, "p": 0.1, "R": 2, "estimators": ["ols", "lad"],
-           "oracle_k": 29}
+           "oracle_k": 0}
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     prefix = str(tmp_path / "run")

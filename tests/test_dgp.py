@@ -30,6 +30,14 @@ def test_config_validation():
             DgpConfig(dgp=2, N=50, p=0.1, **{name: value})
 
 
+@pytest.mark.parametrize("design", [1, 2, 3])
+def test_config_knows_its_coefficient_count(design):
+    # the CLI checks an oracle budget against q before drawing any sample
+    cfg = DgpConfig(dgp=design, N=40, p=0.1, seed=1, n_test=5)
+    sample = generate(cfg)
+    assert cfg.n_coef == sample.train.n_coef == sample.true_beta.shape[0]
+
+
 def test_dgp1_degenerate_single_shift():
     # sigma_alpha = 0 consumes the same draws, so the paired sample with
     # mu_alpha = 0 differs by exactly the deterministic shift on row 0

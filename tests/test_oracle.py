@@ -2,6 +2,7 @@ import functools
 import itertools
 import time
 from heapq import heappop, heappush
+from math import comb
 
 import numpy as np
 import pytest
@@ -201,6 +202,20 @@ def test_size_limit():
         best_subset_exact(d, 2)
 
 
+@pytest.mark.parametrize("s", [-60, -25, 30, 60])
+def test_certificate_is_scale_free(s):
+    # y times 2^s scales every objective by 2^(2s) exactly, so the search,
+    # whose every test is relative, must take the same path to the same rows
+    for seed in range(5):
+        d = generate(DgpConfig(dgp=1, N=40, p=0.1, seed=seed, n_test=10)).train
+        base = best_subset_exact(d, 4)
+        res = best_subset_exact(Dataset(y=np.ldexp(d.y, s), x=d.x), 4)
+        assert res.proven_optimal
+        assert np.array_equal(res.solution.outliers, base.solution.outliers)
+        assert res.nodes_explored == base.nodes_explored
+        assert res.primal == np.ldexp(base.primal, 2 * s)
+
+
 def test_proven_runs_have_tiny_gap():
     for seed in range(10):
         d = _instance(seed, n=14, k0=2)
@@ -320,13 +335,6 @@ def _reference_branch_and_bound(data, k, warm_start, rss_fixed=_reference_rss_fi
     return best, primal, dual, nodes, timed_out
 
 
-def _exact_zero_below_q(X, y, rows):
-    """The reference bound with lstsq's rounding residue (about 1e-30) on
-    fewer than q fixed-in rows read as the exact 0 it stands for."""
-    rss, beta = _reference_rss_fixed(X, y, rows)
-    return (0.0 if rows.shape[0] < X.shape[1] else rss), beta
-
-
 def _offset_design(seed, n=30):
     """Two regressors at 1e3 + N(0,1), nearly parallel to the intercept,
     with three rows shifted by 8."""
@@ -389,14 +397,12 @@ def _tree_cases():
 
 
 def test_branch_and_bound_matches_frozen_reference(monkeypatch):
-    # Same incumbent bits and certificate everywhere. Node counts match too,
-    # but for one tie: below q fixed-in rows the reference's lstsq bound is
-    # a rounding residue of about 1e-30 where the carried factor gives an
-    # exact 0, and heap entries at bound 0 then pop in a different order.
-    # Where the counts differ, they must match once that residue reads 0.
-    # Both searches solve through the counted `_trimmed_solution`: the
-    # reference once per closed node, the new one only where the screen
-    # lets a closed node through; each also solves its greedy incumbent.
+    # Same incumbent bits and certificate everywhere. Node counts differ:
+    # the search scores small subtrees whole instead of popping their
+    # nodes. Both searches solve through the counted `_trimmed_solution`:
+    # the reference once per closed node, the new one only where the
+    # screen lets a completion through; each also solves its greedy
+    # incumbent.
     solves = []
 
     def counted(data, drop, k):
@@ -430,17 +436,15 @@ def test_branch_and_bound_matches_frozen_reference(monkeypatch):
         for best, primal, dual, nodes, timed_out in (ref, new):
             assert not timed_out
             assert primal - dual <= oracle.GAP_TOL * max(dual, 1e-12)
-        if new[3] != ref[3]:
-            tied = reference(data, k, warm, rss_fixed=_exact_zero_below_q)
-            assert new[3] == tied[3]
-            assert new[2].hex() == tied[2].hex()
 
 
 @pytest.mark.parametrize("design", ["plain", "offset", "collinear", "leverage-one"])
 def test_closed_node_screen_matches_trimmed_solution(design):
-    # On drop sets of every size up to k, the screened objective is within
-    # the screen's own error bound of the pivoted-QR objective; a drop set
-    # whose I - H_AA is singular is refused, and its solve fails.
+    # On random subtrees, rows A fixed out and a budget of up to 3 more
+    # from free rows F, every completion's screened objective is within
+    # the screen's own error bound of the pivoted-QR objective. A subtree
+    # with a completion whose I - H_AA is singular is refused, and that
+    # completion's solve fails.
     k = 4
     data = {
         "plain": lambda: _instance(3, n=30, k0=3),
@@ -450,19 +454,66 @@ def test_closed_node_screen_matches_trimmed_solution(design):
     }[design]()
     screen = oracle._leave_out_screen(data.design, data.y, pivoted_qr(data.design))
     r = np.random.default_rng(len(design))
-    for _ in range(300):
-        drop = r.choice(data.n_obs, size=int(r.integers(0, k + 1)), replace=False)
-        hit = screen(drop.tolist())
-        if design == "leverage-one" and LEVERAGE_ROW in drop:
+    for _ in range(100):
+        budget = int(r.integers(0, 4))
+        a = int(r.integers(0, k - budget + 1))
+        picked = r.choice(data.n_obs, size=a + int(r.integers(budget, 7)), replace=False)
+        A, F = picked[:a].tolist(), picked[a:].tolist()
+        completions = [A + list(S) for S in itertools.combinations(F, budget)]
+        hit = screen(A, F, budget)
+        if design == "leverage-one" and any(LEVERAGE_ROW in d for d in completions):
             assert hit is None
+            drop = next(d for d in completions if LEVERAGE_ROW in d)
             with pytest.raises(RankDeficient):
-                _trimmed_solution(data, drop, k)
+                _trimmed_solution(data, np.array(drop), k)
             continue
         assert hit is not None
-        value, err = hit
-        objective = _trimmed_solution(data, drop, k).objective
-        assert abs(value - objective) <= err
-        assert err <= 0.05 * objective
+        drops, value, err = hit
+        assert [A + S for S in drops.tolist()] == completions
+        for drop, v, e in zip(completions, value, err):
+            objective = _trimmed_solution(data, np.array(drop, dtype=np.intp), k).objective
+            assert abs(v - objective) <= e
+            assert e <= 0.05 * objective
+
+
+def _high_leverage_design(seed, n=14):
+    """Row 0's regressor is 10, far out, so its leverage is near 1 and a
+    drop set holding it and another row can fail the screen's Gershgorin
+    test, though no kept set is rank deficient."""
+    r = np.random.default_rng(seed)
+    x = r.normal(size=(n, 2))
+    x[0, 0] = 10.0
+    y = 0.5 + x.sum(axis=1) + r.normal(size=n)
+    y[1:3] += 8.0
+    return Dataset(y=y, x=x)
+
+
+@pytest.mark.parametrize("q", [3, 11])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_subtree_screen_search_matches_exhaustive_oracle(q, k):
+    # Small enough that the root is one subtree: scored whole and closed,
+    # or, for the high-leverage design past k = 1, refused and branched.
+    r = np.random.default_rng(100 * q + k)
+    cases = []
+    for _ in range(2):
+        n = q + 5
+        x = r.normal(size=(n, q - 1))
+        y = 0.5 + x.sum(axis=1) + r.normal(size=n)
+        y[:2] += 8.0
+        cases.append(Dataset(y=y, x=x))
+    if q == 3:
+        cases.append(_high_leverage_design(k))
+        root = oracle._leave_out_screen(cases[-1].design, cases[-1].y,
+                                        pivoted_qr(cases[-1].design))
+        assert (root([], range(14), k) is None) == (k > 1)
+    for d in cases:
+        assert comb(d.n_obs, k) <= oracle.SUBTREE_LIMIT
+        best_val, best_set = exhaustive_oracle(d, k)
+        for warm in (None, fit_iht(d, k, initial_beta(d))):
+            res = best_subset_exact(d, k, warm_start=warm)
+            assert res.proven_optimal
+            assert res.primal == pytest.approx(best_val, rel=1e-9)
+            assert set(res.solution.outliers) <= best_set
 
 
 def _lstsq_rss(X, y):
