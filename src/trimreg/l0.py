@@ -24,19 +24,23 @@ not exceed a score some candidate already attains; a skipped table could
 neither win nor tie, so the result keeps its bits (`_swap_pass`). The
 winning support is always refit by pivoted QR before acceptance.
 
-Each kept set is solved, and each support swap-searched, once per call.
-The outermost public search call in progress (`fit_iht`,
-`local_swap_search`, `fit_lcs`, `neighborhood_search` or `fit_l0_auto`)
-holds one memo, which the searches nested in it share and which is
-dropped when it returns. It maps (k, discarded rows) to the trimmed
-solution and (l, discarded rows) to the order-l swap pass. Both are
-pure functions of their keys, so a hit changes no output: a solution
-comes back with the same read-only arrays and a fresh `info` dict, and
-`local_swap_search` writes the same `info` entries as after a fresh
-pass. The searches re-visit supports often: a swap's refit is usually
-the first support of the alternation that follows it, a budget sweep's
-refits land on supports an earlier refit reached, and `fit_l0_auto`'s
-closing polish starts on the support the sweep selected.
+Each kept set is solved, each support swap-searched, and each
+coefficient vector's residuals ranked, once per call. The outermost
+public search call in progress (`fit_iht`, `local_swap_search`,
+`fit_lcs`, `neighborhood_search` or `fit_l0_auto`) holds one memo, which
+the searches nested in it share and which is dropped when it returns,
+or raises. It maps (k, discarded rows) to the trimmed solution, (l,
+discarded rows) to the order-l swap pass with the discard set of its
+move, and the bytes of a beta to the stable ranking of its residuals
+by magnitude, from which `fit_iht` takes every budget's discard set.
+All are pure functions of their keys, so a hit changes no output: a
+solution comes back as a new object with the same read-only arrays and
+a fresh `info` dict, and `local_swap_search` writes the same `info`
+entries as after a fresh pass. The searches re-visit supports often: a
+swap's refit is usually the first support of the alternation that
+follows it, a budget sweep's refits start from coefficients an earlier
+alternation reached and land on supports an earlier refit reached, and
+`fit_l0_auto`'s closing polish starts on the support the sweep selected.
 """
 
 from __future__ import annotations
@@ -128,9 +132,12 @@ def hard_threshold(c: np.ndarray, k: int) -> np.ndarray:
 def _top_k_indices(r: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k largest |r| in ascending order; among ties in
     magnitude the lowest index is kept."""
-    if k == 0:
-        return np.empty(0, dtype=np.intp)
-    return np.sort(np.argsort(-np.abs(r), kind="stable")[:k])
+    return np.sort(_magnitude_order(r)[:k])
+
+
+def _magnitude_order(r: np.ndarray) -> np.ndarray:
+    """Indices by descending |r|, ties in the lower index first."""
+    return np.argsort(-np.abs(r), kind="stable")
 
 
 # (data, memo) of the outermost public search call in progress, else None
@@ -138,8 +145,8 @@ _ACTIVE_MEMO: ContextVar[tuple | None] = ContextVar("trimreg_l0_memo", default=N
 
 
 def _solves_once_per_call(search):
-    """Give each outermost call of `search` on a dataset its own memo of
-    `_trimmed_solution`, shared by the searches it calls."""
+    """Give each outermost call of `search` on a dataset its own memo,
+    shared by the searches it calls and dropped when it returns or raises."""
 
     @functools.wraps(search)
     def call(data, *args, **kwargs):
@@ -167,14 +174,15 @@ def _trimmed_solution(data: Dataset, drop_rows: np.ndarray, k: int) -> SparsityS
     Raises DegenerateFit when the kept rows' residual sum of squares
     overflows. The arrays of the solution are read-only. Inside a public
     search call a repeated (k, drop_rows) is answered from that call's
-    memo, with a fresh `info` dict.
+    memo: a new solution with the same arrays and a fresh `info` dict.
     """
     memo = _call_memo(data)
     if memo is not None:
         key = (k, np.asarray(drop_rows, dtype=np.intp).tobytes())
         hit = memo.get(key)
         if hit is not None:
-            return replace(hit, info={})
+            return SparsitySolution(beta=hit.beta, alpha=hit.alpha, k=k, inliers=hit.inliers,
+                                    outliers=hit.outliers, objective=hit.objective)
     n = data.n_obs
     mask = np.ones(n, dtype=bool)
     mask[drop_rows] = False
@@ -211,34 +219,40 @@ def fit_iht(data: Dataset, k: int, beta0: np.ndarray) -> SparsitySolution:
     rows once (`_trimmed_solution`); the last solve is the answer. Stops
     once the discarded set repeats (then the coefficients are a fixed
     point) or the coefficient change drops below 1e-10 in max-norm. The
-    trimmed objective is non-increasing across iterations.
+    trimmed objective is non-increasing across iterations. `beta0` must
+    be finite and as long as a row of the design, also at k = 0.
     """
     n, q = data.n_obs, data.n_coef
     if k < 0:
         raise ValueError(f"k={k} must be >= 0")
     if n - k < q:
         raise TooFewInliers(f"N - k = {n - k} < {q} coefficients")
-    if k == 0:
-        return _trimmed_solution(data, np.empty(0, dtype=np.intp), 0)
-    X, y = data.design, data.y
     beta = np.asarray(beta0, dtype=np.float64).reshape(-1)
     if beta.shape[0] != q or not np.all(np.isfinite(beta)):
         raise ValueError("beta0 must be a finite vector matching the design width")
+    if k == 0:
+        return _trimmed_solution(data, np.empty(0, dtype=np.intp), 0)
+    memo = _call_memo(data)  # never None: this is a public search call
     sol: SparsitySolution | None = None
-    prev_drop: np.ndarray | None = None
+    prev_key = None
     obj = np.inf
     iterations = 0
     for iterations in range(1, IHT_MAX_ITER + 1):
-        drop = _top_k_indices(y - X @ beta, k)
-        if prev_drop is not None and np.array_equal(drop, prev_drop):
+        order_key = ("order", beta.tobytes())
+        order = memo.get(order_key)
+        if order is None:
+            order = memo[order_key] = _magnitude_order(data.y - data.design @ beta)
+        drop = np.sort(order[:k])
+        key = drop.tobytes()
+        if key == prev_key:
             break
         sol = _trimmed_solution(data, drop, k)
         if not sol.objective <= obj + IMPROVE_TOL * max(1.0, obj):
             raise InvariantViolated("hard-threshold iteration increased the trimmed objective")
         obj = sol.objective
-        delta = np.max(np.abs(sol.beta - beta))
+        delta = max(abs(a - b) for a, b in zip(sol.beta.tolist(), beta.tolist()))
         beta = sol.beta
-        prev_drop = drop
+        prev_key = key
         if delta < 1e-10:
             break
     sol.info["iterations"] = iterations
@@ -423,8 +437,9 @@ def local_swap_search(data: Dataset, sol: SparsitySolution, l: int) -> SparsityS
     out, scoring every such support by restricted least squares. If no
     candidate beats the current objective by more than a 1e-12 relative
     margin, the input is returned unchanged and certified swap-inescapable
-    of order l. The swap pass comes from the call's memo when the same
-    (l, discarded rows) was searched before.
+    of order l. The swap pass, and the discard set of its move once
+    accepted, come from the call's memo when the same (l, discarded rows)
+    was searched before.
     """
     if l not in (1, 2):
         raise ValueError("l must be 1 or 2")
@@ -435,15 +450,17 @@ def local_swap_search(data: Dataset, sol: SparsitySolution, l: int) -> SparsityS
         return sol
     memo = _call_memo(data)  # never None: this is a public search call
     key = ("swap", l, np.asarray(sol.outliers, dtype=np.intp).tobytes())
-    if key not in memo:
-        memo[key] = _swap_pass(data.design, data.y, sol.inliers, sol.outliers, l)
-    best_rss, drop_rows, add_rows, n_cand = memo[key]
+    entry = memo.get(key)
+    if entry is None:  # the pass, then the discard set of its move once accepted
+        entry = memo[key] = [*_swap_pass(data.design, data.y, sol.inliers, sol.outliers, l), None]
+    best_rss, drop_rows, add_rows, n_cand, move = entry
     sol.info["swap_candidates"] = n_cand
     if 0.5 * best_rss < sol.objective - margin:
-        # no more rows go out than come back in, so at least q rows stay
-        new_drop = np.setdiff1d(sol.outliers, add_rows, assume_unique=True)
-        new_drop = np.union1d(new_drop, drop_rows)
-        cand = _trimmed_solution(data, new_drop.astype(np.intp), sol.k)
+        if move is None:
+            # no more rows go out than come back in, so at least q rows stay
+            move = np.setdiff1d(sol.outliers, add_rows, assume_unique=True)
+            move = entry[4] = np.union1d(move, drop_rows).astype(np.intp)
+        cand = _trimmed_solution(data, move, sol.k)
         if cand.objective < sol.objective - margin:
             cand.info["swap_candidates"] = n_cand
             return cand

@@ -137,6 +137,22 @@ def test_negative_budget_is_rejected(rng, fit):
         fit(_contaminated(rng))
 
 
+@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("beta0", [np.array([1.0, np.nan, 0.0]), np.array([1.0, 0.0, np.inf]),
+                                   np.zeros(4), np.zeros(2)],
+                         ids=["nan", "inf", "long", "short"])
+@pytest.mark.parametrize("fit", [
+    lambda d, k, b: fit_iht(d, k, b),
+    lambda d, k, b: fit_lcs(d, k, b, 1),
+    lambda d, k, b: fit_lcs(d, k, b, 2),
+], ids=["iht", "lcs1", "lcs2"])
+def test_a_bad_start_is_refused_at_every_budget(rng, fit, beta0, k):
+    # at k = 0 the start goes unused, but it is checked all the same
+    d = _contaminated(rng)
+    with pytest.raises(ValueError, match="beta0 must be a finite vector"):
+        fit(d, k, beta0)
+
+
 def test_swap_search_candidate_count(rng):
     n, k = 30, 3
     x = rng.normal(size=(n, 2))
@@ -705,6 +721,103 @@ def test_neighborhood_search_equals_plain_refit_loop(cfg, K):
         assert np.array_equal(g.outliers, w.outliers)
 
 
+def _reference_swap_search(data, sol, l):
+    """`local_swap_search` around `_reference_swap_pass`, with nothing
+    kept from one call to the next."""
+    margin = l0.IMPROVE_TOL * max(1.0, sol.objective)
+    if sol.outliers.shape[0] == 0:
+        sol.info.update(swap_candidates=0, inescapable_order=l)
+        return sol
+    best_rss, drop_rows, add_rows, n_cand = _reference_swap_pass(
+        data.design, data.y, sol.inliers, sol.outliers, l)
+    sol.info["swap_candidates"] = n_cand
+    if 0.5 * best_rss < sol.objective - margin:
+        support = np.union1d(np.setdiff1d(sol.outliers, add_rows), drop_rows).astype(np.intp)
+        cand = l0._trimmed_solution(data, support, sol.k)
+        if cand.objective < sol.objective - margin:
+            cand.info["swap_candidates"] = n_cand
+            return cand
+    sol.info["inescapable_order"] = l
+    return sol
+
+
+def _reference_lcs(data, k, beta0, l):
+    cur = _reference_fit_iht(data, k, beta0)
+    for _ in range(l0.LCS_MAX_OUTER):
+        swapped = _reference_swap_search(data, cur, l)
+        if swapped is cur:
+            break
+        cur = _reference_fit_iht(data, k, swapped.beta)
+    return cur
+
+
+def _reference_neighborhood_search(data, beta0, K, l):
+    sols = [_reference_lcs(data, k, beta0, l) for k in range(1, K + 1)]
+    total = sum(s.objective for s in sols)
+    for _ in range(l0.SWEEP_MAX):
+        for j in range(K):
+            for i in (j - 1, j + 1):
+                if 0 <= i < K:
+                    cand = _reference_lcs(data, j + 1, sols[i].beta, l)
+                    if cand.objective < sols[j].objective:
+                        sols[j] = cand
+        new_total = sum(s.objective for s in sols)
+        if abs(new_total - total) <= l0.IMPROVE_TOL * max(1.0, total):
+            break
+        total = new_total
+    return sols
+
+
+def _reference_fit_l0_auto(data, beta0, K):
+    def score(sol):
+        return bic_score(data, sol) + (l0.BIC_SELECTION_MULT - 1.0) * sol.k * np.log(data.n_obs)
+
+    selected = select_by_score(_reference_neighborhood_search(data, beta0, K, 1), "k", score)
+    final = _reference_lcs(data, selected.k, selected.beta, 2)
+    if final.objective <= selected.objective:
+        return replace(final, selection=selected.selection)
+    return selected
+
+
+def _tied_design():
+    """The design of `test_duplicated_rows_keep_the_tie_winner`: every row twice."""
+    r = np.random.default_rng(12)
+    x = r.normal(size=(30, 2))
+    y = 0.5 + x @ np.array([1.0, 1.0]) + r.normal(size=30)
+    y[[0, 1, 2]] += 8.0
+    return Dataset(y=np.concatenate([y, y]), x=np.vstack([x, x])), 10
+
+
+def _assert_same_solution(got, want):
+    assert got.beta.tobytes() == want.beta.tobytes()
+    assert np.array_equal(got.outliers, want.outliers)
+    assert got.k == want.k and got.objective == want.objective
+    assert got.info == want.info
+    assert got.selection == want.selection
+
+
+@pytest.mark.parametrize("design", [
+    *[pytest.param(lambda cfg=p.values[0], K=p.values[1]: (generate(cfg).train, K), id=p.id)
+      for p in SWAP_SAMPLES],
+    pytest.param(_tied_design, id="tied"),
+])
+def test_searches_match_a_reference_that_keeps_nothing(design):
+    # every memo entry, residual ranking and stored move of a call must
+    # give the bits, info entries and selection traces of searches that
+    # recompute everything
+    d, K = design()
+    b0 = initial_beta(d)
+    _assert_same_solution(fit_l0_auto(d, b0, K), _reference_fit_l0_auto(d, b0, K))
+    for l, n_budgets in ((1, K // 2), (2, K // 4)):  # order-2 references are slow
+        got = neighborhood_search(d, b0, n_budgets, l)
+        want = _reference_neighborhood_search(d, b0, n_budgets, l)
+        assert len(got) == len(want) == n_budgets
+        for g, w in zip(got, want):
+            _assert_same_solution(g, w)
+        for k in (K // 4, K // 2):
+            _assert_same_solution(fit_lcs(d, k, b0, l), _reference_lcs(d, k, b0, l))
+
+
 @pytest.mark.parametrize("cfg, k", [
     # budgets at which fit_lcs accepts a swap and then re-thresholds onto
     # the swapped support
@@ -754,6 +867,66 @@ def test_each_kept_set_is_solved_once_per_call(monkeypatch, cfg, k):
         assert [sol.info["probe"] for sol in returned] == list(range(len(returned)))
 
 
+@pytest.mark.parametrize("cfg, K", SWAP_SAMPLES)
+def test_each_coefficient_vector_is_ranked_once_per_call(monkeypatch, cfg, K):
+    d = generate(cfg).train
+    b0 = initial_beta(d)
+    rank, iht = l0._magnitude_order, l0.fit_iht
+    ranked, iterations = [], []
+
+    def counted(r):
+        ranked.append(r.tobytes())  # one residual vector per beta
+        return rank(r)
+
+    def iterated(data, k, beta0):
+        sol = iht(data, k, beta0)
+        iterations.append(sol.info["iterations"])  # one ranking asked per iteration
+        return sol
+
+    monkeypatch.setattr(l0, "_magnitude_order", counted)
+    monkeypatch.setattr(l0, "fit_iht", iterated)
+    calls = [  # (call, whether it must re-use a ranking)
+        (lambda: fit_l0_auto(d, b0, K), True),
+        (lambda: neighborhood_search(d, b0, K // 2, 2), True),
+        (lambda: fit_lcs(d, K // 2, b0, 1), False),
+    ]
+    for call, reuses in calls:
+        ranked.clear()
+        iterations.clear()
+        call()
+        assert ranked and len(set(ranked)) == len(ranked)
+        assert len(ranked) <= sum(iterations) - reuses
+
+
+def test_magnitude_order_prefixes_match_top_k_under_exact_ties():
+    # magnitudes 0, 1 and 2, each many times and of both signs; past 16
+    # entries an unstable sort would reorder the ties
+    base = np.tile([1.0, -2.0, 0.0, 2.0, -1.0, 1.0, -2.0, 0.0, 1.0, 2.0], 6)
+    for r in (base, base - 1.0, 3.0 * base):
+        order = l0._magnitude_order(r)
+        assert order.tolist() == sorted(range(60), key=lambda i: (-abs(r[i]), i))
+        for k in range(61):
+            assert np.array_equal(np.sort(order[:k]), l0._top_k_indices(r, k))
+
+
+def test_a_memo_hit_is_a_new_solution_with_its_own_info(rng):
+    d = _contaminated(rng)
+
+    @l0._solves_once_per_call
+    def twice(data, drop):
+        first = l0._trimmed_solution(data, drop, 3)
+        first.info["probe"] = 1
+        return first, l0._trimmed_solution(data, drop, 3)
+
+    first, hit = twice(d, np.array([0, 1, 2]))
+    assert hit == first and hit is not first
+    assert hit.info == {} and first.info == {"probe": 1}
+    assert hit.selection is None
+    for name in ("beta", "alpha", "inliers", "outliers"):
+        assert getattr(hit, name) is getattr(first, name)
+        assert not getattr(hit, name).flags.writeable
+
+
 def test_solution_arrays_are_read_only(rng):
     d = _contaminated(rng, n=40, shift=8.0, k0=3)
     b0 = initial_beta(d)
@@ -790,6 +963,37 @@ def test_descent_violation_raises_and_exits_4(monkeypatch, tmp_path, capsys):
     path.write_text("y,x\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(y.tolist(), x.tolist())))
     assert main(["fit", str(path), "--method", "l0", "--k", "1"]) == 4
     assert "increased the trimmed objective" in capsys.readouterr().err
+
+
+def test_the_memo_is_released_when_a_search_raises(monkeypatch):
+    # the descent violation above, raised from inside a budget sweep whose
+    # memo already holds solutions, swap passes and residual rankings
+    x = np.linspace(-1.0, 1.0, 20)
+    y = 1.0 + 2.0 * x + 0.1 * np.sin(7.0 * x)
+    y[5] += 50.0
+    d = Dataset(y=y, x=x)
+    b0 = initial_beta(d)
+    fresh = fit_l0_auto(Dataset(y=y, x=x), b0, 6)
+    exact = l0.lstsq_qr
+    calls = itertools.count(1)
+
+    def worse_from_the_tenth(X, v):
+        beta = exact(X, v)
+        n = next(calls)
+        if n >= 10:
+            beta[0] += 100.0 * n
+        return beta
+
+    monkeypatch.setattr(l0, "lstsq_qr", worse_from_the_tenth)
+    with pytest.raises(InvariantViolated):
+        fit_l0_auto(d, b0, 6)
+    assert l0._ACTIVE_MEMO.get() is None
+    monkeypatch.undo()
+    again = fit_l0_auto(d, b0, 6)
+    assert again.beta.tobytes() == fresh.beta.tobytes()
+    assert np.array_equal(again.outliers, fresh.outliers)
+    assert again.objective == fresh.objective and again.info == fresh.info
+    assert again.selection == fresh.selection
 
 
 def test_neighborhood_objective_monotone_in_budget(rng):
