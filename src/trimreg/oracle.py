@@ -39,7 +39,7 @@ from math import comb, hypot, inf, sqrt
 import numpy as np
 
 from .errors import InvariantViolated, RankDeficient, TooFewInliers, TooLarge
-from .l0 import SparsitySolution, _top_k_indices, _trimmed_solution
+from .l0 import SparsitySolution, _magnitude_order, _top_k_indices, _trimmed_solution
 from .linalg import RANK_TOL, Dataset, pivoted_qr
 
 N_LIMIT = 200
@@ -385,15 +385,12 @@ def _branch_and_bound(
     if warm_start is not None and (best is None or warm_start.objective < best.objective):
         best = warm_start
 
-    def branching_order(r: np.ndarray) -> list:
-        return np.argsort(-np.abs(r), kind="stable").tolist()
-
     if best is None:
         primal = inf
-        order = branching_order(y)  # needs no fit
+        order = _magnitude_order(y).tolist()  # needs no fit
     else:
         primal = best.objective
-        order = branching_order(y - X @ best.beta)
+        order = _magnitude_order(y - X @ best.beta).tolist()
 
     def solve(drop: list) -> None:
         nonlocal best, primal, order
@@ -403,7 +400,7 @@ def _branch_and_bound(
             return  # infeasible: the kept rows fail the rank test
         if cand.objective < primal:
             best, primal = cand, cand.objective
-            order = branching_order(y - X @ best.beta)
+            order = _magnitude_order(y - X @ best.beta).tolist()
 
     # heap entries: (bound, tiebreak, fixed_out, fixed_in, factor, rss)
     heap: list = []
@@ -496,15 +493,7 @@ def best_subset_exact(
         raise ValueError(f"warm start must discard at most k={k} of the N={n} rows")
     start = time.perf_counter()
 
-    if k == 0:
-        sol = _trimmed_solution(data, np.empty(0, dtype=np.intp), 0)
-        return OracleResult(
-            solution=sol, primal=sol.objective, dual=sol.objective,
-            proven_optimal=True, nodes_explored=1,
-            wall_time=time.perf_counter() - start,
-        )
-
-    if method == "enumerate":
+    if method == "enumerate" and k:  # k = 0: the empty discard set, branch and bound's root
         sol, n_eval = _enumerate_exact(data, k)
         primal = sol.objective
         if warm_start is not None and warm_start.objective < primal:

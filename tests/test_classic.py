@@ -5,21 +5,19 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from trimreg import classic
-from trimreg.classic import (
-    BETA_TOL,
-    MAX_ITER,
-    SHIFT_MAX_ITER,
-    fit_lad,
-    fit_ols,
-    huber_rho,
-    lad_objective,
-    shift_alternation,
-    soft_threshold_alpha,
-)
+from trimreg import l1
+from trimreg.classic import BETA_TOL, MAX_ITER, fit_lad, fit_ols
 from trimreg.dgp import DgpConfig, generate
 from trimreg.errors import InvariantViolated
-from trimreg.l1 import default_psi_grid, fit_huber, fit_l1
+from trimreg.l1 import (
+    SHIFT_MAX_ITER,
+    _fit_l1,
+    default_psi_grid,
+    fit_huber,
+    fit_l1,
+    huber_rho,
+    soft_threshold_alpha,
+)
 from trimreg.linalg import Dataset, factor_qr, lstsq_qr
 
 
@@ -140,7 +138,7 @@ def test_every_entry_point_rejects_psi_outside_the_open_half_line(rng, psi):
             lambda: soft_threshold_alpha(d.y, psi),
             lambda: fit_huber(d, psi),
             lambda: fit_l1(d, psi),
-            lambda: shift_alternation(d, [1.0, psi], fit_ols(d).beta, factor_qr(d.design)),
+            lambda: _fit_l1(d, [1.0, psi], fit_ols(d).beta, factor_qr(d.design)),
         ):
             with pytest.raises(ValueError, match="psi"):
                 call()
@@ -148,22 +146,24 @@ def test_every_entry_point_rejects_psi_outside_the_open_half_line(rng, psi):
 
 @pytest.mark.parametrize("cap", [SHIFT_MAX_ITER, 2])
 def test_shift_alternation_returns_the_state_at_its_beta(rng, monkeypatch, cap):
-    # r, alpha and loss are what a caller would recompute from beta, bit for bit,
-    # whether the loop converged or stopped at its cap
-    monkeypatch.setattr(classic, "SHIFT_MAX_ITER", cap)
+    # alpha and the objective are what a caller would recompute from beta, bit
+    # for bit, whether the loop converged or stopped at its cap
+    monkeypatch.setattr(l1, "SHIFT_MAX_ITER", cap)
     x = rng.normal(size=(50, 2))
     y = 1.0 + x @ np.array([1.0, -1.0]) + rng.standard_t(df=2, size=50)
     d = Dataset(y=y, x=x)
     solve = factor_qr(d.design)
     psis = (0.5, 1.345, 3.0)
     for start in (fit_ols(d).beta, fit_lad(d).beta):
-        lanes = shift_alternation(d, psis, start, solve)
-        for psi, (beta, r, alpha, loss, it, converged) in zip(psis, lanes, strict=True):
-            assert converged == (cap == SHIFT_MAX_ITER)
-            assert it <= cap
-            assert r.tobytes() == (y - d.design @ beta).tobytes()
-            assert alpha.tobytes() == soft_threshold_alpha(r, psi).tobytes()
-            assert loss == float(huber_rho(r, psi).sum())
+        for psi, sol in zip(psis, _fit_l1(d, psis, start, solve), strict=True):
+            assert sol.converged == (cap == SHIFT_MAX_ITER)
+            assert sol.iterations <= cap and sol.psi == psi
+            r = y - d.design @ sol.beta
+            assert sol.alpha.tobytes() == soft_threshold_alpha(r, psi).tobytes()
+            r_adj = r - sol.alpha
+            assert sol.objective == (0.5 * float(r_adj @ r_adj)
+                                     + psi * float(np.sum(np.abs(sol.alpha))))
+            assert sol.objective == pytest.approx(float(huber_rho(r, psi).sum()), rel=1e-8)
 
 
 def test_descent_assertions_hold_on_heavy_tailed_data(rng):
@@ -210,7 +210,7 @@ def test_objectives_match_formulas(rng):
     d = Dataset(y=y, x=x)
     lad = fit_lad(d)
     assert lad.objective == pytest.approx(
-        lad_objective(y - d.design @ lad.beta), abs=1e-12
+        float(np.sum(np.abs(y - d.design @ lad.beta))), abs=1e-12
     )
     hub = fit_huber(d, 0.7)
     assert hub.objective == pytest.approx(
@@ -232,7 +232,8 @@ def test_huber_rho_from_one_clip_equals_the_branch_formula(rng):
 
 def _one_psi_alternation(data, psi, beta, solve):
     """The one-psi loop with the branch form of the Huber loss: the
-    reference each lane of `shift_alternation` must match bit for bit."""
+    reference each lane of `l1._fit_l1` must match bit for bit. Returns beta,
+    alpha, the penalized objective, the Huber loss, iterations and convergence."""
     X, y = data.design, data.y
 
     def shift_and_loss(r):
@@ -243,7 +244,7 @@ def _one_psi_alternation(data, psi, beta, solve):
     r = y - X @ beta
     alpha, loss = shift_and_loss(r)
     converged, it = False, 0
-    for it in range(1, classic.SHIFT_MAX_ITER + 1):
+    for it in range(1, l1.SHIFT_MAX_ITER + 1):
         beta_new = solve(y - alpha)
         r = y - X @ beta_new
         alpha, loss_new = shift_and_loss(r)
@@ -253,7 +254,9 @@ def _one_psi_alternation(data, psi, beta, solve):
         beta = beta_new
         if converged:
             break
-    return beta, r, alpha, loss, it, converged
+    r_adj = r - alpha
+    objective = 0.5 * float(r_adj @ r_adj) + psi * float(np.sum(np.abs(alpha)))
+    return beta, alpha, objective, loss, it, converged
 
 
 def _grid_sample(dgp, seed):
@@ -268,31 +271,35 @@ def test_every_lane_matches_the_one_psi_loop(dgp):
     for seed in (55555, 7, 60221):
         d, b0, grid = _grid_sample(dgp, seed)
         solve = factor_qr(d.design)
-        lanes = shift_alternation(d, grid, b0, solve)
-        assert len(lanes) == len(grid)
-        for psi, lane in zip(grid, lanes):
-            want = _one_psi_alternation(d, psi, b0, solve)
-            for got, ref in zip(lane[:3], want[:3]):
-                assert got.tobytes() == ref.tobytes()
-            assert lane[3:] == want[3:]
+        sols = _fit_l1(d, grid, b0, solve)
+        assert len(sols) == len(grid)
+        for psi, sol in zip(grid, sols):
+            beta, alpha, objective, loss, it, converged = _one_psi_alternation(
+                d, psi, b0, solve)
+            assert sol.beta.tobytes() == beta.tobytes()
+            assert sol.alpha.tobytes() == alpha.tobytes()
+            assert float(huber_rho(d.y - d.design @ sol.beta, psi).sum()) == loss
+            assert (sol.objective, sol.iterations, sol.converged) == (objective, it, converged)
 
 
 @pytest.mark.parametrize("lanes_per_block", [1, 4])
 def test_lane_blocks_move_no_bit(monkeypatch, lanes_per_block):
     d, b0, grid = _grid_sample(2, 55555)
     solve = factor_qr(d.design)
-    whole = shift_alternation(d, grid, b0, solve)
-    monkeypatch.setattr(classic, "LANE_BLOCK", lanes_per_block * d.n_obs)
-    blocked = shift_alternation(d, grid, b0, solve)
-    for lane, want in zip(blocked, whole, strict=True):
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(lane[:3], want[:3]))
-        assert lane[3:] == want[3:]
+    whole = _fit_l1(d, grid, b0, solve)
+    monkeypatch.setattr(l1, "LANE_BLOCK", lanes_per_block * d.n_obs)
+    blocked = _fit_l1(d, grid, b0, solve)
+    for sol, want in zip(blocked, whole, strict=True):
+        assert sol.beta.tobytes() == want.beta.tobytes()
+        assert sol.alpha.tobytes() == want.alpha.tobytes()
+        assert (sol.psi, sol.objective, sol.iterations, sol.converged) == (
+            want.psi, want.objective, want.iterations, want.converged)
 
 
 def test_a_lane_whose_loss_rises_raises():
     d, b0, grid = _grid_sample(1, 55555)
     solve = factor_qr(d.design)
-    shift_alternation(d, grid[:3], b0, solve)
+    _fit_l1(d, grid[:3], b0, solve)
 
     calls = []
 
@@ -304,4 +311,4 @@ def test_a_lane_whose_loss_rises_raises():
         return beta
 
     with pytest.raises(InvariantViolated, match="Huber"):
-        shift_alternation(d, grid[:3], b0, bumped)
+        _fit_l1(d, grid[:3], b0, bumped)

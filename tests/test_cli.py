@@ -359,9 +359,9 @@ def test_huber_fit_and_forecast_report_the_huber_fit(outlier_csv, tmp_path):
 def test_huber_reports_an_unconverged_fit_where_l1_fails(outlier_csv, tmp_path, monkeypatch,
                                                         capsys):
     # the two convergence policies of the one shift alternation, at its cap
-    from trimreg import classic
+    from trimreg import l1
 
-    monkeypatch.setattr(classic, "SHIFT_MAX_ITER", 2)
+    monkeypatch.setattr(l1, "SHIFT_MAX_ITER", 2)
     out = tmp_path / "fit.json"
     assert main(["fit", outlier_csv, "--method", "huber", "--psi", "1", "--out", str(out)]) == 0
     assert load_json(out)["converged"] is False
@@ -385,12 +385,14 @@ def _shift_names(tree):
 
 
 def test_the_cli_computes_no_shifts():
-    seen = ("from .classic import huber_rho, soft_threshold_alpha as st\n"
-            "def f(sol, r):\n    a = classic._shifts_and_rho(r, 1.0)\n    return sol.alpha\n")
+    seen = ("from .l1 import huber_rho, soft_threshold_alpha as st\n"
+            "def f(sol, r):\n    a = l1._shifts_and_rho(r, 1.0)\n    return sol.alpha\n")
     assert sorted(_shift_names(ast.parse(seen))) == [
         ("_shifts_and_rho", 3), ("huber_rho", 1), ("soft_threshold_alpha", 1)]
-    path = Path(trimreg.__file__).parent / "cli.py"
-    assert list(_shift_names(ast.parse(path.read_text(encoding="utf-8")))) == []
+    # nor does the comparators module: Huber is the L1 fit, in `l1`
+    for name in ("cli.py", "classic.py"):
+        path = Path(trimreg.__file__).parent / name
+        assert list(_shift_names(ast.parse(path.read_text(encoding="utf-8")))) == [], name
 
 
 def test_forecast_skips_a_window_whose_fit_fails(tmp_path):

@@ -337,7 +337,7 @@ LAD_CONSUMERS = {"l0", "l1", "lad", "iht", "lcs1", "lcs2"}
 def _count_lad_fits(monkeypatch, fail=False):
     """Route every LAD fit through a counter; return its per-fit log of
     (training response bytes, CPU seconds). With `fail`, each fit raises."""
-    from trimreg import classic, l1
+    from trimreg import classic
     from trimreg.errors import RankDeficient
 
     real, log = classic.fit_lad, []
@@ -351,7 +351,7 @@ def _count_lad_fits(monkeypatch, fail=False):
         finally:
             log.append((data.y.tobytes(), time.process_time() - t0))
 
-    for mod in (classic, dgp, l1):
+    for mod in (classic, dgp):  # l1 fits LAD through `classic.initial_beta`
         monkeypatch.setattr(mod, "fit_lad", counted)
     return log
 

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from trimreg import classic, l1
-from trimreg.classic import BETA_TOL, SHIFT_MAX_ITER, fit_lad, fit_ols
+from trimreg import l1
+from trimreg.classic import BETA_TOL, fit_lad, fit_ols
 from trimreg.dgp import DgpConfig, generate
 from trimreg.errors import AllFitsFailed, NotConverged
 from trimreg.l1 import (
+    SHIFT_MAX_ITER,
     bic_l1,
     default_psi_grid,
     fit_huber,
@@ -113,18 +114,17 @@ def test_fit_l1_from_ols_is_huber():
     d = generate(DgpConfig(dgp=2, N=200, p=0.1, rho=5.0, seed=3, n_test=10)).train
     b0 = fit_ols(d).beta
     for psi in (0.3, 1.0, 4.0):
-        [(beta, _, alpha, _, it, converged)] = classic.shift_alternation(
-            d, [psi], b0, factor_qr(d.design))
+        [sol] = l1._fit_l1(d, [psi], b0, factor_qr(d.design))
         hub = fit_huber(d, psi)
-        assert converged and hub.converged
-        assert hub.beta.tobytes() == beta.tobytes()
-        assert hub.alpha.tobytes() == alpha.tobytes()
-        assert hub.iterations == it and hub.psi == psi
+        assert sol.converged and hub.converged
+        assert hub.beta.tobytes() == sol.beta.tobytes()
+        assert hub.alpha.tobytes() == sol.alpha.tobytes()
+        assert hub.iterations == sol.iterations and hub.psi == psi
 
 
 def test_exhausted_iteration_cap_is_not_converged(monkeypatch):
     d = generate(DgpConfig(dgp=2, N=200, p=0.1, rho=5.0, seed=3, n_test=10)).train
-    monkeypatch.setattr(classic, "SHIFT_MAX_ITER", 2)
+    monkeypatch.setattr(l1, "SHIFT_MAX_ITER", 2)
     hub = fit_huber(d, 1.0)
     assert not hub.converged and hub.iterations == 2
     with pytest.raises(NotConverged, match="did not converge in 2 iterations"):
@@ -192,11 +192,12 @@ def test_capped_lanes_are_skipped(monkeypatch):
     d = generate(DgpConfig(dgp=2, N=200, p=0.1, rho=5.0, seed=55555, n_test=10)).train
     b0 = fit_lad(d).beta
     grid = default_psi_grid(d, l1.PSI_GRID_SIZE, b0).tolist()
-    steps = [lane[4] for lane in classic.shift_alternation(d, grid, b0, factor_qr(d.design))]
+    steps = [sol.iterations for sol in l1._fit_l1(d, grid, b0, factor_qr(d.design))]
     cap = int(np.median(steps))
-    monkeypatch.setattr(classic, "SHIFT_MAX_ITER", cap)
-    lanes = classic.shift_alternation(d, grid, b0, factor_qr(d.design))
-    assert [lane[4:] for lane in lanes] == [(min(s, cap), s <= cap) for s in steps]
+    monkeypatch.setattr(l1, "SHIFT_MAX_ITER", cap)
+    sols = l1._fit_l1(d, grid, b0, factor_qr(d.design))
+    assert [(sol.iterations, sol.converged) for sol in sols] == [
+        (min(s, cap), s <= cap) for s in steps]
     fits = _per_psi_fits(d, grid)
     assert 0 < len(fits) < len(grid)
     assert [f.psi for f in fits] == [psi for psi, s in zip(grid, steps) if s <= cap]
