@@ -357,8 +357,8 @@ def _run_one_rep(cfg: DgpConfig, estimators: list[Estimator], rep: int,
         equal = gap = None
         if oracle is not None and isinstance(res, SparsitySolution) and res.k == oracle.solution.k:
             equal = equal_solution(res, oracle.solution)
-            dual = max(oracle.dual, 1e-12)
-            gap = (res.objective - dual) / dual
+            dual = oracle.dual  # 0 only when the optimum is: the gap is then 0 or inf
+            gap = (res.objective - dual) / dual if dual else (np.inf if res.objective else 0.0)
         records.append(ReplicationRecord(
             estimator=name, rep=rep, beta1=beta1, pred_err=pred_err, equal_oracle=equal,
             gap=gap, cpu_s=cpu, failed=res is None,

@@ -18,8 +18,8 @@ completions (ways to spend its remaining budget) is scored whole in one
 vectorized screen and closed, as exact least-trimmed-squares search
 screens candidate subsets (Hofmann, Gatu & Kontoghiorghes 2010, *JCGS*
 19). Only a completion that could beat the incumbent within a
-rounding-error bound is solved by pivoted QR, so every incumbent still
-comes from that solve.
+rounding-error bound is solved by pivoted QR, and every incumbent comes
+from that solve of a discard set on the data, a warm start's rows too.
 
 `proven_optimal` means the incumbent's objective is within `GAP_TOL`
 (1e-8) relative of the dual bound, the tolerance at which
@@ -77,15 +77,17 @@ def equal_solution(a: SparsitySolution, b: SparsitySolution) -> bool:
         raise ValueError("solutions come from datasets of different size")
     if np.array_equal(np.sort(a.outliers), np.sort(b.outliers)):
         return True
-    denom = max(abs(a.objective), abs(b.objective), 1e-12)
-    return abs(a.objective - b.objective) <= GAP_TOL * denom
+    return abs(a.objective - b.objective) <= GAP_TOL * max(abs(a.objective), abs(b.objective))
 
 
-def _enumerate_exact(data: Dataset, k: int) -> tuple[SparsitySolution, int]:
-    """Score every discard set of size k via batched Gram downdates.
+def _enumerate_exact(data: Dataset, k: int, warm_start: SparsitySolution | None) -> OracleResult:
+    """Score every discard set of size k via batched Gram downdates, then
+    solve the best one and the warm start's discarded rows and keep the
+    lower objective (the enumerated set's on a tie).
 
     Raises RankDeficient if every kept set's Gram is exactly singular.
     """
+    start = time.perf_counter()
     X, y = data.design, data.y
     n, q = X.shape
     G0, b0, yy = X.T @ X, X.T @ y, float(y @ y)
@@ -125,20 +127,16 @@ def _enumerate_exact(data: Dataset, k: int) -> tuple[SparsitySolution, int]:
     if best_combo is None:
         raise RankDeficient(f"every kept set of N - k = {n - k} rows has a singular Gram")
     sol = _trimmed_solution(data, best_combo, k)
-    return sol, n_eval
-
-
-def _greedy_incumbent(data: Dataset, k: int, Q: np.ndarray) -> SparsitySolution:
-    """Drop the k largest full-fit residuals y - Q Q'y, Q from the full
-    design's `pivoted_qr`; a cheap but valid incumbent."""
-    y = data.y
-    return _trimmed_solution(data, _top_k_indices(y - Q @ (Q.T @ y), k), k)
-
-
-def _prune_level(primal: float) -> float:
-    """Bound at or above which a node cannot improve an incumbent of
-    objective `primal`: 1e-12 relative below it, inf with no incumbent."""
-    return primal * (1.0 - 1e-12)
+    if warm_start is not None:
+        try:
+            warm = _trimmed_solution(data, warm_start.outliers, k)
+        except RankDeficient:
+            warm = sol  # the warm start's kept rows fail the rank test
+        sol = min(sol, warm, key=lambda s: s.objective)
+    return OracleResult(
+        solution=sol, primal=sol.objective, dual=sol.objective, proven_optimal=True,
+        nodes_explored=n_eval, wall_time=time.perf_counter() - start,
+    )
 
 
 def _rounding_level(X: np.ndarray) -> list:
@@ -332,7 +330,7 @@ def _branch_and_bound(
     data: Dataset,
     k: int,
     warm_start: SparsitySolution | None,
-) -> tuple[SparsitySolution, float, float, int, bool]:
+) -> OracleResult:
     """Best-first search on keep/discard assignments.
 
     A node fixes some rows out (discarded) and some in (kept); its used
@@ -346,28 +344,32 @@ def _branch_and_bound(
     fit (ties to the lower index); the order is recomputed whenever a
     solve improves the incumbent.
 
+    Only `solve` sets the incumbent: it solves a discard set on the data
+    by `_trimmed_solution` and keeps it if its objective is lower, or
+    skips it if its kept rows fail the rank test. With no incumbent, rows
+    branch by decreasing |y|. Then come the greedy discard set, the k
+    rows of largest full-fit residual, and the warm start's rows.
+
     A popped node with at most `SUBTREE_LIMIT` completions, C(free rows,
     budget left), is scored whole by `_leave_out_screen` and closed: its
-    completions are solved by `_trimmed_solution` lowest value - err
-    first, and only while value - err does not exceed the primal, which
-    proves a solve could not improve the incumbent. A closed node, whose
-    kept and discarded rows are both determined, is the subtree of one
-    completion. The screen and the greedy incumbent read one `pivoted_qr`
-    of the full design; if that fails the rank test there is neither, yet
-    kept sets may pass (a row of large leverage can sink the full design
-    alone). The screen refuses a node if any completion's I - H_AA is
-    near singular; such a node is branched as any other, and a refused
-    closed node is solved. A completion or greedy incumbent whose kept
-    rows fail the rank test is skipped. With no incumbent, rows branch by
-    decreasing |y|, which needs no fit; the search raises `RankDeficient`
-    if no completion is feasible. The search stops once the gap is within
-    `GAP_TOL` relative or the heap is empty, which makes the dual the
-    primal, or else at `TIME_LIMIT`, checked after the gap test: so
-    `timed_out` is set exactly when the gap exceeds `GAP_TOL`. Every test
+    completions are solved lowest value - err first, and only while
+    value - err does not exceed the primal, which proves a solve could
+    not improve the incumbent. A closed node, whose kept and discarded
+    rows are both determined, is the subtree of one completion. The
+    screen and the greedy discard set read one `pivoted_qr` of the full
+    design; if that fails the rank test there is neither, yet kept sets
+    may pass (a row of large leverage can sink the full design alone).
+    The screen refuses a node if any completion's I - H_AA is near
+    singular; such a node is branched as any other, and a refused closed
+    node is solved. The search raises `RankDeficient` if no discard set
+    is feasible. It stops once the gap is within `GAP_TOL` relative or
+    the heap is empty, which makes the dual the primal, or else at
+    `TIME_LIMIT`, checked after the gap test: so the result is
+    `proven_optimal` exactly when the gap is within `GAP_TOL`. Every test
     is relative, so scaling y by a power of two scales the objectives by
     its square and changes nothing else.
 
-    The count returned is the heap entries popped, each node the screen
+    `nodes_explored` counts the heap entries popped, each node the screen
     closes counted as its completions.
     """
     X, y = data.design, data.y
@@ -375,22 +377,8 @@ def _branch_and_bound(
     start = time.perf_counter()
     rows = np.hstack([X, y[:, None]]).tolist()
     tiny = _rounding_level(X)
-    screen = best = None
-    try:
-        full = pivoted_qr(X)
-        screen = _leave_out_screen(X, y, full)
-        best = _greedy_incumbent(data, k, full[0])
-    except RankDeficient:
-        pass  # the full design, or the greedy incumbent's kept rows, fail the test
-    if warm_start is not None and (best is None or warm_start.objective < best.objective):
-        best = warm_start
-
-    if best is None:
-        primal = inf
-        order = _magnitude_order(y).tolist()  # needs no fit
-    else:
-        primal = best.objective
-        order = _magnitude_order(y - X @ best.beta).tolist()
+    best, primal = None, inf
+    order = _magnitude_order(y).tolist()
 
     def solve(drop: list) -> None:
         nonlocal best, primal, order
@@ -402,6 +390,17 @@ def _branch_and_bound(
             best, primal = cand, cand.objective
             order = _magnitude_order(y - X @ best.beta).tolist()
 
+    screen = None
+    try:
+        full = pivoted_qr(X)
+    except RankDeficient:
+        pass  # the full design fails the test: no screen, no greedy discard set
+    else:
+        screen = _leave_out_screen(X, y, full)
+        solve(_top_k_indices(y - full[0] @ (full[0].T @ y), k).tolist())
+    if warm_start is not None:
+        solve(warm_start.outliers.tolist())
+
     # heap entries: (bound, tiebreak, fixed_out, fixed_in, factor, rss)
     heap: list = []
     counter = itertools.count()
@@ -412,13 +411,11 @@ def _branch_and_bound(
     while heap:
         bound, _, fixed_out, fixed_in, factor, rss = heappop(heap)
         nodes += 1
-        if not bound >= dual - 1e-9:
+        if not bound >= dual:
             raise InvariantViolated("dual bound regressed")
-        dual = max(dual, bound)
+        dual = bound
         if primal - dual <= GAP_TOL * dual:
             break
-        if bound >= _prune_level(primal):
-            continue
         if time.perf_counter() - start > TIME_LIMIT:
             timed_out = True
             break
@@ -450,7 +447,7 @@ def _branch_and_bound(
         factor_in, added = _add_row(factor, rows[row], tiny)
         rss_in = rss + added
         in_bound = 0.5 * rss_in
-        if in_bound < _prune_level(primal):
+        if in_bound < primal * (1.0 - 1e-12):  # else it cannot improve the incumbent
             heappush(heap, (in_bound, next(counter), fixed_out, fixed_in + (row,),
                             factor_in, rss_in))
 
@@ -458,8 +455,10 @@ def _branch_and_bound(
         raise RankDeficient(f"no kept set of N - k = {n - k} rows passed the rank test")
     if not heap and not timed_out:
         dual = primal
-    dual = min(dual, primal)
-    return best, primal, dual, nodes, timed_out
+    return OracleResult(
+        solution=best, primal=primal, dual=min(dual, primal), proven_optimal=not timed_out,
+        nodes_explored=nodes, wall_time=time.perf_counter() - start,
+    )
 
 
 def best_subset_exact(
@@ -472,11 +471,13 @@ def best_subset_exact(
 
     `method="branch-and-bound"` searches keep/discard assignments;
     `"enumerate"` scores all C(N, k) discard sets instead, a brute-force
-    check on the search. A warm start seeds the incumbent (and never
-    worsens the result); one that does not cover these N rows or that
-    discards more than k raises ValueError. Returns the best incumbent
-    with an honest dual bound when `TIME_LIMIT` binds. `proven_optimal`
-    holds when it did not: the gap is then within `GAP_TOL` relative.
+    check on the search. A warm start is a discard set, re-solved on
+    `data` as one more candidate (its objective is never read), so it
+    never worsens the result; one that does not cover these N rows or
+    that discards more than k raises ValueError. Returns the best
+    incumbent with an honest dual bound when `TIME_LIMIT` binds.
+    `proven_optimal` holds when it did not: the gap is then within
+    `GAP_TOL` relative.
     """
     n = data.n_obs
     if n > N_LIMIT:
@@ -491,24 +492,9 @@ def best_subset_exact(
         warm_start.alpha.shape[0] != n or warm_start.outliers.shape[0] > k
     ):
         raise ValueError(f"warm start must discard at most k={k} of the N={n} rows")
-    start = time.perf_counter()
-
     if method == "enumerate" and k:  # k = 0: the empty discard set, branch and bound's root
-        sol, n_eval = _enumerate_exact(data, k)
-        primal = sol.objective
-        if warm_start is not None and warm_start.objective < primal:
-            sol, primal = warm_start, warm_start.objective
-        return OracleResult(
-            solution=sol, primal=primal, dual=primal, proven_optimal=True,
-            nodes_explored=n_eval, wall_time=time.perf_counter() - start,
-        )
-
-    best, primal, dual, nodes, timed_out = _branch_and_bound(data, k, warm_start)
-    return OracleResult(
-        solution=best, primal=primal, dual=dual,
-        proven_optimal=not timed_out, nodes_explored=nodes,
-        wall_time=time.perf_counter() - start,
-    )
+        return _enumerate_exact(data, k, warm_start)
+    return _branch_and_bound(data, k, warm_start)
 
 
 __all__ = [

@@ -528,6 +528,18 @@ def test_fit_runs_under_python_optimize(outlier_csv, tmp_path):
     assert 12 in load_json(out)["outlier_rows"]
 
 
+def _asserts(source):
+    """Line of each `assert` statement in the source."""
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)]
+
+
+def test_no_module_uses_assert():
+    # `python -O` strips asserts, so an invariant check must be plain code
+    assert _asserts("def f(x):\n    assert x > 0\n    return x\n") == [2]
+    for path in sorted(Path(trimreg.__file__).parent.glob("*.py")):
+        assert _asserts(path.read_text(encoding="utf-8")) == [], path.name
+
+
 def test_fit_l0_with_psi_is_usage_error(linear_csv, capsys):
     rc = main(["fit", linear_csv, "--method", "l0", "--k", "1", "--psi", "0.5"])
     assert rc == 2

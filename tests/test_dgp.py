@@ -14,6 +14,8 @@ from trimreg.dgp import (
     summary_rows,
 )
 from trimreg.errors import RankDeficient, TooLarge
+from trimreg.l0 import _trimmed_solution
+from trimreg.linalg import Dataset
 
 
 def test_config_validation():
@@ -322,6 +324,32 @@ def test_failed_oracle_keeps_the_replications_fits(monkeypatch):
     assert all(lcs1[rep].equal_oracle is not None for rep in (1, 3))
     assert all(lcs1[rep].gap is not None for rep in (1, 3))
     assert summaries["lcs1"].n_reps == 3 and summaries["lcs1"].n_failed == 0
+
+
+@pytest.mark.parametrize("s", [-60, -40, 40])
+def test_gap_and_equal_oracle_are_scale_free(monkeypatch, s):
+    # fixed discard sets, so no fit's own scale dependence shows: on y
+    # times 2^s the gap divides by the dual itself and keeps its bits, and
+    # a set 2.2 times the optimum stays unequal to it
+    cfg = DgpConfig(dgp=1, N=30, p=0.1, mu_alpha=5.0, sigma_alpha=5.0, seed=0, n_test=10)
+    estimators = [Estimator(str(drop), lambda sample, drop=drop: _trimmed_solution(
+        sample.train, np.array(drop), 3)) for drop in ([0, 1, 2], [0, 1, 3])]
+
+    real = dgp.generate
+
+    def scaled(cfg):
+        sample = real(cfg)
+        return dgp.DgpSample(train=Dataset(y=np.ldexp(sample.train.y, s), x=sample.train.x),
+                             true_beta=sample.true_beta,
+                             true_outliers=sample.true_outliers, test=sample.test)
+
+    base = dgp._run_one_rep(cfg, estimators, 1, oracle_k=3)  # seed 0 ^ 1
+    monkeypatch.setattr(dgp, "generate", scaled)
+    got = dgp._run_one_rep(cfg, estimators, 1, oracle_k=3)
+    assert [r.equal_oracle for r in base] == [True, False]
+    assert base[0].gap == 0.0 and base[1].gap > 1.0
+    assert [(r.equal_oracle, r.gap.hex()) for r in got] == [
+        (r.equal_oracle, r.gap.hex()) for r in base]
 
 
 # designs of the criterion-4 and criterion-5 studies (README), at small N and R

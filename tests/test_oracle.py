@@ -11,7 +11,7 @@ from trimreg import oracle
 from trimreg.classic import fit_ols, initial_beta
 from trimreg.dgp import DgpConfig, generate
 from trimreg.errors import InvariantViolated, RankDeficient, TooLarge
-from trimreg.l0 import _trimmed_solution, fit_iht, fit_lcs
+from trimreg.l0 import _top_k_indices, _trimmed_solution, fit_iht, fit_lcs
 from trimreg.linalg import Dataset, pivoted_qr
 from trimreg.oracle import best_subset_exact, equal_solution
 
@@ -28,6 +28,13 @@ def exhaustive_oracle(data, k):
         if val < best_val:
             best_val, best_set = val, set(drop)
     return best_val, best_set
+
+
+def _greedy(data, k, trimmed_solution=_trimmed_solution):
+    """The solver's greedy discard set, the k rows of largest full-fit
+    residual, solved on the data."""
+    Q = pivoted_qr(data.design)[0]
+    return trimmed_solution(data, _top_k_indices(data.y - Q @ (Q.T @ data.y), k), k)
 
 
 def _instance(seed, n=12, k0=2, shift=8.0):
@@ -120,7 +127,7 @@ def test_default_is_branch_and_bound(monkeypatch):
         k = len(s.true_outliers)
         cases.append((s.train, k, fit_lcs(s.train, k, initial_beta(s.train), 2)))
 
-    def refuse(data, k):
+    def refuse(*args):
         raise AssertionError("auto enumerated")
 
     with monkeypatch.context() as m:
@@ -139,7 +146,7 @@ def test_time_limit_keeps_the_better_start_and_an_honest_dual(monkeypatch):
     # a negative limit binds at the root, the first node past the gap test
     monkeypatch.setattr(oracle, "TIME_LIMIT", -1.0)
     d = _instance(1, n=14, k0=3)
-    greedy = oracle._greedy_incumbent(d, 3, pivoted_qr(d.design)[0])
+    greedy = _greedy(d, 3)
     better = best_subset_exact(d, 3, method="enumerate").solution
     worse = _trimmed_solution(d, np.array([11, 12, 13]), 3)
     assert better.objective < greedy.objective < worse.objective
@@ -150,6 +157,24 @@ def test_time_limit_keeps_the_better_start_and_an_honest_dual(monkeypatch):
         assert 0 <= res.dual < res.primal
         assert res.primal == want.objective
         assert np.array_equal(res.solution.outliers, want.outliers)
+
+
+def test_foreign_warm_start_cannot_be_certified():
+    # a warm start fitted on the same rows with y halved: its stored
+    # objective is a quarter of what its rows cost on these data, so
+    # reading it would certify an objective below the optimum
+    d = generate(DgpConfig(dgp=1, N=30, p=0.1, mu_alpha=5.0, sigma_alpha=5.0,
+                           seed=1, n_test=10)).train
+    half = Dataset(y=d.y / 2, x=d.x)
+    foreign = fit_lcs(half, 3, initial_beta(half), 2)
+    for method in ("branch-and-bound", "enumerate"):
+        cold = best_subset_exact(d, 3, method=method)
+        assert foreign.objective < cold.primal
+        res = best_subset_exact(d, 3, warm_start=foreign, method=method)
+        assert res.proven_optimal
+        assert res.primal == cold.primal
+        assert np.array_equal(res.solution.outliers, cold.solution.outliers)
+        assert res.primal == _trimmed_solution(d, res.solution.outliers, 3).objective
 
 
 def test_warm_start_already_optimal():
@@ -240,6 +265,19 @@ def test_equal_solution_same_support_different_alpha_representation():
         assert equal_solution(a, b)
 
 
+@pytest.mark.parametrize("s", [-60, -40, 0, 40])
+def test_equal_solution_is_scale_free(s):
+    # fixed discard sets whose objectives are 2.2 times apart stay apart
+    # at every scale of y, and a set stays equal to its own re-solve
+    d = generate(DgpConfig(dgp=1, N=30, p=0.1, mu_alpha=5.0, sigma_alpha=5.0,
+                           seed=1, n_test=10)).train
+    scaled = Dataset(y=np.ldexp(d.y, s), x=d.x)
+    a, b = (_trimmed_solution(scaled, np.array(drop), 3) for drop in ([0, 1, 2], [0, 1, 3]))
+    assert b.objective > 2.0 * a.objective > 0.0
+    assert not equal_solution(a, b)
+    assert equal_solution(a, _trimmed_solution(scaled, np.array([0, 1, 2]), 3))
+
+
 def test_equal_solution_distinct_supports_with_gap():
     d = _instance(21, n=16, k0=2)
     best = best_subset_exact(d, 2).solution
@@ -282,9 +320,11 @@ def _reference_branch_and_bound(data, k, warm_start, rss_fixed=_reference_rss_fi
     n = data.n_obs
     start = time.perf_counter()
 
-    best = oracle._greedy_incumbent(data, k, pivoted_qr(X)[0])
-    if warm_start is not None and warm_start.objective < best.objective:
-        best = warm_start
+    best = _greedy(data, k, trimmed_solution)
+    if warm_start is not None:
+        warm = trimmed_solution(data, warm_start.outliers, k)
+        if warm.objective < best.objective:
+            best = warm
     primal = best.objective
 
     heap: list = []
@@ -331,8 +371,10 @@ def _reference_branch_and_bound(data, k, warm_start, rss_fixed=_reference_rss_fi
 
     if not heap and not timed_out:
         dual = primal
-    dual = min(dual, primal)
-    return best, primal, dual, nodes, timed_out
+    return oracle.OracleResult(
+        solution=best, primal=primal, dual=min(dual, primal), proven_optimal=not timed_out,
+        nodes_explored=nodes, wall_time=time.perf_counter() - start,
+    )
 
 
 def _offset_design(seed, n=30):
@@ -402,7 +444,7 @@ def test_branch_and_bound_matches_frozen_reference(monkeypatch):
     # nodes. Both searches solve through the counted `_trimmed_solution`:
     # the reference once per closed node, the new one only where the
     # screen lets a completion through; each also solves its greedy
-    # incumbent.
+    # discard set and its warm start's rows.
     solves = []
 
     def counted(data, drop, k):
@@ -431,11 +473,11 @@ def test_branch_and_bound_matches_frozen_reference(monkeypatch):
         new = oracle._branch_and_bound(data, k, warm)
         if label == "dgp1":
             assert len(solves) - 1 < closed
-        assert np.array_equal(new[0].outliers, ref[0].outliers)
-        assert new[1].hex() == ref[1].hex()
-        for best, primal, dual, nodes, timed_out in (ref, new):
-            assert not timed_out
-            assert primal - dual <= oracle.GAP_TOL * max(dual, 1e-12)
+        assert np.array_equal(new.solution.outliers, ref.solution.outliers)
+        assert new.primal.hex() == ref.primal.hex()
+        for res in (ref, new):
+            assert res.proven_optimal
+            assert res.primal - res.dual <= oracle.GAP_TOL * max(res.dual, 1e-12)
 
 
 @pytest.mark.parametrize("design", ["plain", "offset", "collinear", "leverage-one"])
