@@ -27,7 +27,6 @@ from .errors import (
 )
 from .l0 import (
     SparsitySolution,
-    bic_score,
     fit_iht,
     fit_l0_auto,
     fit_lcs,

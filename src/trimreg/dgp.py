@@ -30,9 +30,8 @@ from .linalg import Dataset
 from .oracle import best_subset_exact, equal_solution
 
 VAR_BURN_IN = 200
-# NOT taken from any reference dataset: diagonal persistence 0.2, unit noise
-DEFAULT_VAR_PHI = 0.2 * np.eye(6)
-DEFAULT_VAR_SIGMA = np.eye(6)
+# NOT taken from any reference dataset: diagonal VAR(1) persistence, unit noise
+VAR_PHI = 0.2
 
 
 @dataclass(frozen=True)
@@ -161,13 +160,11 @@ _VECM_PI = np.array([[0.0, 0.0], [1.0, -1.0]])
 
 def _dgp3_block(rng, n, cfg: DgpConfig, with_outliers: bool):
     eta = _dgp3_eta(cfg.N)
-    phi = DEFAULT_VAR_PHI
-    chol = np.linalg.cholesky(DEFAULT_VAR_SIGMA)
     steps = VAR_BURN_IN + n + 2
-    eps = rng.standard_normal((steps, 6)) @ chol.T
+    eps = rng.standard_normal((steps, 6))
     xi = np.zeros((steps, 6))
     for t in range(1, steps):
-        xi[t] = phi @ xi[t - 1] + eps[t]
+        xi[t] = VAR_PHI * xi[t - 1] + eps[t]
     xi = xi[VAR_BURN_IN:]  # periods 0..n+1; period 0 only starts the recursions
     z = xi[:, 0]
     v = xi[:, 1:3]

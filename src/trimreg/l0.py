@@ -32,15 +32,17 @@ the searches nested in it share and which is dropped when it returns,
 or raises. It maps (k, discarded rows) to the trimmed solution, (l,
 discarded rows) to the order-l swap pass with the discard set of its
 move, and the bytes of a beta to the stable ranking of its residuals
-by magnitude, from which `fit_iht` takes every budget's discard set.
-All are pure functions of their keys, so a hit changes no output: a
-solution comes back as a new object with the same read-only arrays and
-a fresh `info` dict, and `local_swap_search` writes the same `info`
-entries as after a fresh pass. The searches re-visit supports often: a
-swap's refit is usually the first support of the alternation that
-follows it, a budget sweep's refits start from coefficients an earlier
-alternation reached and land on supports an earlier refit reached, and
-`fit_l0_auto`'s closing polish starts on the support the sweep selected.
+by magnitude, from which `fit_iht` takes every budget's discard set; it
+also holds the objective's rounding level, the floor of every margin
+(`_margin`). All are pure functions of their keys, so a hit changes no
+output: a solution comes back as a new object with the same read-only
+arrays and a fresh `info` dict, and `local_swap_search` writes the same
+`info` entries as after a fresh pass. The searches re-visit supports
+often: a swap's refit is usually the first support of the alternation
+that follows it, a budget sweep's refits start from coefficients an
+earlier alternation reached and land on supports an earlier refit
+reached, and `fit_l0_auto`'s closing polish starts on the support the
+sweep selected.
 """
 
 from __future__ import annotations
@@ -59,7 +61,8 @@ from .linalg import Dataset, lstsq_qr, pivoted_qr
 IHT_MAX_ITER = 100
 LCS_MAX_OUTER = 50
 SWEEP_MAX = 20
-# relative margin a swap must clear to count as a strict improvement
+# relative part of the margin (`_margin`) by which an objective must fall to
+# count as a strict improvement; the rest is the objective's rounding level
 IMPROVE_TOL = 1e-12
 # leave-out denominators below this are treated as degenerate candidates
 DOWNDATE_TOL = 1e-10
@@ -153,7 +156,8 @@ def _solves_once_per_call(search):
         active = _ACTIVE_MEMO.get()
         if active is not None and active[0] is data:
             return search(data, *args, **kwargs)
-        token = _ACTIVE_MEMO.set((data, {}))
+        level = _rounding_level(data)  # the objective's rounding level, for `_margin`
+        token = _ACTIVE_MEMO.set((data, {"floor": 0.5 * level * level}))
         try:
             return search(data, *args, **kwargs)
         finally:
@@ -166,6 +170,19 @@ def _call_memo(data: Dataset) -> dict | None:
     """The memo of the public search call in progress on `data`, if any."""
     active = _ACTIVE_MEMO.get()
     return active[1] if active is not None and active[0] is data else None
+
+
+def _rounding_level(data: Dataset) -> float:
+    """N eps ||y||, the rounding level of residuals of y; an objective's
+    is half its square."""
+    return data.n_obs * np.finfo(float).eps * float(np.linalg.norm(data.y))
+
+
+def _margin(data: Dataset, objective: float) -> float:
+    """IMPROVE_TOL * objective plus the objective's rounding level, which
+    the memo of the search call in progress holds: both scale with y^2, so
+    every search decision does too."""
+    return IMPROVE_TOL * objective + _call_memo(data)["floor"]
 
 
 def _trimmed_solution(data: Dataset, drop_rows: np.ndarray, k: int) -> SparsitySolution:
@@ -217,9 +234,9 @@ def fit_iht(data: Dataset, k: int, beta0: np.ndarray) -> SparsitySolution:
 
     Each iteration discards the k largest residuals and solves the kept
     rows once (`_trimmed_solution`); the last solve is the answer. Stops
-    once the discarded set repeats (then the coefficients are a fixed
-    point) or the coefficient change drops below 1e-10 in max-norm. The
-    trimmed objective is non-increasing across iterations. `beta0` must
+    once the discarded set repeats or a solve returns the coefficients it
+    started from: either way they are a fixed point. The trimmed objective
+    is non-increasing across iterations, up to `_margin`. `beta0` must
     be finite and as long as a row of the design, also at k = 0.
     """
     n, q = data.n_obs, data.n_coef
@@ -247,13 +264,13 @@ def fit_iht(data: Dataset, k: int, beta0: np.ndarray) -> SparsitySolution:
         if key == prev_key:
             break
         sol = _trimmed_solution(data, drop, k)
-        if not sol.objective <= obj + IMPROVE_TOL * max(1.0, obj):
+        if not sol.objective <= obj + _margin(data, obj):
             raise InvariantViolated("hard-threshold iteration increased the trimmed objective")
         obj = sol.objective
-        delta = max(abs(a - b) for a, b in zip(sol.beta.tolist(), beta.tolist()))
+        fixed = sol.beta.tolist() == beta.tolist()
         beta = sol.beta
         prev_key = key
-        if delta < 1e-10:
+        if fixed:
             break
     sol.info["iterations"] = iterations
     return sol
@@ -435,15 +452,15 @@ def local_swap_search(data: Dataset, sol: SparsitySolution, l: int) -> SparsityS
 
     Moves at most l discarded rows back in and at most as many kept rows
     out, scoring every such support by restricted least squares. If no
-    candidate beats the current objective by more than a 1e-12 relative
-    margin, the input is returned unchanged and certified swap-inescapable
-    of order l. The swap pass, and the discard set of its move once
-    accepted, come from the call's memo when the same (l, discarded rows)
-    was searched before.
+    candidate beats the current objective by more than `_margin`, the
+    input is returned unchanged and certified swap-inescapable of order
+    l. The swap pass, and the discard set of its move once accepted, come
+    from the call's memo when the same (l, discarded rows) was searched
+    before.
     """
     if l not in (1, 2):
         raise ValueError("l must be 1 or 2")
-    margin = IMPROVE_TOL * max(1.0, sol.objective)
+    margin = _margin(data, sol.objective)
     if sol.outliers.shape[0] == 0:
         sol.info["swap_candidates"] = 0
         sol.info["inescapable_order"] = l
@@ -485,7 +502,7 @@ def fit_lcs(data: Dataset, k: int, beta0: np.ndarray, l: int) -> SparsitySolutio
         if not swapped.objective <= cur.objective:
             raise InvariantViolated("swap accepted without descent")
         nxt = fit_iht(data, k, swapped.beta)
-        if not nxt.objective <= swapped.objective + IMPROVE_TOL * max(1.0, swapped.objective):
+        if not nxt.objective <= swapped.objective + _margin(data, swapped.objective):
             raise InvariantViolated("re-threshold after swap increased the objective")
         cur = nxt
     return cur
@@ -537,7 +554,7 @@ def neighborhood_search(
                 raise InvariantViolated("sweep increased an objective")
             sols[j] = best
         new_total = sum(s.objective for s in sols)
-        if abs(new_total - total) <= IMPROVE_TOL * max(1.0, total):
+        if abs(new_total - total) <= _margin(data, total):
             break
         total = new_total
     return sols
@@ -552,16 +569,9 @@ def bic(data: Dataset, beta: np.ndarray, alpha: np.ndarray, complexity: float) -
     r = data.y - data.design @ beta - alpha
     rss = float(r @ r)
     # the rounding level is tested on the norms, which do not overflow
-    if rss < np.finfo(float).tiny or (
-        np.linalg.norm(r) <= n * np.finfo(float).eps * np.linalg.norm(data.y)
-    ):
+    if rss < np.finfo(float).tiny or np.linalg.norm(r) <= _rounding_level(data):
         raise DegenerateFit("residual sum of squares is zero up to rounding")
     return n * np.log(rss / n) + complexity * np.log(n)
-
-
-def bic_score(data: Dataset, sol: SparsitySolution) -> float:
-    """N log(RSS/N) + k log N (`bic` with complexity k)."""
-    return bic(data, sol.beta, sol.alpha, sol.k)
 
 
 def select_by_score(candidates: list, param: str, score, prefer_last: bool = False):
@@ -590,7 +600,8 @@ def select_k_bic(data: Dataset, beta0: np.ndarray, K: int, l: int) -> SparsitySo
     traces every budget in ascending k."""
     return select_by_score(
         neighborhood_search(data, beta0, K, l), "k",
-        lambda sol: bic_score(data, sol) + (BIC_SELECTION_MULT - 1.0) * sol.k * np.log(data.n_obs),
+        lambda sol: bic(data, sol.beta, sol.alpha, sol.k)
+        + (BIC_SELECTION_MULT - 1.0) * sol.k * np.log(data.n_obs),
     )
 
 
@@ -623,7 +634,6 @@ __all__ = [
     "neighborhood_search",
     "sweep_cap",
     "bic",
-    "bic_score",
     "select_by_score",
     "select_k_bic",
     "fit_l0_auto",

@@ -174,12 +174,6 @@ def default_psi_grid(data: Dataset, size: int, lad_beta: np.ndarray) -> np.ndarr
     return np.geomspace(0.1 * scale, 10.0 * scale, size)
 
 
-def bic_l1(data: Dataset, sol: L1Solution, mult: float) -> float:
-    """BIC score with `mult` times the flagged-row count as the complexity
-    term; raises DegenerateFit where the RSS is zero up to rounding (`l0.bic`)."""
-    return bic(data, sol.beta, sol.alpha, mult * np.count_nonzero(sol.alpha))
-
-
 def select_psi_bic(
     data: Dataset, beta0: np.ndarray, size: int = PSI_GRID_SIZE,
     penalty_mult: float = BIC_SELECTION_MULT,
@@ -202,8 +196,8 @@ def select_psi_bic(
     fits = [f for f in _fit_l1(data, grid, beta0, factor_qr(data.design)) if f.converged]
     if not fits:
         raise AllFitsFailed("no psi on the grid produced a converged fit")
-    return select_by_score(fits, "psi", lambda sol: bic_l1(data, sol, penalty_mult),
-                           prefer_last=True)
+    return select_by_score(fits, "psi", lambda sol: bic(
+        data, sol.beta, sol.alpha, penalty_mult * np.count_nonzero(sol.alpha)), prefer_last=True)
 
 
 __all__ = [
@@ -213,6 +207,5 @@ __all__ = [
     "fit_l1",
     "fit_huber",
     "default_psi_grid",
-    "bic_l1",
     "select_psi_bic",
 ]

@@ -9,7 +9,8 @@ routines `scipy.linalg.qr(mode="economic", pivoting=True)` and
 `solve_triangular` call, with the same arguments, workspace sizes and
 memory layouts, so the coefficients carry the same bits; skipping the
 wrappers' validation and dispatch roughly halves the cost of a small
-solve.
+solve. There is one solve path: `lstsq_qr` is a single solve of
+`factor_qr`, which a design refit against many responses keeps.
 """
 
 from __future__ import annotations
@@ -116,30 +117,6 @@ def pivoted_qr(X: np.ndarray):
     return Q, R_t, jpvt - 1
 
 
-def _factors(X: np.ndarray):
-    """Q, R' and piv of a finite X with at least as many rows as columns
-    (`pivoted_qr`), or None when X has no columns; raises as `factor_qr`."""
-    n, q = X.shape
-    if n < q:
-        raise TooFewRows(f"{n} rows < {q} columns")
-    if q == 0:
-        return None
-    if not np.isfinite(X).all():
-        raise ValueError("array must not contain infs or NaNs")
-    return pivoted_qr(X)
-
-
-def _solve_pivoted(Q, R_t, v: np.ndarray) -> np.ndarray:
-    """Coefficients of v on X[:, piv] = Q R, in pivot order."""
-    qtv = Q.T @ v
-    if not np.isfinite(qtv).all():
-        raise ValueError("array must not contain infs or NaNs")
-    coef_piv, info = lapack.dtrtrs(R_t, qtv, lower=1, trans=1, overwrite_b=1)
-    if info != 0:  # a zero pivot, which the rank test has ruled out
-        raise np.linalg.LinAlgError(f"dtrtrs failed with info={info}")
-    return coef_piv
-
-
 def factor_qr(X: np.ndarray):
     """Factor X once by column-pivoted QR; return `solve(v) -> beta`.
 
@@ -149,24 +126,29 @@ def factor_qr(X: np.ndarray):
     leading pivot, TooFewRows when there are fewer rows than columns, and
     ValueError when X, or Q'v in `solve`, holds NaN or Inf.
     """
-    factors = _factors(X)
-    if factors is None:
+    n, q = X.shape
+    if n < q:
+        raise TooFewRows(f"{n} rows < {q} columns")
+    if q == 0:
         return lambda v: np.zeros(0)
-    Q, R_t, piv = factors
+    if not np.isfinite(X).all():
+        raise ValueError("array must not contain infs or NaNs")
+    Q, R_t, piv = pivoted_qr(X)
     unpivot = np.argsort(piv)  # coefficient j sits at position unpivot[j]
-    return lambda v: _solve_pivoted(Q, R_t, v)[unpivot]
+
+    def solve(v: np.ndarray) -> np.ndarray:
+        qtv = Q.T @ v
+        if not np.isfinite(qtv).all():
+            raise ValueError("array must not contain infs or NaNs")
+        coef_piv, info = lapack.dtrtrs(R_t, qtv, lower=1, trans=1, overwrite_b=1)
+        if info != 0:  # a zero pivot, which the rank test has ruled out
+            raise np.linalg.LinAlgError(f"dtrtrs failed with info={info}")
+        return coef_piv[unpivot]
+
+    return solve
 
 
 def lstsq_qr(X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Least-squares coefficients of y on X via column-pivoted QR: one
-    solve, with the bits of `factor_qr(X)(y)`.
-
-    Raises as `factor_qr` does.
-    """
-    factors = _factors(X)
-    if factors is None:
-        return np.zeros(0)
-    Q, R_t, piv = factors
-    beta = np.empty(X.shape[1])
-    beta[piv] = _solve_pivoted(Q, R_t, y)
-    return beta
+    """Least-squares coefficients of y on X: one solve of `factor_qr(X)`,
+    for a design used once. Raises as `factor_qr` does."""
+    return factor_qr(X)(y)

@@ -17,7 +17,7 @@ from trimreg.errors import DegenerateFit, InvariantViolated, TooFewInliers
 from trimreg.l0 import (
     Selection,
     SparsitySolution,
-    bic_score,
+    bic,
     count_swap_candidates,
     fit_iht,
     fit_l0_auto,
@@ -483,6 +483,12 @@ def test_closing_order_2_pass_skips_most_pairs(monkeypatch):
     assert sum(n_built) <= 0.1 * sum(n_pairs)
 
 
+def _reference_margin(data, objective):
+    """`l0._margin` outside a search call."""
+    level = l0._rounding_level(data)
+    return l0.IMPROVE_TOL * objective + 0.5 * level * level
+
+
 def _reference_fit_iht(data, k, beta0):
     """`fit_iht` as one loop with its own solve, then a closing refit of the
     last discarded set through `_trimmed_solution`."""
@@ -499,12 +505,12 @@ def _reference_fit_iht(data, k, beta0):
         beta_new = l0.lstsq_qr(X[mask], y[mask])
         r_new = y - X @ beta_new
         obj_new = 0.5 * float(r_new[mask] @ r_new[mask])
-        assert obj_new <= obj + l0.IMPROVE_TOL * max(1.0, obj)
+        assert obj_new <= obj + _reference_margin(data, obj)
         obj = obj_new
-        delta = np.max(np.abs(beta_new - beta))
+        fixed = np.array_equal(beta_new, beta)
         beta = beta_new
         prev_drop = drop
-        if delta < 1e-10:
+        if fixed:
             break
     sol = l0._trimmed_solution(data, prev_drop, k)
     sol.info["iterations"] = iterations
@@ -699,7 +705,7 @@ def _plain_neighborhood_search(data, beta0, K, l):
                     best = cand
             sols[j] = best
         new_total = sum(s.objective for s in sols)
-        if abs(new_total - total) <= l0.IMPROVE_TOL * max(1.0, total):
+        if abs(new_total - total) <= _reference_margin(data, total):
             break
         total = new_total
     return sols
@@ -724,7 +730,7 @@ def test_neighborhood_search_equals_plain_refit_loop(cfg, K):
 def _reference_swap_search(data, sol, l):
     """`local_swap_search` around `_reference_swap_pass`, with nothing
     kept from one call to the next."""
-    margin = l0.IMPROVE_TOL * max(1.0, sol.objective)
+    margin = _reference_margin(data, sol.objective)
     if sol.outliers.shape[0] == 0:
         sol.info.update(swap_candidates=0, inescapable_order=l)
         return sol
@@ -762,7 +768,7 @@ def _reference_neighborhood_search(data, beta0, K, l):
                     if cand.objective < sols[j].objective:
                         sols[j] = cand
         new_total = sum(s.objective for s in sols)
-        if abs(new_total - total) <= l0.IMPROVE_TOL * max(1.0, total):
+        if abs(new_total - total) <= _reference_margin(data, total):
             break
         total = new_total
     return sols
@@ -770,7 +776,8 @@ def _reference_neighborhood_search(data, beta0, K, l):
 
 def _reference_fit_l0_auto(data, beta0, K):
     def score(sol):
-        return bic_score(data, sol) + (l0.BIC_SELECTION_MULT - 1.0) * sol.k * np.log(data.n_obs)
+        return (bic(data, sol.beta, sol.alpha, sol.k)
+                + (l0.BIC_SELECTION_MULT - 1.0) * sol.k * np.log(data.n_obs))
 
     selected = select_by_score(_reference_neighborhood_search(data, beta0, K, 1), "k", score)
     final = _reference_lcs(data, selected.k, selected.beta, 2)
@@ -1024,7 +1031,7 @@ def test_bic_score_formula(rng):
     r = d.y - d.design @ sol.beta - sol.alpha
     rss = float(r @ r)
     expected = 30 * np.log(rss / 30) + 2 * np.log(30)
-    assert bic_score(d, sol) == pytest.approx(expected, rel=1e-12)
+    assert bic(d, sol.beta, sol.alpha, sol.k) == pytest.approx(expected, rel=1e-12)
     # shifts absorb their rows completely, so the rss is twice the objective
     assert rss == pytest.approx(2 * sol.objective, rel=1e-10)
 
@@ -1042,7 +1049,7 @@ def test_bic_score_arithmetic_example():
     sol.beta = np.zeros(1)
     sol.alpha = np.zeros(100)
     sol.k = 5
-    assert bic_score(d, sol) == pytest.approx(5 * np.log(100), rel=1e-12)
+    assert bic(d, sol.beta, sol.alpha, sol.k) == pytest.approx(5 * np.log(100), rel=1e-12)
 
 
 def test_bic_degenerate_on_perfect_fit():
@@ -1051,7 +1058,7 @@ def test_bic_degenerate_on_perfect_fit():
     sol = fit_iht(d, 2, np.array([0.0]))
     assert sol.objective == 0.0
     with pytest.raises(DegenerateFit):
-        bic_score(d, sol)
+        bic(d, sol.beta, sol.alpha, sol.k)
 
 
 def test_select_by_score_tie_rules():
@@ -1154,6 +1161,33 @@ def _info_writes(tree):
             if (isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)
                     and isinstance(node.value, ast.Attribute) and node.value.attr == "info"):
                 yield getattr(top, "name", None), node.lineno
+
+
+def _l0_stack(data, b0, K):
+    """`fit_l0_auto`, `fit_lcs` at K // 2 of order 1 and 2, `fit_iht` at
+    K // 2 and the order-1 budget sweep up to K // 2, all from b0."""
+    return [fit_l0_auto(data, b0, K), fit_lcs(data, K // 2, b0, 1), fit_lcs(data, K // 2, b0, 2),
+            fit_iht(data, K // 2, b0), *neighborhood_search(data, b0, K // 2, 1)]
+
+
+@pytest.mark.parametrize("s", [-60, -30, 30, 60])
+def test_the_l0_stack_is_scale_equivariant(s):
+    # y and the start times 2^s is exact in binary floating point, and so
+    # is every search decision taken relative to the objective's own scale:
+    # the same discard sets and diagnostics, with beta times 2^s and the
+    # objective times 2^(2s), bit for bit
+    for cfg, K in [(DgpConfig(dgp=1, N=40, p=0.1, seed=1002, n_test=1), 10),
+                   (DgpConfig(dgp=2, N=200, p=0.1, rho=5.0, seed=1000, n_test=1), 40),
+                   (DgpConfig(dgp=3, N=120, p=0.1, rho=5.0, seed=1000, n_test=1), 30)]:
+        d = generate(cfg).train
+        b0 = initial_beta(d)
+        scaled = Dataset(y=np.ldexp(d.y, s), x=d.x)
+        pairs = zip(_l0_stack(scaled, np.ldexp(b0, s), K), _l0_stack(d, b0, K), strict=True)
+        for got, want in pairs:
+            assert np.array_equal(got.outliers, want.outliers)
+            assert got.k == want.k and got.info == want.info
+            assert np.ldexp(got.beta, -s).tobytes() == want.beta.tobytes()
+            assert np.ldexp(got.objective, -2 * s) == want.objective
 
 
 def test_only_the_searches_write_into_info():

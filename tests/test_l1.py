@@ -6,9 +6,9 @@ from trimreg import l1
 from trimreg.classic import BETA_TOL, fit_lad, fit_ols
 from trimreg.dgp import DgpConfig, generate
 from trimreg.errors import AllFitsFailed, NotConverged
+from trimreg.l0 import bic
 from trimreg.l1 import (
     SHIFT_MAX_ITER,
-    bic_l1,
     default_psi_grid,
     fit_huber,
     fit_l1,
@@ -149,7 +149,8 @@ def test_select_psi_bic_factors_the_design_once(monkeypatch):
     fits = [fit_l1(d, float(psi)) for psi in default_psi_grid(d, l1.PSI_GRID_SIZE, b0)]
     assert len(calls) == 1 + len(fits)
     assert list(sol.selection.trace) == [
-        (f.psi, f.objective, bic_l1(d, f, 1.0), np.count_nonzero(f.alpha)) for f in fits
+        (f.psi, f.objective, bic(d, f.beta, f.alpha, 1.0 * np.count_nonzero(f.alpha)),
+         np.count_nonzero(f.alpha)) for f in fits
     ]
     want = next(f for f in fits if f.psi == sol.psi)
     assert sol.beta.tobytes() == want.beta.tobytes()
@@ -169,7 +170,8 @@ def _per_psi_fits(d, grid):
 
 def _assert_selection_is_the_per_psi_fits(d, sol, fits, mult):
     assert list(sol.selection.trace) == [
-        (f.psi, f.objective, bic_l1(d, f, mult), np.count_nonzero(f.alpha)) for f in fits
+        (f.psi, f.objective, bic(d, f.beta, f.alpha, mult * np.count_nonzero(f.alpha)),
+         np.count_nonzero(f.alpha)) for f in fits
     ]
     want = next(f for f in fits if f.psi == sol.psi)
     assert sol.beta.tobytes() == want.beta.tobytes()
